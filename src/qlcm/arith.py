@@ -17,8 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 # largest product bound we trust to an int64 accumulator
 _INT64_SAFE = 2**62
+# largest table limit build_tables accepts: its seven arrays then take
+# about 450 MB
+TABLE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,13 @@ def build_tables(limit: int) -> ArithTables:
 
     Vectorized Eratosthenes-style passes: smallest prime factor first, then
     phi and mu from the prime list, then tau and sigma by a harmonic sweep
-    over divisors.
+    over divisors.  Raises ResourceLimitError above TABLE_LIMIT, before
+    allocating anything.
     """
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
+    if limit > TABLE_LIMIT:
+        raise ResourceLimitError(f"table limit {limit} exceeds the cap {TABLE_LIMIT}")
     n = int(limit)
     size = n + 1
 

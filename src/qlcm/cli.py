@@ -59,7 +59,6 @@ class ExperimentSpec:
     exact_mode: bool = False
     include_timings: bool = True
     dev_eps: float = 0.05
-    quadratic_limit: int = moments.QUADRATIC_LIMIT
     truncation: moments.TruncationConfig = field(default_factory=moments.TruncationConfig)
     c1_pair: tuple[int, int] | None = None
     c1_x: int | None = None
@@ -146,7 +145,6 @@ _OPTIONS = {
     "exact": (_parse_bool, False),
     "timings": (_parse_bool, True),
     "dev_eps": (float, 0.05),
-    "quadratic_limit": (int, moments.QUADRATIC_LIMIT),
     "j3_max": (int, 40),
     "tail_tol": (float, 1e-12),
     "c1_cutoff": (int, 100000),
@@ -314,7 +312,6 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         exact_mode=exact,
         include_timings=bool(opts["timings"]),
         dev_eps=dev_eps,
-        quadratic_limit=_positive("quadratic_limit"),
         truncation=trunc,
         c1_pair=c1_pair,
         c1_x=c1_x,
@@ -441,9 +438,7 @@ def _run_variance(spec: ExperimentSpec, phases):
         for a in spec.alphas:
             af = float(a)
             with _timed(phases, f"variance n={n} alpha={af:g}"):
-                v_exact = moments.variance_exact(
-                    n, af, tables, quadratic_limit=spec.quadratic_limit
-                )
+                v_exact = moments.variance_exact(n, af, tables)
             v_upper = moments.variance_upper_envelope(n, af)
             rec = {
                 "type": "report",
@@ -577,12 +572,12 @@ def _bench_cases(spec: ExperimentSpec):
         for size in (10**5, 10**6):
             yield f"build_tables {size}", size, lambda size=size: arith.build_tables(size)
     elif suite == "variance-sum":
-        for n in (2000, 4000, 8000):
-            tables = arith.build_tables(n)
+        tables = arith.build_tables(100000)
+        for n in (25000, 50000, 100000):
             yield (
                 f"variance n={n}",
                 n,
-                lambda n=n, tables=tables: moments.variance_exact(n, 0.5, tables),
+                lambda n=n: moments.variance_exact(n, 0.5, tables),
             )
     elif suite == "valpha":
         yield "v_alpha 0.5", 0, lambda: moments.v_alpha(0.5, spec.truncation)
@@ -701,7 +696,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default=None)
     p.add_argument("--alpha", default=None)
     p.add_argument("--exact", action="store_const", const=True, default=None, dest="exact")
-    p.add_argument("--quadratic-limit", type=int, default=None, dest="quadratic_limit")
     _add_common(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo degree statistics")

@@ -34,7 +34,8 @@ _ZETA2_SQ_OVER_3 = PI2_OVER_6 * PI2_OVER_6 / 3.0
 _C1_TAIL_COEFF = 0.05
 
 EXACT_RATIONAL_LIMIT = 30
-QUADRATIC_LIMIT = 20000
+# elements per chunk of the variance pair walk; bounds its working set
+VARIANCE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,30 +238,30 @@ def expectation_asymptotic(n: int, alpha: float) -> float:
     return (3.0 / (math.pi * math.pi)) * alpha_factor(float(alpha)) * float(n) * float(n)
 
 
-def variance_exact(
-    n: int,
-    alpha,
-    tables: ArithTables,
-    exact: bool = False,
-    quadratic_limit: int = QUADRATIC_LIMIT,
-    block_rows: int = 96,
-):
+def _cofactor_groups(n: int):
+    """(a, all b > a coprime to a with ab <= n, 2) for a <= sqrt(n), after
+    the diagonal a = b = 1, which counts once."""
+    yield 1, np.ones(1, dtype=np.int64), 1.0
+    for a in range(1, math.isqrt(n) + 1):
+        b = np.arange(a + 1, n // a + 1, dtype=np.int64)
+        yield a, b[np.gcd(b, a) == 1], 2.0
+
+
+def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     """V[X] as the exact double sum over 1 < d1, d2 <= n of
 
         phi(d1) phi(d2) beta^(j1 + j2 - j3) (1 - beta^j3),
 
     with j_i = floor(n/d_i) and j3 = floor(n / lcm(d1, d2)); pairs whose lcm
-    exceeds n contribute exactly zero.  The float path walks the upper
-    triangle in row blocks (off-diagonal pairs counted twice), reducing rows
-    in fixed order through a Kahan accumulator.  exact=True mirrors the sum
-    in Fractions for rational alpha and n <= EXACT_RATIONAL_LIMIT.
+    exceeds n contribute exactly zero.  The float path visits only the
+    others: d1 = g a, d2 = g b with gcd(a, b) = 1 has lcm g a b <= n, so it
+    loops over the cofactor pairs a <= b and walks their (b, g) elements in
+    chunks of VARIANCE_CHUNK, combining the chunk sums by fsum in fixed
+    order.  exact=True mirrors the dense sum in Fractions for rational alpha
+    and n <= EXACT_RATIONAL_LIMIT.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > quadratic_limit:
-        raise ResourceLimitError(
-            f"variance_exact is a quadratic sum; n = {n} exceeds limit {quadratic_limit}"
-        )
     if tables.limit < n:
         raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
     _check_alpha(alpha)
@@ -287,36 +288,30 @@ def variance_exact(
                     * (1 - _powi(beta, j3))
                 )
         return total
-    if n < 2:
-        return 0.0
-    beta = 1.0 - float(alpha)
-    pb = np.power(beta, np.arange(2 * n + 1, dtype=np.float64))
-    d = np.arange(2, n + 1, dtype=np.int64)
-    jd = n // d
+    # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
+    pb = np.power(1.0 - float(alpha), np.arange(n + 1, dtype=np.float64))
     phi_f = tables.phi[: n + 1].astype(np.float64)
-    total = 0.0
-    comp = 0.0
-    for r0 in range(2, n + 1, block_rows):
-        r1 = min(r0 + block_rows - 1, n)
-        rows = np.arange(r0, r1 + 1, dtype=np.int64)
-        cols = np.arange(r0, n + 1, dtype=np.int64)
-        g = np.gcd.outer(rows, cols)
-        lcm = (rows[:, None] // g) * cols[None, :]
-        j3 = n // lcm
-        e = (n // rows)[:, None] + (n // cols)[None, :] - j3
-        w = pb[e] * (1.0 - pb[j3])
-        terms = (phi_f[rows])[:, None] * (phi_f[cols])[None, :] * w
-        # upper triangle doubled, diagonal once, lower (cols < row) dropped
-        factor = (cols[None, :] > rows[:, None]).astype(np.float64) + (
-            cols[None, :] >= rows[:, None]
-        )
-        row_sums = (terms * factor).sum(axis=1)
-        for s in row_sums:
-            y = float(s) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+    sums = []
+    for a, b, factor in _cofactor_groups(n):
+        g0 = 2 if a == 1 else 1  # g = 1 would make d1 = a = 1
+        counts = n // (a * b) - (g0 - 1)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        size = int(counts.sum())
+        for s in range(0, size, VARIANCE_CHUNK):
+            e = min(s + VARIANCE_CHUNK, size)
+            # the runs of b[i0:i1] that overlap the elements [s, e)
+            i0 = int(np.searchsorted(ends, s, side="right"))
+            i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
+            reps = np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s)
+            d2 = np.repeat(b[i0:i1], reps)
+            g = np.arange(s + g0, e + g0, dtype=np.int64) - np.repeat(starts[i0:i1], reps)
+            d1 = g * a
+            d2 *= g
+            j3 = n // (d2 * a)
+            w = phi_f[d1] * phi_f[d2] * pb[n // d1 + n // d2 - j3] * (1.0 - pb[j3])
+            sums.append(factor * float(np.sum(w)))
+    return math.fsum(sums)
 
 
 def variance_upper_envelope(n: int, alpha: float) -> float:

@@ -11,7 +11,8 @@ def tables_big():
 
 @pytest.fixture(scope="session")
 def tables_mid():
-    # large enough for variance_exact up to n = 20000 without the 10^6 footprint
+    # covers the n <= 16000 moment checks and the dense variance oracle
+    # without the 10^6 footprint
     return build_tables(20000)
 
 

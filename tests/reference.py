@@ -1,0 +1,44 @@
+"""Slow reference implementations that the fast library paths are checked
+against."""
+
+import numpy as np
+
+
+def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
+    """V[X] as the dense double sum over every pair 1 < d1, d2 <= n of
+
+        phi(d1) phi(d2) beta^(j1 + j2 - j3) (1 - beta^j3),
+
+    j3 = floor(n / lcm(d1, d2)), pairs with lcm > n included (they add
+    zero).  Walks the upper triangle in row blocks, off-diagonal pairs
+    counted twice, and reduces the rows in fixed order through a Kahan
+    accumulator.  O(n^2) time; meant for n up to a few thousand.
+    """
+    if n < 2:
+        return 0.0
+    beta = 1.0 - float(alpha)
+    pb = np.power(beta, np.arange(2 * n + 1, dtype=np.float64))
+    phi_f = tables.phi[: n + 1].astype(np.float64)
+    total = 0.0
+    comp = 0.0
+    for r0 in range(2, n + 1, block_rows):
+        r1 = min(r0 + block_rows - 1, n)
+        rows = np.arange(r0, r1 + 1, dtype=np.int64)
+        cols = np.arange(r0, n + 1, dtype=np.int64)
+        g = np.gcd.outer(rows, cols)
+        lcm = (rows[:, None] // g) * cols[None, :]
+        j3 = n // lcm
+        e = (n // rows)[:, None] + (n // cols)[None, :] - j3
+        w = pb[e] * (1.0 - pb[j3])
+        terms = (phi_f[rows])[:, None] * (phi_f[cols])[None, :] * w
+        # upper triangle doubled, diagonal once, lower (cols < row) dropped
+        factor = (cols[None, :] > rows[:, None]).astype(np.float64) + (
+            cols[None, :] >= rows[:, None]
+        )
+        row_sums = (terms * factor).sum(axis=1)
+        for s in row_sums:
+            y = float(s) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return total

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from calibration import C1_TAIL_RATIO_MAX, EXPECTATION_ENVELOPE_K
+from qlcm import moments
+from qlcm.arith import TABLE_LIMIT, build_tables
 from qlcm.errors import ResourceLimitError
 from qlcm.model import enumerate_exact
 from qlcm.moments import (
@@ -26,6 +28,7 @@ from qlcm.moments import (
     variance_exact,
     variance_upper_envelope,
 )
+from reference import dense_variance
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
 
@@ -165,17 +168,30 @@ def test_variance_examples(tables_small):
 
 def test_variance_validation(tables_small):
     with pytest.raises(ResourceLimitError):
-        variance_exact(900, 0.5, tables_small, quadratic_limit=800)
+        build_tables(TABLE_LIMIT + 1)
     with pytest.raises(TypeError):
         variance_exact(5, 0.5, tables_small, exact=True)
     with pytest.raises(ResourceLimitError):
         variance_exact(31, Fraction(1, 2), tables_small, exact=True)
 
 
-def test_variance_block_invariance(tables_small):
-    base = variance_exact(500, 0.3, tables_small, block_rows=96)
-    for rows in (1, 7, 101, 500, 4096):
-        assert variance_exact(500, 0.3, tables_small, block_rows=rows) == base
+def test_variance_matches_dense_oracle(tables_mid):
+    # the lcm <= n pair walk against the dense double sum over all n^2 pairs
+    for n in (2, 3, 10, 100, 500, 1000, 2000):
+        for tenth in range(11):
+            alpha = tenth / 10
+            v = variance_exact(n, alpha, tables_mid)
+            ref = dense_variance(n, alpha, tables_mid)
+            assert rel_close(v, ref), f"n={n} alpha={alpha}: {v!r} vs dense {ref!r}"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_variance_chunk_invariance(tables_small, monkeypatch, chunk):
+    # at n = 1000 the a = 1 cofactor group alone has ~6000 (b, g) elements
+    base = variance_exact(1000, 0.3, tables_small)
+    monkeypatch.setattr(moments, "VARIANCE_CHUNK", chunk)
+    v = variance_exact(1000, 0.3, tables_small)
+    assert abs(v - base) <= 1e-15 * base, f"chunk {chunk}: {v!r} vs {base!r}"
 
 
 def test_variance_envelope(tables_small):
@@ -331,6 +347,13 @@ def test_v_alpha_matches_finite_n_variance(tables_mid):
     est = v_alpha(0.5)
     ratio = variance_exact(4000, 0.5, tables_mid) / 4000**3
     assert abs(ratio - est.value) / est.value < 0.01
+
+
+def test_variance_at_n_1e5_approaches_v_half(tables_big):
+    # beyond the reach of the dense O(n^2) sum: V/n^3 at n = 1e5 is already
+    # ~3e-6 relative from v(1/2)
+    ratio = variance_exact(10**5, 0.5, tables_big) / 10**15
+    assert abs(ratio - 0.039829164382) / 0.039829164382 < 1e-4, f"V/n^3 = {ratio!r}"
 
 
 def test_moment_report_fields(tables_small):
