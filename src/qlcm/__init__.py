@@ -1,12 +1,12 @@
 """Degree statistics of lcms of q-analogs over random integer sets.
 
-Submodules: ``arith`` (sieved arithmetic tables), ``qpoly`` (exact polynomial
-oracles), ``model`` (random-set sampling and exact enumeration), ``moments``
-(closed-form and asymptotic moments, C1, v(alpha)), ``cli`` (experiment
-harness).
+Submodules: ``arith`` (the prime sieve and totient tables), ``qpoly`` (exact
+polynomial oracles), ``model`` (random-set sampling and exact enumeration),
+``moments`` (closed-form and asymptotic moments, C1, v(alpha)), ``cli``
+(experiment harness).
 """
 
-from .arith import ArithTables, build_tables, gcd_lcm, phi_pair_summatory, phi_summatory, tau_summatory
+from .arith import ArithTables, build_tables, phi_pair_summatory, phi_summatory
 from .errors import ResourceLimitError
 from .model import (
     ExactDistribution,
@@ -23,7 +23,6 @@ from .model import (
 )
 from .moments import (
     C1Estimate,
-    MomentReport,
     TruncationConfig,
     VAlphaEstimate,
     alpha_factor,
@@ -32,7 +31,6 @@ from .moments import (
     expectation_asymptotic,
     expectation_exact,
     expectation_grouped,
-    moment_report,
     rho_bounds,
     s_infinity_members,
     v_alpha,
@@ -47,7 +45,6 @@ __all__ = [
     "ExactDistribution",
     "IntPoly",
     "ModelParams",
-    "MomentReport",
     "MonteCarloSummary",
     "ResourceLimitError",
     "SampleResult",
@@ -64,10 +61,8 @@ __all__ = [
     "expectation_asymptotic",
     "expectation_exact",
     "expectation_grouped",
-    "gcd_lcm",
     "indicator",
     "lcm_degree_oracle",
-    "moment_report",
     "monte_carlo",
     "phi_pair_summatory",
     "phi_summatory",
@@ -80,7 +75,6 @@ __all__ = [
     "s_infinity_members",
     "sample_set",
     "sample_stream",
-    "tau_summatory",
     "v_alpha",
     "variance_exact",
     "variance_upper_envelope",

@@ -1,19 +1,20 @@
-"""Sieved arithmetic functions and their summatory sums.
+"""The sieved Euler totient and its summatory sums.
 
-One construction pass fills dense tables of the Euler totient phi, the
-Mobius function mu, the divisor count tau, the divisor sum sigma, and the
-smallest prime factor, for every integer up to a bound N.  The tables are
-immutable after construction and safe to share across threads; all queries
-are pure lookups or prefix-sum reads.
+One construction pass fills a dense table of the Euler totient phi for every
+integer up to a bound N, plus its prefix sum, so that the summatory function
+Phi(x) = sum_{m<=x} phi(m) is O(1) per query.  The tables are immutable
+after construction and safe to share across threads.
 
-Prefix sums of phi and tau are precomputed so that the summatory functions
-Phi(x) = sum_{m<=x} phi(m) and sum_{m<=x} tau(m) are O(1) per query.
+The module also holds what the other modules share: the prime sieve, the
+validation of an (n, alpha, tables) point and the exact-rational alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -21,42 +22,43 @@ from .errors import ResourceLimitError
 
 # largest product bound we trust to an int64 accumulator
 _INT64_SAFE = 2**62
-# largest table limit build_tables accepts: its seven arrays then take
-# about 450 MB
+# largest table limit build_tables accepts: its two int64 arrays then take
+# about 160 MB
 TABLE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Arithmetic function tables up to ``limit``, 1-indexed (index 0 unused).
+    """Totient tables up to ``limit``, 1-indexed (index 0 unused).
 
     Attributes:
         limit: largest argument covered.
         phi: int64, phi[m] = Euler totient of m.
-        mobius: int8, mobius[m] in {-1, 0, 1}.
-        tau: int32, number of divisors.
-        sigma: int64, sum of divisors.
-        spf: int64, smallest prime factor (0 for m < 2).
         phi_prefix: int64, phi_prefix[m] = sum_{k<=m} phi(k).
-        tau_prefix: int64, tau_prefix[m] = sum_{k<=m} tau(k).
     """
 
     limit: int
     phi: np.ndarray
-    mobius: np.ndarray
-    tau: np.ndarray
-    sigma: np.ndarray
-    spf: np.ndarray
     phi_prefix: np.ndarray
-    tau_prefix: np.ndarray
+
+
+def primes_up_to(limit: int) -> np.ndarray:
+    """The primes p <= limit in ascending order, as int64 (Eratosthenes)."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0].astype(np.int64)
 
 
 def build_tables(limit: int) -> ArithTables:
-    """Sieve all tables up to ``limit`` (inclusive).
+    """Sieve phi and its prefix sum up to ``limit`` (inclusive).
 
-    Vectorized Eratosthenes-style passes: smallest prime factor first, then
-    phi and mu from the prime list, then tau and sigma by a harmonic sweep
-    over divisors.  Raises ResourceLimitError above TABLE_LIMIT, before
+    One vectorized pass per prime p multiplies phi over the multiples of p
+    by (1 - 1/p).  Raises ResourceLimitError above TABLE_LIMIT, before
     allocating anything.
     """
     if limit < 1:
@@ -64,46 +66,34 @@ def build_tables(limit: int) -> ArithTables:
     if limit > TABLE_LIMIT:
         raise ResourceLimitError(f"table limit {limit} exceeds the cap {TABLE_LIMIT}")
     n = int(limit)
-    size = n + 1
-
-    spf = np.zeros(size, dtype=np.int64)
-    for p in range(2, n + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-    primes = np.nonzero(spf[2:] == np.arange(2, size))[0] + 2 if n >= 2 else np.array([], dtype=np.int64)
-
-    phi = np.arange(size, dtype=np.int64)
-    phi[0] = 0
-    mobius = np.zeros(size, dtype=np.int8)
-    mobius[1:] = 1
-    for p in primes:
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in primes_up_to(n):
         phi[p::p] -= phi[p::p] // p
-        mobius[p::p] *= -1
-        if p * p <= n:
-            mobius[p * p :: p * p] = 0
-
-    tau = np.zeros(size, dtype=np.int32)
-    sigma = np.zeros(size, dtype=np.int64)
-    for d in range(1, n + 1):
-        tau[d::d] += 1
-        sigma[d::d] += d
-
     phi_prefix = np.cumsum(phi, dtype=np.int64)
-    tau_prefix = np.cumsum(tau, dtype=np.int64)
+    phi.setflags(write=False)
+    phi_prefix.setflags(write=False)
+    return ArithTables(limit=n, phi=phi, phi_prefix=phi_prefix)
 
-    for arr in (spf, phi, mobius, tau, sigma, phi_prefix, tau_prefix):
-        arr.setflags(write=False)
-    return ArithTables(
-        limit=n,
-        phi=phi,
-        mobius=mobius,
-        tau=tau,
-        sigma=sigma,
-        spf=spf,
-        phi_prefix=phi_prefix,
-        tau_prefix=tau_prefix,
-    )
+
+def check_point(n: int, alpha=None, tables: ArithTables | None = None) -> None:
+    """Raise ValueError unless n >= 1, the tables (when given) cover 1..n
+    and alpha (when given) lies in [0, 1]."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if tables is not None and tables.limit < n:
+        raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
+    if alpha is not None and not 0.0 <= float(alpha) <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def as_fraction(alpha) -> Fraction:
+    """alpha as an exact Fraction; a float is refused, since its binary
+    value is not the rational the user meant."""
+    if isinstance(alpha, float):
+        raise TypeError("exact-rational mode needs a Fraction or int alpha, not float")
+    if isinstance(alpha, Rational):
+        return Fraction(alpha)
+    raise TypeError(f"cannot interpret {alpha!r} as a rational probability")
 
 
 def _floor_index(tables: ArithTables, x: float) -> int:
@@ -119,14 +109,6 @@ def phi_summatory(tables: ArithTables, x: float) -> int:
     if m < 1:
         return 0
     return int(tables.phi_prefix[m])
-
-
-def tau_summatory(tables: ArithTables, x: float) -> int:
-    """Divisor-count summatory sum_{m <= floor(x)} tau(m); exact integer."""
-    m = _floor_index(tables, x)
-    if m < 1:
-        return 0
-    return int(tables.tau_prefix[m])
 
 
 def phi_pair_summatory(tables: ArithTables, a1: int, a2: int, x: float) -> int:
@@ -151,11 +133,3 @@ def phi_pair_summatory(tables: ArithTables, a1: int, a2: int, x: float) -> int:
         return int(prods.sum(dtype=np.int64))
     phi = tables.phi
     return sum(int(phi[a1 * k]) * int(phi[a2 * k]) for k in range(1, m + 1))
-
-
-def gcd_lcm(a: int, b: int) -> tuple[int, int]:
-    """Greatest common divisor and least common multiple of positive a, b."""
-    if a < 1 or b < 1:
-        raise ValueError("gcd_lcm requires positive integers")
-    g = math.gcd(a, b)
-    return g, (a // g) * b

@@ -537,11 +537,11 @@ def _run_vfun(spec: ExperimentSpec, phases):
 
 
 def _run_oracle_check(spec: ExperimentSpec, phases):
+    tables = _build_tables_for(spec, phases)
     for n in spec.n_values:
         for a in spec.alphas:
             af = float(a)
             params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
-            tables = arith.build_tables(n)
             agree = 0
             with _timed(phases, f"oracle-check n={n} alpha={af:g}"):
                 for t in range(spec.trials):

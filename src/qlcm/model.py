@@ -18,11 +18,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
-from .arith import ArithTables
+from .arith import ArithTables, as_fraction, check_point
 from .errors import ResourceLimitError
 
 ENUMERATION_LIMIT = 22
@@ -38,10 +37,7 @@ class ModelParams:
     trials: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_point(self.n, self.alpha)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -114,8 +110,7 @@ def indicator(subset: np.ndarray, d: int, n: int) -> int:
 
 def degree_statistic(subset: np.ndarray, n: int, tables: ArithTables) -> int:
     """Degree of the lcm of q-analogs of the set, by the covered-divisor sum."""
-    if tables.limit < n:
-        raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
+    check_point(n, tables=tables)
     phi = tables.phi
     total = 0
     for d in range(2, n + 1):
@@ -159,8 +154,7 @@ def monte_carlo(
     (converted through Fraction), so the summary is bit-identical for any
     worker count or block size.
     """
-    if tables.limit < params.n:
-        raise ValueError(f"tables cover 1..{tables.limit}, need {params.n}")
+    check_point(params.n, tables=tables)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     spans = [
@@ -194,16 +188,6 @@ def monte_carlo(
     )
 
 
-def _as_fraction(alpha) -> Fraction:
-    if isinstance(alpha, float):
-        raise TypeError(
-            "exact enumeration needs a rational alpha (Fraction or int), not float"
-        )
-    if isinstance(alpha, Rational):
-        return Fraction(alpha)
-    raise TypeError(f"cannot interpret {alpha!r} as a rational probability")
-
-
 def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
     """Exact distribution of the degree statistic over all 2^n sets.
 
@@ -211,17 +195,12 @@ def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
     weights each set size s by alpha^s (1-alpha)^(n-s) in exact rationals.
     Memory is O(n); time is O(2^n), capped at n = ENUMERATION_LIMIT.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"exact enumeration over 2^{n} sets refused (limit n <= {ENUMERATION_LIMIT})"
         )
-    if tables.limit < n:
-        raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
-    a = _as_fraction(alpha)
-    if not 0 <= a <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {a}")
+    check_point(n, alpha, tables)
+    a = as_fraction(alpha)
 
     phi = [int(x) for x in tables.phi[: n + 1]]
     divs = [[] for _ in range(n + 1)]

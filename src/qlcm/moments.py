@@ -16,13 +16,12 @@ covered divisors 1 < d <= n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
-from .arith import ArithTables, phi_summatory
+from .arith import ArithTables, as_fraction, check_point, phi_summatory, primes_up_to
 from .errors import ResourceLimitError
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -89,23 +88,6 @@ class VAlphaEstimate:
     config: TruncationConfig
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Per-(n, alpha) moment summary assembled for reporting."""
-
-    n: int
-    alpha: float
-    expectation_exact: float
-    expectation_asymptotic: float
-    variance_exact: float | None = None
-    variance_upper: float | None = None
-    v_alpha: float | None = None
-    v_alpha_error: float | None = None
-    expectation_exact_rational: Fraction | None = None
-    variance_exact_rational: Fraction | None = None
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
-
-
 def _powi(base, k: int):
     """base**k for integer k >= 0 by repeated squaring; works for float or
     Fraction bases and returns exactly 1 for k = 0 (including base 0)."""
@@ -164,19 +146,6 @@ def alpha_factor(alpha: float) -> float:
     return alpha * dilog(1.0 - alpha) / (1.0 - alpha)
 
 
-def _check_alpha(alpha):
-    if not 0.0 <= float(alpha) <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-
-
-def _rational_alpha(alpha) -> Fraction:
-    if isinstance(alpha, float):
-        raise TypeError("exact-rational mode needs a Fraction or int alpha, not float")
-    if isinstance(alpha, Rational):
-        return Fraction(alpha)
-    raise TypeError(f"cannot interpret {alpha!r} as a rational probability")
-
-
 def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     """E[X] = sum over 1 < d <= n of phi(d) (1 - beta^floor(n/d)).
 
@@ -184,13 +153,9 @@ def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     Phi-prefix difference per block, fsum over blocks).  exact=True takes a
     rational alpha and n <= EXACT_RATIONAL_LIMIT and returns a Fraction.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if tables.limit < n:
-        raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
-    _check_alpha(alpha)
+    check_point(n, alpha, tables)
     if exact:
-        a = _rational_alpha(alpha)
+        a = as_fraction(alpha)
         if n > EXACT_RATIONAL_LIMIT:
             raise ResourceLimitError(
                 f"exact-rational expectation limited to n <= {EXACT_RATIONAL_LIMIT}"
@@ -215,11 +180,7 @@ def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
 def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
     """alpha * sum over j <= n of beta^(j-1) Phi(n/j), minus the d = 1
     addend 1 - beta^n, which makes it equal expectation_exact identically."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if tables.limit < n:
-        raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
-    _check_alpha(alpha)
+    check_point(n, alpha, tables)
     alpha = float(alpha)
     beta = 1.0 - alpha
     terms = []
@@ -233,8 +194,7 @@ def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
 
 def expectation_asymptotic(n: int, alpha: float) -> float:
     """Main term (3/pi^2) * alpha_factor(alpha) * n^2."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_point(n)
     return (3.0 / (math.pi * math.pi)) * alpha_factor(float(alpha)) * float(n) * float(n)
 
 
@@ -260,13 +220,9 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     order.  exact=True mirrors the dense sum in Fractions for rational alpha
     and n <= EXACT_RATIONAL_LIMIT.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if tables.limit < n:
-        raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
-    _check_alpha(alpha)
+    check_point(n, alpha, tables)
     if exact:
-        a = _rational_alpha(alpha)
+        a = as_fraction(alpha)
         if n > EXACT_RATIONAL_LIMIT:
             raise ResourceLimitError(
                 f"exact-rational variance limited to n <= {EXACT_RATIONAL_LIMIT}"
@@ -360,18 +316,11 @@ def _prime_factors(m: int) -> tuple[int, ...]:
 
 def _sigma_over_m(m: int) -> float:
     total = 1
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            pk = 1
-            while mm % p == 0:
-                mm //= p
-                pk *= p
-            total *= (pk * p - 1) // (p - 1)
-        p += 1
-    if mm > 1:
-        total *= mm + 1
+    for p in _prime_factors(m):
+        pk = p
+        while m % (pk * p) == 0:
+            pk *= p
+        total *= (pk * p - 1) // (p - 1)
     return total / m
 
 
@@ -390,12 +339,7 @@ def _c1_weight_prefix(limit: int) -> np.ndarray:
         return cached
     w = np.ones(limit + 1, dtype=np.float64)
     w[0] = 0.0
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    for p in np.nonzero(sieve)[0]:
+    for p in primes_up_to(limit):
         p = int(p)
         w[p::p] *= (1.0 - 2.0 * p) / (p * p * p)
         if p * p <= limit:
@@ -478,23 +422,13 @@ def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
     if math.gcd(a1, a2) != 1:
         raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
 
-    def squarefree_mu(limit):
-        mu = np.ones(limit + 1, dtype=np.int64)
-        mu[0] = 0
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        for p in np.nonzero(sieve)[0]:
-            p = int(p)
-            mu[p::p] *= -1
-            if p * p <= limit:
-                mu[p * p :: p * p] = 0
-        return mu
-
     lim1, lim2 = a1 * cutoff, a2 * cutoff
-    mu = squarefree_mu(max(lim1, lim2))
+    limit = max(lim1, lim2)
+    mu = np.ones(limit + 1, dtype=np.int64)  # the Mobius function
+    mu[0] = 0
+    for p in primes_up_to(limit):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
     terms = []
     for d1 in range(1, lim1 + 1):
         m1 = int(mu[d1])
@@ -630,47 +564,4 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
         truncation_error=err_c1 + err_j + err_j3,
         terms=n_terms,
         config=config,
-    )
-
-
-def moment_report(
-    n: int,
-    alpha,
-    tables: ArithTables,
-    config: TruncationConfig | None = None,
-    with_variance: bool = False,
-    with_v_alpha: bool = False,
-    exact: bool = False,
-) -> MomentReport:
-    """Assemble the per-(n, alpha) moment summary used by the harness."""
-    if config is None:
-        config = TruncationConfig()
-    af = float(alpha)
-    e_rat = v_rat = None
-    if exact:
-        e_rat = expectation_exact(n, alpha, tables, exact=True)
-        if with_variance:
-            v_rat = variance_exact(n, alpha, tables, exact=True)
-    e_exact = expectation_exact(n, af, tables)
-    e_asym = expectation_asymptotic(n, af)
-    var = upper = None
-    if with_variance:
-        var = variance_exact(n, af, tables)
-        upper = variance_upper_envelope(n, af)
-    va = va_err = None
-    if with_v_alpha and 0.0 < af < 1.0:
-        est = v_alpha(af, config)
-        va, va_err = est.value, est.truncation_error
-    return MomentReport(
-        n=n,
-        alpha=af,
-        expectation_exact=e_exact,
-        expectation_asymptotic=e_asym,
-        variance_exact=var,
-        variance_upper=upper,
-        v_alpha=va,
-        v_alpha_error=va_err,
-        expectation_exact_rational=e_rat,
-        variance_exact_rational=v_rat,
-        truncation=config,
     )

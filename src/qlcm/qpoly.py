@@ -20,13 +20,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .arith import _INT64_SAFE
 from .errors import ResourceLimitError
 
 # Default cap on elements fed to the degree oracles; they are meant for
 # desk-scale verification, not production-size sets.
 ORACLE_LIMIT = 512
 
-_INT64_SAFE = 2**62
 _NUMPY_DIV_MIN_LEN = 32
 
 

@@ -10,10 +10,6 @@ update the constant and the measurement note together.
 # measured 0.5657 (attained at x = 2)
 PHI_SUMMATORY_K = 0.75
 
-# max (sum_{m<=x} tau(m)) / (x log x) over integer x in [2, 10^6];
-# measured 2.1641 (attained at x = 2)
-TAU_SUMMATORY_K = 2.5
-
 # max |expectation_exact - expectation_asymptotic| / (alpha n (log n)^2)
 # over n in {10^2, 10^3, 10^4, 10^5} x alpha in {0.1, 0.5, 0.9, 1.0};
 # measured 0.01237

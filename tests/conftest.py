@@ -5,7 +5,7 @@ from qlcm.arith import build_tables
 
 @pytest.fixture(scope="session")
 def tables_big():
-    # shared by the summatory envelopes and the acceptance run; ~3 s to build
+    # shared by the summatory envelopes and the acceptance run; ~0.3 s to build
     return build_tables(10**6)
 
 

@@ -1,12 +1,17 @@
-"""Sieve tables, summatory prefix sums, and the paired totient sum."""
+"""The prime sieve, the totient tables, summatory prefix sums, the paired
+totient sum, and the shared point validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from calibration import PHI_SUMMATORY_K, TAU_SUMMATORY_K
-from qlcm.arith import build_tables, gcd_lcm, phi_pair_summatory, phi_summatory, tau_summatory
+import qlcm
+from calibration import PHI_SUMMATORY_K
+from qlcm.arith import build_tables, phi_pair_summatory, phi_summatory, primes_up_to
+from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo
+from qlcm.moments import expectation_exact, expectation_grouped, variance_exact
 
 PI2_OVER_3 = math.pi**2 / 3
 
@@ -15,11 +20,7 @@ def test_limit_one_base_case():
     t = build_tables(1)
     assert t.limit == 1
     assert t.phi[1] == 1
-    assert t.mobius[1] == 1
-    assert t.tau[1] == 1
-    assert t.sigma[1] == 1
     assert phi_summatory(t, 1) == 1
-    assert tau_summatory(t, 1) == 1
 
 
 def test_limit_must_be_positive():
@@ -32,34 +33,30 @@ def test_limit_must_be_positive():
 def test_pointwise_examples():
     t = build_tables(100)
     assert t.phi[12] == 4
-    assert t.mobius[12] == 0
-    assert t.tau[12] == 6
-    assert t.sigma[12] == 28
     assert t.phi[97] == 96
-    assert t.mobius[97] == -1
-    assert t.tau[97] == 2
-    assert t.sigma[97] == 98
-    assert t.spf[97] == 97
-    assert t.spf[12] == 2
 
 
 def test_tables_are_read_only(tables_small):
-    for arr in (tables_small.phi, tables_small.mobius, tables_small.tau,
-                tables_small.sigma, tables_small.spf):
+    for arr in (tables_small.phi, tables_small.phi_prefix):
         with pytest.raises(ValueError):
             arr[3] = 99
 
 
 def test_prime_values_vectorized(tables_big):
-    m = np.arange(tables_big.limit + 1)
-    is_prime = tables_big.spf == m
-    is_prime[:2] = False
-    primes = m[is_prime]
+    primes = primes_up_to(tables_big.limit)
     assert primes[0] == 2 and primes[-1] == 999983
     assert np.array_equal(tables_big.phi[primes], primes - 1)
-    assert np.all(tables_big.mobius[primes] == -1)
-    assert np.all(tables_big.tau[primes] == 2)
-    assert np.array_equal(tables_big.sigma[primes], primes + 1)
+
+
+def test_primes_up_to_matches_trial_division():
+    top = 2000
+    is_prime = [m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+                for m in range(top + 1)]
+    expect = [m for m in range(top + 1) if is_prime[m]]
+    for limit in range(top + 1):
+        got = primes_up_to(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in expect if p <= limit], limit
 
 
 def test_totient_divisor_sum_identity():
@@ -72,49 +69,6 @@ def test_totient_divisor_sum_identity():
     assert np.array_equal(acc[1:], np.arange(1, limit + 1))
 
 
-def test_mobius_sum_over_divisors():
-    # sum_{d | m} mu(d) = [m == 1]
-    limit = 10**5
-    t = build_tables(limit)
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        acc[d::d] += int(t.mobius[d])
-    assert acc[1] == 1
-    assert not acc[2:].any()
-
-
-def test_mobius_vanishes_exactly_on_square_multiples(tables_big):
-    t = tables_big
-    for p in (2, 3, 5, 7, 11, 13, 101, 997):
-        assert not t.mobius[p * p :: p * p].any()
-    # squarefree values are genuinely +-1
-    sf = t.mobius != 0
-    assert np.all(np.abs(t.mobius[sf]) == 1)
-    # spot-check parity of the prime factor count
-    assert t.mobius[2 * 3 * 5] == -1
-    assert t.mobius[2 * 3 * 5 * 7] == 1
-
-
-def test_phi_via_mobius_inversion():
-    # phi(m) = sum_{d | m} mu(d) * (m / d)
-    limit = 10**4
-    t = build_tables(limit)
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        k = np.arange(1, limit // d + 1, dtype=np.int64)
-        acc[d::d] += int(t.mobius[d]) * k
-    assert np.array_equal(acc[1:], t.phi[1:])
-
-
-def test_sigma_tau_bounds(tables_big):
-    m = np.arange(2, tables_big.limit + 1)
-    assert np.all(tables_big.sigma[2:] >= m + 1)
-    assert np.all(tables_big.tau[2:] >= 2)
-    # equality on exactly the primes
-    eq = tables_big.sigma[2:] == m + 1
-    assert np.array_equal(m[eq], m[tables_big.spf[2:] == m])
-
-
 def test_phi_summatory_examples(tables_small):
     assert phi_summatory(tables_small, 1) == 1
     assert phi_summatory(tables_small, 10) == 32
@@ -124,21 +78,15 @@ def test_phi_summatory_examples(tables_small):
     assert phi_summatory(tables_small, -4) == 0
 
 
-def test_tau_summatory_examples(tables_small):
-    assert tau_summatory(tables_small, 1) == 1
-    assert tau_summatory(tables_small, 10) == 27
-    assert tau_summatory(tables_small, 0) == 0
-
-
 def test_summatory_rejects_out_of_range(tables_small):
     with pytest.raises(ValueError):
         phi_summatory(tables_small, tables_small.limit + 1)
     # fractional overshoot floors back into range
-    assert tau_summatory(tables_small, tables_small.limit + 0.5) == tau_summatory(
+    assert phi_summatory(tables_small, tables_small.limit + 0.5) == phi_summatory(
         tables_small, tables_small.limit
     )
     with pytest.raises(ValueError):
-        tau_summatory(tables_small, tables_small.limit + 1.5)
+        phi_summatory(tables_small, tables_small.limit + 1.5)
     with pytest.raises(ValueError):
         phi_pair_summatory(tables_small, 2, 1, tables_small.limit)
 
@@ -155,13 +103,6 @@ def test_phi_summatory_quadratic_envelope(tables_big):
     err = np.abs(tables_big.phi_prefix[2:] - x * x / PI2_OVER_3)
     ratio = err / (x * np.log(x))
     assert float(ratio.max()) <= PHI_SUMMATORY_K, f"worst ratio {ratio.max():.4f}"
-
-
-def test_tau_summatory_envelope(tables_big):
-    # sum tau(m) <= K x log x with the frozen K
-    x = np.arange(2, tables_big.limit + 1, dtype=np.float64)
-    ratio = tables_big.tau_prefix[2:] / (x * np.log(x))
-    assert float(ratio.max()) <= TAU_SUMMATORY_K, f"worst ratio {ratio.max():.4f}"
 
 
 def test_phi_pair_examples(tables_small):
@@ -196,22 +137,32 @@ def test_phi_pair_python_fallback_agrees(tables_big, monkeypatch):
     assert fast == slow
 
 
-def test_gcd_lcm_examples():
-    assert gcd_lcm(4, 6) == (2, 12)
-    assert gcd_lcm(1, 9) == (1, 9)
-    assert gcd_lcm(7, 7) == (7, 7)
-    assert gcd_lcm(2**31, 2**31 - 1) == (1, 2**31 * (2**31 - 1))
-    with pytest.raises(ValueError):
-        gcd_lcm(0, 4)
-    with pytest.raises(ValueError):
-        gcd_lcm(3, -1)
+# each entry point with the checks it makes: n >= 1, alpha in [0, 1], and
+# tables covering 1..n
+_ENTRY_POINTS = [
+    ("expectation_exact", expectation_exact, ("n", "alpha", "tables")),
+    ("expectation_grouped", expectation_grouped, ("n", "alpha", "tables")),
+    ("variance_exact", variance_exact, ("n", "alpha", "tables")),
+    ("enumerate_exact", lambda n, a, t: enumerate_exact(n, Fraction(a), t),
+     ("n", "alpha", "tables")),
+    ("degree_statistic", lambda n, a, t: degree_statistic(np.zeros(n + 1, dtype=bool), n, t),
+     ("n", "tables")),
+    ("monte_carlo", lambda n, a, t: monte_carlo(ModelParams(n=n, alpha=a, seed=1, trials=1), t),
+     ("n", "alpha", "tables")),
+]
+_BAD_POINTS = {"n": (0, 0.5, 1000), "alpha": (5, 1.5, 1000), "tables": (5, 0.5, 4)}
 
 
-def test_gcd_lcm_product_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        a, b = (int(v) for v in rng.integers(1, 10**6, size=2))
-        g, l = gcd_lcm(a, b)
-        assert g * l == a * b
-        assert a % g == 0 and b % g == 0
-        assert l % a == 0 and l % b == 0
+@pytest.mark.parametrize(
+    "call,n,alpha,limit",
+    [pytest.param(call, *_BAD_POINTS[check], id=f"{name}-{check}")
+     for name, call, checks in _ENTRY_POINTS for check in checks],
+)
+def test_entry_points_reject_bad_points(call, n, alpha, limit):
+    with pytest.raises(ValueError):
+        call(n, alpha, build_tables(limit))
+
+
+def test_package_exports_resolve():
+    missing = [name for name in qlcm.__all__ if not hasattr(qlcm, name)]
+    assert not missing

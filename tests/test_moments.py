@@ -21,7 +21,6 @@ from qlcm.moments import (
     expectation_asymptotic,
     expectation_exact,
     expectation_grouped,
-    moment_report,
     rho_bounds,
     s_infinity_members,
     v_alpha,
@@ -354,26 +353,3 @@ def test_variance_at_n_1e5_approaches_v_half(tables_big):
     # ~3e-6 relative from v(1/2)
     ratio = variance_exact(10**5, 0.5, tables_big) / 10**15
     assert abs(ratio - 0.039829164382) / 0.039829164382 < 1e-4, f"V/n^3 = {ratio!r}"
-
-
-def test_moment_report_fields(tables_small):
-    r = moment_report(50, 0.4, tables_small)
-    assert r.variance_exact is None and r.v_alpha is None
-    assert r.expectation_exact_rational is None
-    assert rel_close(r.expectation_exact, expectation_exact(50, 0.4, tables_small))
-
-    full = moment_report(50, 0.4, tables_small, with_variance=True, with_v_alpha=True)
-    assert full.variance_exact > 0.0
-    assert full.variance_upper == variance_upper_envelope(50, 0.4)
-    assert full.v_alpha > 0.0 and full.v_alpha_error > 0.0
-
-    degenerate = moment_report(50, 1.0, tables_small, with_variance=True, with_v_alpha=True)
-    assert degenerate.variance_exact == 0.0
-    assert degenerate.v_alpha is None  # v(alpha) only exists on open (0, 1)
-
-    exact = moment_report(
-        12, Fraction(1, 3), tables_small, with_variance=True, exact=True
-    )
-    assert isinstance(exact.expectation_exact_rational, Fraction)
-    assert isinstance(exact.variance_exact_rational, Fraction)
-    assert rel_close(float(exact.expectation_exact_rational), exact.expectation_exact)
