@@ -37,7 +37,7 @@ from .moments import (
     variance_exact,
     variance_upper_envelope,
 )
-from .qpoly import IntPoly, cyclotomic, lcm_degree_oracle, poly_divexact, poly_gcd, poly_lcm, poly_mul, q_analog
+from .qpoly import IntPoly, cyclotomic, lcm_degree_oracle, poly_divexact, poly_gcd, poly_mul, q_analog
 
 __all__ = [
     "ArithTables",
@@ -68,7 +68,6 @@ __all__ = [
     "phi_summatory",
     "poly_divexact",
     "poly_gcd",
-    "poly_lcm",
     "poly_mul",
     "q_analog",
     "rho_bounds",

@@ -467,9 +467,12 @@ def _run_simulate(spec: ExperimentSpec, phases):
         for a in spec.alphas:
             af = float(a)
             params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
+            # the exact moments go first: V's temporaries are then freed
+            # before the trial blocks are allocated, not on top of them
+            e_exact = moments.expectation_exact(n, af, tables)
+            v_exact = moments.variance_exact(n, af, tables)
             with _timed(phases, f"simulate n={n} alpha={af:g}"):
                 mc = model.monte_carlo(params, tables, workers=spec.workers)
-            e_exact = moments.expectation_exact(n, af, tables)
             if e_exact > 0:
                 dev = np.abs(mc.degrees - e_exact) > spec.dev_eps * e_exact
                 dev_frac = float(Fraction(int(dev.sum()), mc.trials))
@@ -486,6 +489,9 @@ def _run_simulate(spec: ExperimentSpec, phases):
                 "mc_var": mc.variance,
                 "mc_stderr": mc.stderr,
                 "e_exact": e_exact,
+                "v_exact": v_exact,
+                "z_mean": (mc.mean - e_exact) / mc.stderr if mc.stderr > 0 else 0.0,
+                "var_ratio": mc.variance / v_exact if v_exact > 0 else 0.0,
                 "dev_eps": spec.dev_eps,
                 "dev_frac": dev_frac,
                 "truncation": _truncation_echo(spec.truncation),
@@ -526,7 +532,7 @@ def _run_vfun(spec: ExperimentSpec, phases):
         if spec.c1_x is not None:
             x = spec.c1_x
             with _timed(phases, f"phi_pair x={x}"):
-                tables = arith.build_tables(x)
+                tables = arith.build_tables(max(a1, a2) * x)
                 brute = arith.phi_pair_summatory(tables, a1, a2, x)
             ratio = brute / float(x) ** 3
             rec["phi_pair_x"] = x

@@ -8,6 +8,16 @@ lcm{ [k]_q : k in A }, computed through the covered-divisor identity
 
 which the polynomial oracles in ``qpoly`` verify independently.
 
+Monte Carlo trials run in blocks of membership bitmaps, one row per trial.
+Coverage is found for the whole block at once by a transform over
+multiples, done in place: for each prime p, d runs downwards in levels
+(hi // p, hi] and row bit d takes the or of bit d * p, which an earlier
+level has already finished.  Once every prime is done, bit d is set
+exactly when some multiple of d is in the set, and a trial's degree is its
+row of bits dotted with phi.  At n = 20000 that is 1,280 slice operations
+per block instead of one per d, 19,999; ``degree_statistic`` keeps the
+per-d loop as the oracle.
+
 Trials are keyed, not streamed: trial i of a run with seed s uses a Philox
 generator keyed by (s, i), so any subset of trials can be regenerated in any
 order, on any worker count, with identical bits.
@@ -15,13 +25,14 @@ order, on any worker count, with identical bits.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import ArithTables, as_fraction, check_point
+from .arith import ArithTables, as_fraction, check_point, primes_up_to
 from .errors import ResourceLimitError
 
 ENUMERATION_LIMIT = 22
@@ -134,21 +145,26 @@ def _block_degrees(params: ModelParams, tables: ArithTables, start: int, stop: i
     for i in range(rows):
         rng = _trial_rng(params.seed, start + i)
         bits[i, 1:] = rng.random(n) < params.alpha
-    phi = tables.phi
-    degs = np.zeros(rows, dtype=np.int64)
-    for d in range(2, n + 1):
-        covered = bits[:, d::d].any(axis=1)
-        degs += phi[d] * covered
-    return degs
+    for p in primes_up_to(n):
+        hi = n // p
+        while hi > 1:
+            lo = max(hi // p, 1)
+            bits[:, lo + 1 : hi + 1] |= bits[:, (lo + 1) * p : hi * p + 1 : p]
+            hi = lo
+    return np.einsum("ij,j->i", bits[:, 2:], tables.phi[2 : n + 1])
 
 
 def monte_carlo(
     params: ModelParams,
     tables: ArithTables,
     workers: int = 1,
-    block_size: int = 256,
+    block_size: int = 128,
 ) -> MonteCarloSummary:
     """Simulate the degree statistic over keyed trials.
+
+    Each running block holds block_size * (n + 1) bytes of membership bits;
+    the coverage transform's per-block cost is small enough that 128 rows
+    take only a few percent longer than 256, for half the memory.
 
     Mean and variance come from exact integer sums of the per-trial degrees
     (converted through Fraction), so the summary is bit-identical for any
@@ -161,10 +177,12 @@ def monte_carlo(
         (s, min(s + block_size, params.trials))
         for s in range(0, params.trials, block_size)
     ]
-    if workers == 1 or len(spans) == 1:
+    # more threads than cores or blocks add no speed, only block memory
+    pool_size = min(workers, len(spans), os.cpu_count() or 1)
+    if pool_size == 1:
         parts = [_block_degrees(params, tables, a, b) for a, b in spans]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(lambda ab: _block_degrees(params, tables, *ab), spans))
     degrees = np.concatenate(parts)
     t = params.trials

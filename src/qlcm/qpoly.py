@@ -3,14 +3,15 @@
 Provides q-analogs ``1 + q + ... + q^(k-1)``, cyclotomic polynomials, and two
 independent brute-force oracles for the degree of the lcm of a set of
 q-analogs: one multiplies out cyclotomic factors over the divisor closure of
-the set, the other iterates ``lcm(f, g) = f*g / gcd(f, g)`` with an
-integer-coefficient polynomial gcd.
+the set, the other folds the set with ``lcm(f, [k]_q) = f * [k]_q / g``,
+``g = gcd(f, [k]_q)``, found by Euclid on the integers.
 
 Coefficients are arbitrary-precision Python integers, stored dense and
-lowest-degree first.  Long division runs on int64 numpy arrays when the
-operands are large enough to care, and every fast-path quotient is certified
-exact by a multiply-back comparison at a power-of-two evaluation point, with
-a pure Python fallback; results are never silently wrong.
+lowest-degree first, and every division is exact integer long division.
+The gcd oracle never divides its growing accumulator: since
+``q^k - 1 = (q - 1) [k]_q``, the accumulator reduces mod ``[k]_q`` by adding
+coefficient i into slot i mod k (that is, mod ``q^k - 1``) and taking one
+monic step by ``[k]_q``, so the gcd runs on polynomials of degree below k.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .errors import ResourceLimitError
 # Default cap on elements fed to the degree oracles; they are meant for
 # desk-scale verification, not production-size sets.
 ORACLE_LIMIT = 512
-
-_NUMPY_DIV_MIN_LEN = 32
 
 
 def _normalize(coeffs) -> tuple[int, ...]:
@@ -114,13 +113,6 @@ def poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(res)
 
 
-def _eval_pow2(coeffs, k: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << k) + c
-    return acc
-
-
 def _divmod_python(fc, gc):
     """Integer long division; returns (q, r, ok) with ok False when some
     leading-coefficient step is not integral over Z."""
@@ -144,55 +136,13 @@ def _divmod_python(fc, gc):
     return q, r[:dg], True
 
 
-def _divmod_numpy(fc, gc):
-    """int64 long division (may wrap silently; caller certifies)."""
-    dg = len(gc) - 1
-    lg = gc[-1]
-    dq = len(fc) - len(gc)
-    rf = np.asarray(fc[::-1], dtype=np.int64).copy()
-    gf = np.asarray(gc[::-1], dtype=np.int64)
-    qf = np.zeros(dq + 1, dtype=np.int64)
-    for i in range(dq + 1):
-        c = int(rf[i])
-        if c == 0:
-            continue
-        if lg != 1:
-            if c % lg:
-                return None
-            c //= lg
-        qf[i] = c
-        rf[i : i + dg + 1] -= c * gf
-    q = qf[::-1].tolist()
-    r = rf[dq + 1 :][::-1].tolist()
-    return q, r
-
-
-def _divmod(fc, gc):
-    """Exact integer divmod with certified int64 fast path."""
-    if len(fc) >= _NUMPY_DIV_MIN_LEN and len(fc) >= len(gc):
-        hf = max(abs(c) for c in fc)
-        hg = max(abs(c) for c in gc)
-        if hf < 2**40 and hg < 2**40:
-            out = _divmod_numpy(fc, gc)
-            if out is not None:
-                q, r = out
-                hq = max((abs(c) for c in q), default=0)
-                hr = max((abs(c) for c in r), default=0)
-                bound = hf + min(len(q) or 1, len(gc)) * hg * hq + hr + 1
-                k = (2 * bound).bit_length() + 1
-                lhs = _eval_pow2(gc, k) * _eval_pow2(q, k) + _eval_pow2(r, k)
-                if lhs == _eval_pow2(fc, k):
-                    return q, r, True
-    return _divmod_python(fc, gc)
-
-
 def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
     """Quotient f/g when g divides f exactly over Z; raises otherwise."""
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
     if f.is_zero():
         return ZERO
-    q, r, ok = _divmod(f.coeffs, g.coeffs)
+    q, r, ok = _divmod_python(f.coeffs, g.coeffs)
     if not ok or any(r):
         raise ValueError(f"{f!r} is not exactly divisible by {g!r}")
     return IntPoly(q)
@@ -214,7 +164,7 @@ def _pseudo_rem(fc, gc):
     dg = len(gc) - 1
     lg = gc[-1]
     if lg == 1:
-        _, r, _ = _divmod(fc, gc)
+        _, r, _ = _divmod_python(fc, gc)
         return _normalize(r)
     r = list(fc)
     while len(r) - 1 >= dg and r:
@@ -250,19 +200,6 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(a)
 
 
-def poly_lcm(f: IntPoly, g: IntPoly) -> IntPoly:
-    """lcm of primitive parts, positive leading coefficient."""
-    if f.is_zero() or g.is_zero():
-        return ZERO
-    pf = IntPoly(_primitive(f.coeffs))
-    pg = IntPoly(_primitive(g.coeffs))
-    d = poly_gcd(pf, pg)
-    out = poly_mul(poly_divexact(pf, d), pg)
-    if out.leading() < 0:
-        out = IntPoly([-c for c in out.coeffs])
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     if d == 1:
@@ -292,14 +229,26 @@ def _validated_elements(elements, limit):
     return items
 
 
+def _rem_q_analog(coeffs, k: int) -> list[int]:
+    """Remainder of a polynomial by [k]_q, k >= 2, as k - 1 coefficients.
+
+    Folds mod q^k - 1 (coefficient i into slot i mod k), which [k]_q
+    divides, then subtracts the top slot times the monic [k]_q.
+    """
+    slots = [sum(coeffs[j::k]) for j in range(k)]
+    top = slots.pop()
+    return [c - top for c in slots]
+
+
 def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_LIMIT) -> int:
     """Degree of lcm{ [k]_q : k in elements }, by brute polynomial arithmetic.
 
     method="cyclotomic": collect the divisor closure {d > 1 : d | k for some
     k}, multiply the corresponding cyclotomic polynomials, and report the
-    product's degree.  method="gcd": fold the set with polynomial
-    lcm(f, g) = f*g / gcd(f, g); shares no code with the first path beyond
-    base polynomial arithmetic.  The empty set has lcm 1, hence degree 0.
+    product's degree.  method="gcd": fold the set into an accumulator f by
+    f <- f * ([k]_q / gcd([k]_q, f mod [k]_q)); shares no code with the
+    first path beyond base polynomial arithmetic.  The empty set has lcm 1,
+    hence degree 0.
     """
     items = _validated_elements(elements, limit)
     if method == "cyclotomic":
@@ -315,6 +264,10 @@ def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_
     if method == "gcd":
         acc = ONE
         for k in items:
-            acc = poly_lcm(acc, q_analog(k))
+            if k == 1:
+                continue
+            qk = q_analog(k)
+            g = poly_gcd(qk, IntPoly(_rem_q_analog(acc.coeffs, k)))
+            acc = poly_mul(acc, poly_divexact(qk, g))
         return acc.degree
     raise ValueError(f"unknown oracle method {method!r}")

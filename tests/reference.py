@@ -3,6 +3,8 @@ against."""
 
 import numpy as np
 
+from qlcm.qpoly import ONE, ZERO, IntPoly, _primitive, poly_divexact, poly_gcd, poly_mul, q_analog
+
 
 def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
     """V[X] as the dense double sum over every pair 1 < d1, d2 <= n of
@@ -42,3 +44,25 @@ def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
             comp = (t - total) - y
             total = t
     return total
+
+
+def poly_lcm(f: IntPoly, g: IntPoly) -> IntPoly:
+    """lcm of primitive parts, positive leading coefficient."""
+    if f.is_zero() or g.is_zero():
+        return ZERO
+    pf = IntPoly(_primitive(f.coeffs))
+    pg = IntPoly(_primitive(g.coeffs))
+    d = poly_gcd(pf, pg)
+    out = poly_mul(poly_divexact(pf, d), pg)
+    if out.leading() < 0:
+        out = IntPoly([-c for c in out.coeffs])
+    return out
+
+
+def lcm_degree_by_fold(elements) -> int:
+    """Degree of lcm{ [k]_q : k in elements }, folding the set with
+    poly_lcm: each step divides the whole accumulator by a gcd."""
+    acc = ONE
+    for k in sorted(set(elements)):
+        acc = poly_lcm(acc, q_analog(k))
+    return acc.degree

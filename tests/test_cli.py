@@ -112,6 +112,7 @@ def test_csv_schema(capsys):
     )
     srow = dict(zip(CSV_COLUMNS, sout[1].split(",")))
     assert srow["mc_mean"] != "" and srow["mc_var"] != "" and srow["e_exact"] != ""
+    assert srow["v_exact"] != ""
 
 
 def test_csv_empty_stream_is_header_only():
@@ -164,11 +165,12 @@ def test_exit_code_spec_error(capsys):
 
 
 def test_exit_code_resource_limit(capsys):
-    # both requests exceed the table cap; the refusal comes before any
-    # table is allocated
+    # every request exceeds the table cap (--c1-x x needs tables up to
+    # max(a1, a2) * x); the refusal comes before any table is allocated
     for argv in (
         ["variance", "--n", str(TABLE_LIMIT + 1), "--alpha", "0.5"],
         ["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--c1-x", "1000000000"],
+        ["vfun", "--c1-pair", "2,3", "--c1-x", "4000000"],
     ):
         tracemalloc.start()
         try:
@@ -287,6 +289,40 @@ def test_vfun_records(capsys):
     assert abs(crec["c1_value"] - 0.1427) < 1e-3
     assert crec["phi_pair_x"] == 10000
     assert crec["c1_rel_diff"] < 0.01
+
+
+def test_vfun_c1_pair_above_one(capsys):
+    # the paired sum reads phi up to max(a1, a2) * x
+    code, out, _ = run_cli(
+        capsys, ["vfun", "--c1-pair", "2,3", "--c1-x", "1000", "--no-timings"]
+    )
+    assert code == 0 and len(out) == 1
+    rec = json.loads(out[0])
+    assert rec["phi_pair_x"] == 1000
+    assert math.isfinite(rec["c1_rel_diff"]) and rec["c1_rel_diff"] < 0.01
+
+
+@pytest.mark.parametrize("n,alpha", [(10000, "0.1"), (1000, "0.9")])
+def test_simulate_reports_exact_variance_and_self_checks(capsys, n, alpha):
+    # criterion 7's points: v_exact is qlcm variance's value, bit for bit
+    common = ["--n", str(n), "--alpha", alpha, "--no-timings"]
+    _, sout, _ = run_cli(capsys, ["simulate", *common, "--trials", "2000", "--seed", "20260814"])
+    _, vout, _ = run_cli(capsys, ["variance", *common])
+    srec, vrec = json.loads(sout[0]), json.loads(vout[0])
+    assert srec["v_exact"] == vrec["v_exact"]
+    assert srec["z_mean"] == (srec["mc_mean"] - srec["e_exact"]) / srec["mc_stderr"]
+    assert srec["var_ratio"] == srec["mc_var"] / srec["v_exact"]
+    assert abs(srec["z_mean"]) < 4 and abs(srec["var_ratio"] - 1) < 0.127
+
+
+def test_simulate_self_checks_zero_when_degenerate(capsys):
+    # n = 1 has X = 0 always: every denominator is 0
+    code, out, _ = run_cli(
+        capsys, ["simulate", "--n", "1", "--alpha", "0.5", "--trials", "10", "--no-timings"]
+    )
+    assert code == 0
+    rec = json.loads(out[0])
+    assert rec["v_exact"] == rec["z_mean"] == rec["var_ratio"] == 0.0
 
 
 def test_workers_do_not_change_output(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qlcm import model
+from qlcm.arith import build_tables
 from qlcm.errors import ResourceLimitError
 from qlcm.model import (
     ModelParams,
@@ -177,6 +179,45 @@ def test_monte_carlo_worker_and_block_invariance(tables_small):
         assert s.mean == base.mean and s.variance == base.variance
     with pytest.raises(ValueError):
         monte_carlo(p, tables_small, workers=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 97, 1000, 2310])
+def test_block_degrees_match_per_d_oracle(tables_small, n):
+    # the coverage transform gives the per-d loop's degree, trial by trial
+    tables = tables_small if n <= tables_small.limit else build_tables(n)
+    for alpha in (0, 0.1, 0.5, 1):
+        p = ModelParams(n=n, alpha=alpha, seed=20260814, trials=20)
+        want = [degree_statistic(sample_set(p, t), n, tables) for t in range(p.trials)]
+        if n == 1 or alpha == 0:
+            assert want == [0] * p.trials
+        for block in (1, 7, 256):
+            got = monte_carlo(p, tables, block_size=block).degrees
+            assert got.tolist() == want, (n, alpha, block)
+
+
+def test_monte_carlo_threads_capped(tables_small, monkeypatch):
+    # the pool never gets more threads than workers, blocks or cores
+    sizes = []
+
+    class Recorder(model.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", Recorder)
+    p = ModelParams(n=30, alpha=0.5, seed=1, trials=40)
+    base = monte_carlo(p, tables_small).degrees
+    for cores, workers, block, want in [
+        (2, 10**4, 4, 2),  # cores bind
+        (4, 3, 4, 3),  # workers bind
+        (4, 10**4, 20, 2),  # blocks bind
+        (None, 10**4, 4, None),  # unknown core count: no pool
+    ]:
+        sizes.clear()
+        monkeypatch.setattr(model.os, "cpu_count", lambda cores=cores: cores)
+        got = monte_carlo(p, tables_small, workers=workers, block_size=block).degrees
+        assert sizes == ([] if want is None else [want])
+        assert np.array_equal(got, base)
 
 
 def test_monte_carlo_mean_near_exact_expectation(tables_mid):

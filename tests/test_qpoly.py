@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from reference import lcm_degree_by_fold, poly_lcm
 
 from qlcm.errors import ResourceLimitError
 from qlcm.qpoly import (
     ONE,
     ZERO,
     IntPoly,
+    _divmod_python,
+    _primitive,
+    _rem_q_analog,
     cyclotomic,
     lcm_degree_oracle,
     poly_divexact,
     poly_gcd,
-    poly_lcm,
     poly_mul,
     q_analog,
 )
@@ -116,7 +119,7 @@ def test_poly_divexact_rejects():
 
 @pytest.mark.parametrize("scale", [1, 2**45])
 def test_divexact_roundtrip_randomized(scale):
-    # f*g / g == f on both the certified int64 path and the big-int path
+    # f*g / g == f with small coefficients and with coefficients past 2^45
     rng = np.random.default_rng(11 + scale % 97)
     for _ in range(25):
         fc = [int(c) * scale for c in rng.integers(-9, 10, size=40)]
@@ -177,8 +180,6 @@ def test_gcd_lcm_product_relation():
         m = poly_lcm(f, g)
         # for primitive parts: d * m = +- pf * pg
         lhs = poly_mul(d, m)
-        from qlcm.qpoly import _primitive
-
         rhs = poly_mul(IntPoly(_primitive(fc)), IntPoly(_primitive(gc)))
         if rhs.leading() < 0:
             rhs = IntPoly([-c for c in rhs.coeffs])
@@ -220,3 +221,27 @@ def test_oracles_agree_and_match_totient_sum(tables_small):
         closure = {d for k in subset for d in range(2, k + 1) if k % d == 0}
         phi_sum = int(sum(tables_small.phi[d] for d in closure))
         assert deg_c == deg_g == phi_sum, subset
+
+
+def test_folded_remainder_matches_long_division():
+    # the fold mod q^k - 1 plus one monic step is the remainder by [k]_q
+    rng = np.random.default_rng(20260814)
+    for k in range(2, 65):
+        for _ in range(4):
+            deg = int(rng.integers(0, 501))
+            fc = [int(c) for c in rng.integers(-(2**62), 2**62, size=deg + 1)]
+            fc = [c * int(rng.integers(1, 2**8)) for c in fc]  # up to 2^70
+            _, r, ok = _divmod_python(fc, (1,) * k)
+            assert ok
+            assert IntPoly(_rem_q_analog(fc, k)) == IntPoly(r), (k, deg)
+
+
+def test_gcd_oracle_matches_lcm_fold():
+    # 200 seeded sets at n <= 40, with 1 and repeated elements included
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        size = int(rng.integers(0, n + 1))
+        subset = [int(k) for k in rng.integers(1, n + 1, size=size)]
+        subset += [1] * int(rng.integers(0, 2))
+        assert lcm_degree_oracle(subset, method="gcd") == lcm_degree_by_fold(subset), subset
