@@ -31,8 +31,6 @@ from .moments import (
     expectation_asymptotic,
     expectation_exact,
     expectation_grouped,
-    rho_bounds,
-    s_infinity_members,
     v_alpha,
     variance_exact,
     variance_upper_envelope,
@@ -70,8 +68,6 @@ __all__ = [
     "poly_gcd",
     "poly_mul",
     "q_analog",
-    "rho_bounds",
-    "s_infinity_members",
     "sample_set",
     "sample_stream",
     "v_alpha",

@@ -382,13 +382,16 @@ def _truncation_echo(cfg: moments.TruncationConfig) -> dict:
 
 
 def _timed(phase_sink, name):
+    """Times a phase; counters set on the context go into its timing record."""
+
     class _Ctx:
         def __enter__(self):
+            self.counters = {}
             self.t0 = time.perf_counter()
             return self
 
         def __exit__(self, *exc):
-            phase_sink.append((name, time.perf_counter() - self.t0))
+            phase_sink.append((name, time.perf_counter() - self.t0, self.counters))
             return False
 
     return _Ctx()
@@ -501,8 +504,14 @@ def _run_simulate(spec: ExperimentSpec, phases):
 def _run_vfun(spec: ExperimentSpec, phases):
     for a in spec.alphas:
         af = float(a)
-        with _timed(phases, f"vfun alpha={af:g}"):
+        with _timed(phases, f"vfun alpha={af:g}") as timer:
             est = moments.v_alpha(af, spec.truncation)
+            timer.counters = {
+                "triples": est.triples,
+                "members": est.terms,
+                "c1_inner_evals": est.c1_inner_evals,
+                "c1_cache_hits": est.triples - est.c1_inner_evals,
+            }
         yield {
             "type": "report",
             "command": "vfun",
@@ -624,7 +633,7 @@ def _run_bench(spec: ExperimentSpec):
 
 def run(spec: ExperimentSpec):
     """Yield science records in grid order, then timing records."""
-    phases: list[tuple[str, float]] = []
+    phases: list[tuple[str, float, dict]] = []
     if spec.command == "expect":
         gen = _run_expect(spec, phases)
     elif spec.command == "variance":
@@ -642,12 +651,13 @@ def run(spec: ExperimentSpec):
         raise SpecError(f"command: unknown command {spec.command!r}")
     yield from gen
     if spec.include_timings:
-        for phase, seconds in phases:
+        for phase, seconds, counters in phases:
             yield {
                 "type": "timing",
                 "command": spec.command,
                 "phase": phase,
                 "seconds": seconds,
+                **counters,
             }
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ArithTables, as_fraction, check_point, phi_summatory, primes_up_to
+from .arith import TABLE_LIMIT, ArithTables, as_fraction, check_point, phi_summatory, primes_up_to
 from .errors import ResourceLimitError
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -33,6 +33,9 @@ _ZETA2_SQ_OVER_3 = PI2_OVER_6 * PI2_OVER_6 / 3.0
 _C1_TAIL_COEFF = 0.05
 
 EXACT_RATIONAL_LIMIT = 30
+# most S_inf members a v(alpha) request may enumerate, by the pre-flight
+# bound; alpha = 0.05 at the default tail tolerance bounds 6.3e7 (it has 1.6e7)
+V_ALPHA_MEMBER_LIMIT = 10**8
 # elements per chunk of the variance pair walk; bounds its working set
 VARIANCE_CHUNK = 1 << 16
 
@@ -78,7 +81,10 @@ class VAlphaEstimate:
     """Truncated v(alpha) with the accounted truncation error.
 
     truncation_error adds the C1 tails of every summed term to the bounds on
-    the dropped (j1, j2) range and the dropped j3 > j3_max range.
+    the dropped (j1, j2) range and the dropped j3 > j3_max range.  terms
+    counts the members summed, triples the (j3, a1, a2) groups they came in
+    and c1_inner_evals the C1 inner sums evaluated for them (the other C1
+    lookups were cache hits).
     """
 
     alpha: float
@@ -86,6 +92,8 @@ class VAlphaEstimate:
     truncation_error: float
     terms: int
     config: TruncationConfig
+    triples: int
+    c1_inner_evals: int
 
 
 def _powi(base, k: int):
@@ -298,6 +306,8 @@ def variance_upper_envelope(n: int, alpha: float) -> float:
 
 _c1_prefix_cache: dict[int, np.ndarray] = {}
 _c1_value_cache: dict[tuple[int, int, int], "C1Estimate"] = {}
+# Inner depends on (a1, a2) only through the prime set of a1 a2
+_c1_inner_cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -314,9 +324,9 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return tuple(ps)
 
 
-def _sigma_over_m(m: int) -> float:
+def _sigma_over_m(m: int, primes: tuple[int, ...]) -> float:
     total = 1
-    for p in _prime_factors(m):
+    for p in primes:
         pk = p
         while m % (pk * p) == 0:
             pk *= p
@@ -324,16 +334,14 @@ def _sigma_over_m(m: int) -> float:
     return total / m
 
 
-def _totient(m: int) -> int:
-    r = m
-    for p in _prime_factors(m):
-        r -= r // p
-    return r
-
-
 def _c1_weight_prefix(limit: int) -> np.ndarray:
     """Prefix sums of the multiplicative weight prod (1-2p)/p^3 over
-    squarefree m (zero elsewhere)."""
+    squarefree m (zero elsewhere); refused above the table cap, whose
+    17 bytes per unit it would take."""
+    if limit > TABLE_LIMIT:
+        raise ResourceLimitError(
+            f"c1_cutoff {limit} exceeds the table cap {TABLE_LIMIT}; lower --c1-cutoff"
+        )
     cached = _c1_prefix_cache.get(limit)
     if cached is not None:
         return cached
@@ -407,103 +415,83 @@ def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1E
         return hit
     t = config.c1_cutoff
     m = a1 * a2
-    inner = _inner_sum(t, _prime_factors(m))
-    value = (_totient(a1) * _totient(a2) / 3.0) * inner
-    tail = (m / 3.0) * _sigma_over_m(m) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
+    primes = _prime_factors(m)
+    inner = _c1_inner_cache.get((t, primes))
+    if inner is None:
+        inner = _c1_inner_cache[(t, primes)] = _inner_sum(t, primes)
+    phi_m = m  # phi(a1) phi(a2) = phi(a1 a2) for coprime a1, a2
+    for p in primes:
+        phi_m -= phi_m // p
+    value = (phi_m / 3.0) * inner
+    tail = (m / 3.0) * _sigma_over_m(m, primes) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
     est = C1Estimate(a1=a1, a2=a2, value=value, tail_error=tail, cutoff=t)
     _c1_value_cache[key] = est
     return est
 
 
-def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
-    """Reference evaluation straight from the defining double sum: squarefree
-    d1, d2 with [d1/(a1,d1), d2/(a2,d2)] <= cutoff.  Quadratic in a_i*cutoff;
-    test-scale only."""
-    if math.gcd(a1, a2) != 1:
-        raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
+def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
+    """emax, the largest e with beta^e >= beta_tail_tol, i.e. the largest
+    exponent j1 + j2 - j3 that v(alpha) keeps, after a pre-flight refusal.
 
-    lim1, lim2 = a1 * cutoff, a2 * cutoff
-    limit = max(lim1, lim2)
-    mu = np.ones(limit + 1, dtype=np.int64)  # the Mobius function
-    mu[0] = 0
-    for p in primes_up_to(limit):
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    terms = []
-    for d1 in range(1, lim1 + 1):
-        m1 = int(mu[d1])
-        if m1 == 0:
-            continue
-        e1 = d1 // math.gcd(a1, d1)
-        if e1 > cutoff:
-            continue
-        for d2 in range(1, lim2 + 1):
-            m2 = int(mu[d2])
-            if m2 == 0:
-                continue
-            e2 = d2 // math.gcd(a2, d2)
-            g = math.gcd(e1, e2)
-            l = (e1 // g) * e2
-            if l > cutoff:
-                continue
-            terms.append(m1 * m2 / (d1 * d2 * l))
-    return (a1 * a2 / 3.0) * math.fsum(terms)
-
-
-def rho_bounds(a1: int, a2: int, j1: int, j2: int, j3: int) -> tuple[Fraction, Fraction]:
-    """(rho1, rho2): the max of the three lower ratios and the min of the
-    three upper ratios, as exact rationals."""
-    for name, v in (("a1", a1), ("a2", a2), ("j1", j1), ("j2", j2), ("j3", j3)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {v}")
-    m1 = min(a1 * (j1 + 1), a2 * (j2 + 1), a1 * a2 * (j3 + 1))
-    m2 = max(a1 * j1, a2 * j2, a1 * a2 * j3)
-    return Fraction(1, m1), Fraction(1, m2)
-
-
-def _beta_exponent_cap(beta: float, tol: float) -> int:
-    """Largest e >= 0 with beta^e >= tol (e = -1 when even beta^0 < tol,
-    which cannot happen for tol <= 1)."""
-    if beta <= 0.0:
-        return 0
-    e = max(int(math.log(tol) / math.log(beta)), 0)
+    A triple (j3, a1, a2) is kept only when (a1 + a2 - 1) j3 <= emax and has
+    at most a1 + a2 - 1 members, so j3 brings at most s^3/3 members,
+    s = emax // j3 + 1.  The bound sums that over j3 <= min(j3_max, emax) at
+    top = (log estimate of emax) + 1 >= emax, in O(min(j3_max, emax)) steps;
+    for alpha near 0, where beta^e decays too slowly to resolve, it refuses
+    before any power is taken.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"v(alpha) is defined on open (0, 1), got {alpha}")
+    tol = config.beta_tail_tol
+    top = math.log(tol) / math.log1p(-alpha) + 1.0
+    bound = 0.0
+    j3 = 1
+    while j3 <= min(config.j3_max, top) and bound <= V_ALPHA_MEMBER_LIMIT:
+        s = top / j3 + 1.0
+        bound += s * s * s / 3.0
+        j3 += 1
+    if bound > V_ALPHA_MEMBER_LIMIT:
+        raise ResourceLimitError(
+            f"v({alpha:g}) at tail tolerance {tol:g}: the S_inf member bound reaches {bound:.3g}, "
+            f"above the limit of {V_ALPHA_MEMBER_LIMIT:.0e}; raise --alpha or --tail-tol"
+        )
+    beta = 1.0 - alpha
+    e = int(top)
+    while _powi(beta, e) < tol:
+        e -= 1
     while _powi(beta, e + 1) >= tol:
         e += 1
-    while e >= 0 and _powi(beta, e) < tol:
-        e -= 1
     return e
 
 
 def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
-    """Yield (a1, a2, j1, j2, j3, m1, m2) over the truncated S_infinity grid.
+    """Yield the truncated S_infinity one coprime triple at a time, as
+    (j3, a1, a2, ends).
 
-    j3 <= j3_max; j1, j2 >= j3 run while beta^(j1+j2-j3) >= beta_tail_tol;
-    a1 ranges over the open interval (j2/(j3+1), (j2+1)/j3) and a2 over
-    (j1/(j3+1), (j1+1)/j3); gcd(a1, a2) = 1; membership keeps rho1 < rho2,
-    i.e. m1 > m2 where rho1 = 1/m1 and rho2 = 1/m2.  All interval and
-    membership decisions are integer comparisons.
+    The members of (j3, a1, a2) are the gaps between consecutive points of
+    {multiples of a1} U {multiples of a2} in [a1 a2 j3, a1 a2 (j3 + 1)]; the
+    gap [m2, m1] has j1 = m2 // a1, j2 = m2 // a2, rho2 = 1/m2 and
+    rho1 = 1/m1.  No inner point is a multiple of both, so each point passed
+    raises j1 or j2 by one and the k-th gap (k from 0) has exponent
+    j1 + j2 - j3 = (a1 + a2 - 1) j3 + k.  The gaps with exponent <= emax
+    (beta^e >= beta_tail_tol) are members, at most a1 + a2 - 1 of them;
+    ends holds their end points in order, member k being
+    (m2, m1) = (ends[k], ends[k + 1]).  j3 runs up to j3_max.
     """
     if config is None:
         config = TruncationConfig()
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"v(alpha) is defined on open (0, 1), got {alpha}")
-    beta = 1.0 - alpha
-    emax = _beta_exponent_cap(beta, config.beta_tail_tol)
-    for j3 in range(1, min(config.j3_max, emax) + 1):
-        for j1 in range(j3, emax + 1):
-            for j2 in range(j3, emax - j1 + j3 + 1):
-                a1_lo = j2 // (j3 + 1) + 1
-                a1_hi = j2 // j3
-                a2_lo = j1 // (j3 + 1) + 1
-                a2_hi = j1 // j3
-                for a1 in range(a1_lo, a1_hi + 1):
-                    for a2 in range(a2_lo, a2_hi + 1):
-                        if math.gcd(a1, a2) != 1:
-                            continue
-                        m1 = min(a1 * (j1 + 1), a2 * (j2 + 1), a1 * a2 * (j3 + 1))
-                        m2 = max(a1 * j1, a2 * j2, a1 * a2 * j3)
-                        if m1 > m2:
-                            yield (a1, a2, j1, j2, j3, m1, m2)
+    emax = _enumeration_depth(alpha, config)
+    for a1 in range(1, emax + 1):
+        for a2 in range(1, emax - a1 + 2):
+            if math.gcd(a1, a2) != 1:
+                continue
+            s = a1 + a2 - 1
+            m = a1 * a2
+            # coprime: no inner multiple of a1 is one of a2
+            points = np.sort(np.concatenate(([0, m], np.arange(a1, m, a1), np.arange(a2, m, a2))))
+            for j3 in range(1, min(config.j3_max, emax // s) + 1):
+                kept = min(s, emax - s * j3 + 1)
+                yield j3, a1, a2, m * j3 + points[: kept + 1]
 
 
 def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
@@ -512,31 +500,31 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
         v(alpha) = sum over S_infinity of beta^(j1+j2-j3) (1-beta^j3)
                    * C1(a1, a2) * (rho2^3 - rho1^3),
 
-    truncated per config.  truncation_error accounts the C1 tail of every
-    summed term plus geometric bounds on the dropped (j1, j2) and j3 ranges,
-    each using sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
+    truncated per config.  The members of one triple (j3, a1, a2) share
+    C1(a1, a2), so their weighted sum is one numpy expression, multiplied
+    once by C1 and once by its tail error; math.fsum combines the products.
+    truncation_error accounts the C1 tail of every summed term plus
+    geometric bounds on the dropped (j1, j2) and j3 ranges, each using
+    sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
     """
     if config is None:
         config = TruncationConfig()
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"v(alpha) is defined on open (0, 1), got {alpha}")
+    emax = _enumeration_depth(alpha, config)
     beta = 1.0 - alpha
-    emax = _beta_exponent_cap(beta, config.beta_tail_tol)
-    pb = [_powi(beta, k) for k in range(emax + 2)]
-    total = 0.0
-    comp = 0.0
-    err_c1 = 0.0
+    pb = np.array([_powi(beta, k) for k in range(emax + 1)])
+    values, tails = [], []
     n_terms = 0
-    for a1, a2, j1, j2, j3, m1, m2 in s_infinity_members(alpha, config):
-        w = pb[j1 + j2 - j3] * (1.0 - pb[j3])
+    evals_before = len(_c1_inner_cache)
+    for j3, a1, a2, ends in s_infinity_members(alpha, config):
+        e0 = (a1 + a2 - 1) * j3
+        k = len(ends) - 1
+        f = ends.astype(np.float64)
+        inv_cube = 1.0 / (f * f * f)
+        part = (1.0 - pb[j3]) * float(np.sum(pb[e0 : e0 + k] * (inv_cube[:-1] - inv_cube[1:])))
         est = c1_constant(a1, a2, config)
-        drho = 1.0 / (m2 * m2 * m2) - 1.0 / (m1 * m1 * m1)
-        y = w * est.value * drho - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        err_c1 += w * drho * est.tail_error
-        n_terms += 1
+        values.append(est.value * part)
+        tails.append(est.tail_error * part)
+        n_terms += k
 
     one_m_beta = alpha
     # dropped (j1, j2) with j1 + j2 - j3 > emax, for each kept j3:
@@ -560,8 +548,10 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
         j3 += 1
     return VAlphaEstimate(
         alpha=alpha,
-        value=total,
-        truncation_error=err_c1 + err_j + err_j3,
+        value=math.fsum(values),
+        truncation_error=math.fsum(tails) + err_j + err_j3,
         terms=n_terms,
         config=config,
+        triples=len(values),
+        c1_inner_evals=len(_c1_inner_cache) - evals_before,
     )

@@ -1,8 +1,12 @@
 """Slow reference implementations that the fast library paths are checked
 against."""
 
+import math
+
 import numpy as np
 
+from qlcm.arith import primes_up_to
+from qlcm.moments import TruncationConfig, _enumeration_depth, _powi, c1_constant
 from qlcm.qpoly import ONE, ZERO, IntPoly, _primitive, poly_divexact, poly_gcd, poly_mul, q_analog
 
 
@@ -44,6 +48,93 @@ def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
             comp = (t - total) - y
             total = t
     return total
+
+
+def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
+    """Reference evaluation straight from the defining double sum: squarefree
+    d1, d2 with [d1/(a1,d1), d2/(a2,d2)] <= cutoff.  Quadratic in a_i*cutoff;
+    test-scale only."""
+    if math.gcd(a1, a2) != 1:
+        raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
+
+    lim1, lim2 = a1 * cutoff, a2 * cutoff
+    limit = max(lim1, lim2)
+    mu = np.ones(limit + 1, dtype=np.int64)  # the Mobius function
+    mu[0] = 0
+    for p in primes_up_to(limit):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    terms = []
+    for d1 in range(1, lim1 + 1):
+        m1 = int(mu[d1])
+        if m1 == 0:
+            continue
+        e1 = d1 // math.gcd(a1, d1)
+        if e1 > cutoff:
+            continue
+        for d2 in range(1, lim2 + 1):
+            m2 = int(mu[d2])
+            if m2 == 0:
+                continue
+            e2 = d2 // math.gcd(a2, d2)
+            g = math.gcd(e1, e2)
+            l = (e1 // g) * e2
+            if l > cutoff:
+                continue
+            terms.append(m1 * m2 / (d1 * d2 * l))
+    return (a1 * a2 / 3.0) * math.fsum(terms)
+
+
+def s_infinity_cells(alpha: float, config: TruncationConfig | None = None):
+    """Yield (a1, a2, j1, j2, j3, m1, m2) over the truncated S_infinity grid,
+    testing every cell of every (j1, j2) box.
+
+    j3 <= j3_max; j1, j2 >= j3 run while beta^(j1+j2-j3) >= beta_tail_tol;
+    a1 ranges over the open interval (j2/(j3+1), (j2+1)/j3) and a2 over
+    (j1/(j3+1), (j1+1)/j3); gcd(a1, a2) = 1; membership keeps rho1 < rho2,
+    i.e. m1 > m2 where rho1 = 1/m1 and rho2 = 1/m2.  All interval and
+    membership decisions are integer comparisons.
+    """
+    if config is None:
+        config = TruncationConfig()
+    emax = _enumeration_depth(alpha, config)
+    for j3 in range(1, min(config.j3_max, emax) + 1):
+        for j1 in range(j3, emax + 1):
+            for j2 in range(j3, emax - j1 + j3 + 1):
+                a1_lo = j2 // (j3 + 1) + 1
+                a1_hi = j2 // j3
+                a2_lo = j1 // (j3 + 1) + 1
+                a2_hi = j1 // j3
+                for a1 in range(a1_lo, a1_hi + 1):
+                    for a2 in range(a2_lo, a2_hi + 1):
+                        if math.gcd(a1, a2) != 1:
+                            continue
+                        m1 = min(a1 * (j1 + 1), a2 * (j2 + 1), a1 * a2 * (j3 + 1))
+                        m2 = max(a1 * j1, a2 * j2, a1 * a2 * j3)
+                        if m1 > m2:
+                            yield (a1, a2, j1, j2, j3, m1, m2)
+
+
+def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tuple[float, int]:
+    """(v(alpha), member count) summed one S_infinity member at a time over
+    s_infinity_cells through a Kahan accumulator, C1 looked up per member."""
+    if config is None:
+        config = TruncationConfig()
+    beta = 1.0 - alpha
+    emax = _enumeration_depth(alpha, config)
+    pb = [_powi(beta, k) for k in range(emax + 2)]
+    total = 0.0
+    comp = 0.0
+    n_terms = 0
+    for a1, a2, j1, j2, j3, m1, m2 in s_infinity_cells(alpha, config):
+        w = pb[j1 + j2 - j3] * (1.0 - pb[j3])
+        drho = 1.0 / (m2 * m2 * m2) - 1.0 / (m1 * m1 * m1)
+        y = w * c1_constant(a1, a2, config).value * drho - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        n_terms += 1
+    return total, n_terms
 
 
 def poly_lcm(f: IntPoly, g: IntPoly) -> IntPoly:

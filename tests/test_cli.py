@@ -165,12 +165,18 @@ def test_exit_code_spec_error(capsys):
 
 
 def test_exit_code_resource_limit(capsys):
-    # every request exceeds the table cap (--c1-x x needs tables up to
-    # max(a1, a2) * x); the refusal comes before any table is allocated
-    for argv in (
-        ["variance", "--n", str(TABLE_LIMIT + 1), "--alpha", "0.5"],
-        ["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--c1-x", "1000000000"],
-        ["vfun", "--c1-pair", "2,3", "--c1-x", "4000000"],
+    # the first four requests exceed the table cap (--c1-x x needs tables up
+    # to max(a1, a2) * x, --c1-cutoff T a C1 weight prefix up to T), the two
+    # small alphas the S_inf member bound.  The refusal comes before any
+    # table is allocated or any member enumerated, and names the option to
+    # change where one is given.
+    for argv, option in (
+        (["variance", "--n", str(TABLE_LIMIT + 1), "--alpha", "0.5"], ""),
+        (["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--c1-x", "1000000000"], ""),
+        (["vfun", "--c1-pair", "2,3", "--c1-x", "4000000"], ""),
+        (["vfun", "--alpha", "0.5", "--c1-cutoff", "10000000000"], "--c1-cutoff"),
+        (["vfun", "--alpha", "0.01"], "--alpha"),
+        (["vfun", "--alpha", "1e-300"], "--alpha"),  # beta = 1.0 in floating point
     ):
         tracemalloc.start()
         try:
@@ -179,6 +185,7 @@ def test_exit_code_resource_limit(capsys):
         finally:
             tracemalloc.stop()
         assert code == 3 and err.startswith("resource limit:"), argv
+        assert option in err, err
         assert peak < 2**24, f"{argv}: peak {peak} bytes"
 
 
@@ -289,6 +296,18 @@ def test_vfun_records(capsys):
     assert abs(crec["c1_value"] - 0.1427) < 1e-3
     assert crec["phi_pair_x"] == 10000
     assert crec["c1_rel_diff"] < 0.01
+
+
+def test_vfun_timing_counters(capsys):
+    code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5"])
+    assert code == 0 and len(out) == 2
+    rec, tm = (json.loads(ln) for ln in out)
+    assert not {"triples", "members", "c1_inner_evals", "c1_cache_hits"} & set(rec)
+    assert tm["type"] == "timing" and tm["phase"] == "vfun alpha=0.5"
+    assert tm["members"] == rec["v_alpha_terms"] == 6939 and tm["triples"] == 835
+    # one C1 lookup per triple; at most one inner sum per prime set
+    assert tm["c1_inner_evals"] + tm["c1_cache_hits"] == tm["triples"]
+    assert 0 <= tm["c1_inner_evals"] <= 69
 
 
 def test_vfun_c1_pair_above_one(capsys):

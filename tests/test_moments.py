@@ -16,18 +16,16 @@ from qlcm.moments import (
     TruncationConfig,
     alpha_factor,
     c1_constant,
-    c1_constant_direct,
     dilog,
     expectation_asymptotic,
     expectation_exact,
     expectation_grouped,
-    rho_bounds,
     s_infinity_members,
     v_alpha,
     variance_exact,
     variance_upper_envelope,
 )
-from reference import dense_variance
+from reference import c1_constant_direct, dense_variance, s_infinity_cells, v_alpha_per_term
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
 
@@ -258,26 +256,29 @@ def test_c1_tail_estimate_is_an_upper_bound():
             )
 
 
-def test_rho_bounds_examples():
-    assert rho_bounds(1, 1, 5, 5, 5) == (Fraction(1, 6), Fraction(1, 5))
-    assert rho_bounds(1, 2, 3, 1, 1) == (Fraction(1, 4), Fraction(1, 3))
-    with pytest.raises(ValueError):
-        rho_bounds(1, 1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        rho_bounds(0, 1, 1, 1, 1)
+def members(alpha, config=None):
+    """The (a1, a2, j1, j2, j3, m1, m2) members of the triple enumeration,
+    with each member's exponent j1 + j2 - j3 as reported by its position."""
+    for j3, a1, a2, ends in s_infinity_members(alpha, config):
+        for k in range(len(ends) - 1):
+            m2, m1 = int(ends[k]), int(ends[k + 1])
+            yield (a1, a2, m2 // a1, m2 // a2, j3, m1, m2), (a1 + a2 - 1) * j3 + k
 
 
 def test_s_infinity_structural_invariants():
     seen = 0
-    for a1, a2, j1, j2, j3, m1, m2 in s_infinity_members(0.5):
+    for (a1, a2, j1, j2, j3, m1, m2), e in members(0.5):
         assert math.gcd(a1, a2) == 1
         assert j1 >= j3 and j2 >= j3
         # the defining floor identities of the cell
         assert j2 // a1 == j3 and j1 // a2 == j3, (a1, a2, j1, j2, j3)
+        assert e == j1 + j2 - j3 and 0.5**e >= TruncationConfig().beta_tail_tol
         assert m1 > m2  # nonempty rho interval
         assert m2 >= a1 * a2 * j3  # rho2 <= 1/(a1 a2 j3)
-        r1, r2 = rho_bounds(a1, a2, j1, j2, j3)
-        assert (r1, r2) == (Fraction(1, m1), Fraction(1, m2))
+        # rho1 = 1/m1 is the max of the three lower ratios, rho2 = 1/m2 the
+        # min of the three upper ones
+        assert m1 == min(a1 * (j1 + 1), a2 * (j2 + 1), a1 * a2 * (j3 + 1))
+        assert m2 == max(a1 * j1, a2 * j2, a1 * a2 * j3)
         seen += 1
     assert seen > 1000
 
@@ -288,7 +289,7 @@ def test_s_infinity_matches_brute_force_box():
     box = 12
     got = {
         (a1, a2, j1, j2, j3)
-        for a1, a2, j1, j2, j3, _, _ in s_infinity_members(0.5, cfg)
+        for (a1, a2, j1, j2, j3, _, _), _ in members(0.5, cfg)
         if a1 <= box and a2 <= box and j1 <= box and j2 <= box and j3 <= box
     }
     want = set()
@@ -306,6 +307,21 @@ def test_s_infinity_matches_brute_force_box():
                         if m1 > m2:
                             want.add((a1, a2, j1, j2, j3))
     assert got == want
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_s_infinity_triples_match_cell_enumeration(alpha):
+    got = [m for m, _ in members(alpha)]
+    assert len(got) == len(set(got))
+    assert set(got) == set(s_infinity_cells(alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8])
+def test_v_alpha_matches_per_term_sum(alpha):
+    est = v_alpha(alpha)
+    value, terms = v_alpha_per_term(alpha)
+    assert est.terms == terms
+    assert abs(est.value - value) <= 1e-14 * value
 
 
 def test_s_infinity_rejects_endpoints():
@@ -339,6 +355,13 @@ def test_v_alpha_deepening_consistency():
     assert abs(deep.value - base.value) <= base.truncation_error + deep.truncation_error
     deeper_c1 = v_alpha(0.5, TruncationConfig(c1_cutoff=3 * 10**5))
     assert abs(deeper_c1.value - base.value) <= base.truncation_error
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.8])
+def test_truncation_error_bounds_deeper_truncation(alpha):
+    base = v_alpha(alpha)
+    deep = v_alpha(alpha, TruncationConfig(j3_max=80, beta_tail_tol=1e-14, c1_cutoff=3 * 10**5))
+    assert abs(deep.value - base.value) <= base.truncation_error
 
 
 def test_v_alpha_matches_finite_n_variance(tables_mid):
