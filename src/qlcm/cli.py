@@ -42,6 +42,10 @@ CSV_COLUMNS = (
 COMMANDS = ("expect", "variance", "simulate", "vfun", "oracle-check", "bench")
 BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 
+# oracle-check work cap in trials x |alpha| x sum of n^2, 125 times the
+# README run's 500 x 40^2
+ORACLE_WORK_LIMIT = 10**8
+
 
 class SpecError(ValueError):
     """Invalid experiment specification; message names the offending field."""
@@ -481,6 +485,7 @@ def _run_simulate(spec: ExperimentSpec, phases):
                 dev_frac = float(Fraction(int(dev.sum()), mc.trials))
             else:
                 dev_frac = 0.0
+            cheb_den = (spec.dev_eps * e_exact) ** 2
             yield {
                 "type": "report",
                 "command": "simulate",
@@ -497,6 +502,7 @@ def _run_simulate(spec: ExperimentSpec, phases):
                 "var_ratio": mc.variance / v_exact if v_exact > 0 else 0.0,
                 "dev_eps": spec.dev_eps,
                 "dev_frac": dev_frac,
+                "cheb_bound": v_exact / cheb_den if cheb_den > 0 else 0.0,
                 "truncation": _truncation_echo(spec.truncation),
             }
 
@@ -552,6 +558,15 @@ def _run_vfun(spec: ExperimentSpec, phases):
 
 
 def _run_oracle_check(spec: ExperimentSpec, phases):
+    n_max = max(spec.n_values)
+    if n_max > qpoly.ORACLE_LIMIT:
+        raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
+    work = spec.trials * len(spec.alphas) * sum(n * n for n in spec.n_values)
+    if work > ORACLE_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"oracle-check work {work:.3g} (--trials x alphas x sum of --n squared) "
+            f"exceeds {ORACLE_WORK_LIMIT:.0e}; lower --trials or --n"
+        )
     tables = _build_tables_for(spec, phases)
     for n in spec.n_values:
         for a in spec.alphas:

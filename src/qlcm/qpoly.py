@@ -8,10 +8,14 @@ the set, the other folds the set with ``lcm(f, [k]_q) = f * [k]_q / g``,
 
 Coefficients are arbitrary-precision Python integers, stored dense and
 lowest-degree first, and every division is exact integer long division.
+``IntPoly(...)`` applies ``int`` to its input; results built here skip that.
 The gcd oracle never divides its growing accumulator: since
 ``q^k - 1 = (q - 1) [k]_q``, the accumulator reduces mod ``[k]_q`` by adding
 coefficient i into slot i mod k (that is, mod ``q^k - 1``) and taking one
 monic step by ``[k]_q``, so the gcd runs on polynomials of degree below k.
+It folds the largest element first, so an element dividing one already
+folded leaves remainder 0, Euclid returns ``[k]_q`` at once, and the
+accumulator is not multiplied by the unit quotient.
 """
 
 from __future__ import annotations
@@ -29,11 +33,10 @@ from .errors import ResourceLimitError
 ORACLE_LIMIT = 512
 
 
-def _normalize(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
+def _trim(cs: list) -> tuple:
     while cs and cs[-1] == 0:
         cs.pop()
-    return tuple(int(c) for c in cs)
+    return tuple(cs)
 
 
 class IntPoly:
@@ -45,7 +48,14 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _normalize(coeffs)
+        self.coeffs = _trim(list(map(int, coeffs)))
+
+    @classmethod
+    def _of_ints(cls, cs: list) -> IntPoly:
+        """From a list of Python ints, trimmed in place, with no int() pass."""
+        p = object.__new__(cls)
+        p.coeffs = _trim(cs)
+        return p
 
     @property
     def degree(self) -> int:
@@ -92,7 +102,7 @@ def q_analog(k: int) -> IntPoly:
     """The polynomial 1 + q + ... + q^(k-1), of degree k-1."""
     if k < 1:
         raise ValueError(f"q_analog requires k >= 1, got {k}")
-    return IntPoly((1,) * k)
+    return IntPoly._of_ints([1] * k)
 
 
 def poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -100,17 +110,15 @@ def poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
     fc, gc = f.coeffs, g.coeffs
     if not fc or not gc:
         return ZERO
-    hf = max(abs(c) for c in fc)
-    hg = max(abs(c) for c in gc)
-    if min(len(fc), len(gc)) * hf * hg < _INT64_SAFE:
+    if min(len(fc), len(gc)) * max(map(abs, fc)) * max(map(abs, gc)) < _INT64_SAFE:
         out = np.convolve(np.asarray(fc, dtype=np.int64), np.asarray(gc, dtype=np.int64))
-        return IntPoly(out.tolist())
+        return IntPoly._of_ints(out.tolist())
     res = [0] * (len(fc) + len(gc) - 1)
     for i, a in enumerate(fc):
         if a:
             for j, b in enumerate(gc):
                 res[i + j] += a * b
-    return IntPoly(res)
+    return IntPoly._of_ints(res)
 
 
 def _divmod_python(fc, gc):
@@ -145,15 +153,11 @@ def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
     q, r, ok = _divmod_python(f.coeffs, g.coeffs)
     if not ok or any(r):
         raise ValueError(f"{f!r} is not exactly divisible by {g!r}")
-    return IntPoly(q)
-
-
-def _content(coeffs) -> int:
-    return reduce(math.gcd, coeffs, 0)
+    return IntPoly._of_ints(q)
 
 
 def _primitive(coeffs):
-    c = _content(coeffs)
+    c = reduce(math.gcd, coeffs, 0)
     if c > 1:
         return [x // c for x in coeffs]
     return list(coeffs)
@@ -165,7 +169,7 @@ def _pseudo_rem(fc, gc):
     lg = gc[-1]
     if lg == 1:
         _, r, _ = _divmod_python(fc, gc)
-        return _normalize(r)
+        return _trim(r)
     r = list(fc)
     while len(r) - 1 >= dg and r:
         t = r[-1]
@@ -197,26 +201,20 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
         a, b = b, _primitive(r)
     if a[-1] < 0:
         a = [-c for c in a]
-    return IntPoly(a)
+    return IntPoly._of_ints(a)
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    if d == 1:
-        return (-1, 1)
-    # q^d - 1 divided by the cyclotomics of all proper divisors of d.
-    poly = IntPoly([-1] + [0] * (d - 1) + [1])
-    for e in range(1, d):
-        if d % e == 0:
-            poly = poly_divexact(poly, IntPoly(_cyclotomic_coeffs(e)))
-    return poly.coeffs
-
-
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial; its degree is the totient of d."""
     if d < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {d}")
-    return IntPoly(_cyclotomic_coeffs(d))
+    # q^d - 1 divided by the cyclotomics of all proper divisors of d.
+    poly = IntPoly._of_ints([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            poly = poly_divexact(poly, cyclotomic(e))
+    return poly
 
 
 def _validated_elements(elements, limit):
@@ -245,10 +243,11 @@ def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_
 
     method="cyclotomic": collect the divisor closure {d > 1 : d | k for some
     k}, multiply the corresponding cyclotomic polynomials, and report the
-    product's degree.  method="gcd": fold the set into an accumulator f by
-    f <- f * ([k]_q / gcd([k]_q, f mod [k]_q)); shares no code with the
-    first path beyond base polynomial arithmetic.  The empty set has lcm 1,
-    hence degree 0.
+    product's degree.  method="gcd": fold the set, largest first, into f by
+    f <- f * ([k]_q / g), g = gcd([k]_q, f mod [k]_q), leaving f as it is
+    when k divides an element already folded (then f mod [k]_q = 0 and
+    g = [k]_q); shares no code with the first path beyond base polynomial
+    arithmetic.  The empty set has lcm 1, hence degree 0.
     """
     items = _validated_elements(elements, limit)
     if method == "cyclotomic":
@@ -263,11 +262,12 @@ def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_
         return prod.degree
     if method == "gcd":
         acc = ONE
-        for k in items:
+        for k in reversed(items):
             if k == 1:
                 continue
             qk = q_analog(k)
-            g = poly_gcd(qk, IntPoly(_rem_q_analog(acc.coeffs, k)))
-            acc = poly_mul(acc, poly_divexact(qk, g))
+            g = poly_gcd(qk, IntPoly._of_ints(_rem_q_analog(acc.coeffs, k)))
+            if g != qk:
+                acc = poly_mul(acc, poly_divexact(qk, g))
         return acc.degree
     raise ValueError(f"unknown oracle method {method!r}")

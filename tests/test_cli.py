@@ -189,6 +189,27 @@ def test_exit_code_resource_limit(capsys):
         assert peak < 2**24, f"{argv}: peak {peak} bytes"
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["--n", "600", "--trials", "1"], "--n"),  # past qpoly.ORACLE_LIMIT
+        (["--n", "512", "--trials", "500"], "--trials"),  # 1.3e8 work units
+        (["--n", "40", "--trials", "62501"], "--trials"),  # one trial past the cap
+    ],
+)
+def test_oracle_check_preflight_refuses(capsys, argv, option):
+    # refused before the tables are built or a set is sampled
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["oracle-check", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and not out
+    assert option in err, err
+    assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
 def test_precedence_cli_env_config(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 5\ntrials = 33  # comment\ntail-tol = 1e-10\n")
@@ -323,15 +344,22 @@ def test_vfun_c1_pair_above_one(capsys):
 
 @pytest.mark.parametrize("n,alpha", [(10000, "0.1"), (1000, "0.9")])
 def test_simulate_reports_exact_variance_and_self_checks(capsys, n, alpha):
-    # criterion 7's points: v_exact is qlcm variance's value, bit for bit
+    # criterion 7's points: v_exact is qlcm variance's value, bit for bit,
+    # and the deviation mass lies under the record's Chebyshev bound
     common = ["--n", str(n), "--alpha", alpha, "--no-timings"]
-    _, sout, _ = run_cli(capsys, ["simulate", *common, "--trials", "2000", "--seed", "20260814"])
+    _, sout, _ = run_cli(
+        capsys, ["simulate", *common, "--trials", "2000", "--seed", "20260814", "--dev-eps", "0.05"]
+    )
     _, vout, _ = run_cli(capsys, ["variance", *common])
     srec, vrec = json.loads(sout[0]), json.loads(vout[0])
     assert srec["v_exact"] == vrec["v_exact"]
     assert srec["z_mean"] == (srec["mc_mean"] - srec["e_exact"]) / srec["mc_stderr"]
     assert srec["var_ratio"] == srec["mc_var"] / srec["v_exact"]
     assert abs(srec["z_mean"]) < 4 and abs(srec["var_ratio"] - 1) < 0.127
+    assert srec["cheb_bound"] == srec["v_exact"] / (0.05 * srec["e_exact"]) ** 2
+    assert srec["dev_frac"] <= srec["cheb_bound"]
+    keys = list(srec)
+    assert keys[keys.index("dev_frac") + 1] == "cheb_bound"
 
 
 def test_simulate_self_checks_zero_when_degenerate(capsys):
@@ -341,7 +369,7 @@ def test_simulate_self_checks_zero_when_degenerate(capsys):
     )
     assert code == 0
     rec = json.loads(out[0])
-    assert rec["v_exact"] == rec["z_mean"] == rec["var_ratio"] == 0.0
+    assert rec["v_exact"] == rec["z_mean"] == rec["var_ratio"] == rec["cheb_bound"] == 0.0
 
 
 def test_workers_do_not_change_output(capsys):

@@ -245,3 +245,50 @@ def test_gcd_oracle_matches_lcm_fold():
         subset = [int(k) for k in rng.integers(1, n + 1, size=size)]
         subset += [1] * int(rng.integers(0, 2))
         assert lcm_degree_oracle(subset, method="gcd") == lcm_degree_by_fold(subset), subset
+
+
+def _schoolbook(fc, gc):
+    out = [0] * (len(fc) + len(gc) - 1)
+    for i, a in enumerate(fc):
+        for j, b in enumerate(gc):
+            out[i + j] += a * b
+    return out
+
+
+def test_results_hold_python_ints():
+    # numpy int64 input is converted at the IntPoly boundary; every result
+    # built inside qpoly then holds Python ints, so products past 2^63 are exact
+    rng = np.random.default_rng(17)
+    big = 2**40
+    f_np = rng.integers(-big, big + 1, size=30, dtype=np.int64)
+    g_np = rng.integers(-big, big + 1, size=25, dtype=np.int64)
+    f_np[-1], g_np[-1] = big, -big  # height exactly 2^40
+    f, g = IntPoly(f_np), IntPoly(g_np)
+    prod = poly_mul(f, g)
+    assert list(prod.coeffs) == _schoolbook([int(c) for c in f_np], [int(c) for c in g_np])
+    small = poly_mul(IntPoly(np.array([3, -1, 2], dtype=np.int64)), IntPoly((1, 1)))
+    assert small == IntPoly((3, 2, 1, 2))
+    quot = poly_divexact(prod, g)
+    assert quot == f
+    gcd = poly_gcd(prod, poly_mul(f, q_analog(3)))
+    for r in (f, prod, small, quot, gcd, q_analog(7), cyclotomic(12), cyclotomic(105)):
+        assert r.coeffs and all(type(c) is int for c in r.coeffs), r
+
+
+def test_gcd_oracle_on_divisor_chains(tables_small):
+    # sets {k, 2k, 3k, ...} plus random elements, so that the largest-first
+    # fold meets elements dividing ones already folded (remainder 0, unit
+    # quotient); plus singletons and sets holding 1
+    rng = np.random.default_rng(20261018)
+    cases = [[k] for k in (1, 2, 7, 36, 60)] + [[1, k] for k in (1, 12, 59)]
+    for _ in range(40):
+        n = int(rng.integers(2, 61))
+        k = int(rng.integers(1, n // 2 + 1))
+        chain = list(range(k, n + 1, k))[: int(rng.integers(2, 6))]
+        extra = [int(x) for x in rng.integers(1, n + 1, size=int(rng.integers(0, 4)))]
+        cases.append(chain + extra + [1] * int(rng.integers(0, 2)))
+    for subset in cases:
+        deg = lcm_degree_oracle(subset, method="gcd")
+        assert deg == lcm_degree_by_fold(subset) == lcm_degree_oracle(subset), subset
+        closure = {d for k in subset for d in range(2, k + 1) if k % d == 0}
+        assert deg == int(sum(tables_small.phi[d] for d in closure)), subset
