@@ -5,19 +5,25 @@ records are emitted in grid order as json-lines (fixed key order, floats with
 17 significant digits) or a flat csv schema; wall-clock timings live in a
 separate trailing block and are never part of the determinism guarantee.
 
-Option precedence: CLI flag > QLCM_* environment variable > config file
-(flat ``key = value`` lines) > built-in default.
+The CLI is two tables: ``OPTIONS`` declares each option once, ``COMMANDS``
+gives each command one row.  The argparse subcommands, the option resolution
+(CLI flag > QLCM_* environment variable > config file of flat ``key = value``
+lines > built-in default, for the options a command reads) and the dispatch
+are generated from them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
 import statistics
 import sys
 import time
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,39 +45,25 @@ CSV_COLUMNS = (
     "seed",
 )
 
-COMMANDS = ("expect", "variance", "simulate", "vfun", "oracle-check", "bench")
 BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 
-# oracle-check work cap in trials x |alpha| x sum of n^2, 125 times the
-# README run's 500 x 40^2
-ORACLE_WORK_LIMIT = 10**8
+# oracle-check work cap in trials x |alpha| x sum of n^5 (one set's oracle
+# cost grows about as n^5), 125 times the README run's 500 x 40^5
+ORACLE_WORK_LIMIT = 125 * 500 * 40**5
 
 
 class SpecError(ValueError):
     """Invalid experiment specification; message names the offending field."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    command: str
-    n_values: tuple[int, ...] = ()
-    alphas: tuple = ()
-    seed: int = 0
-    trials: int = 1000
-    workers: int = 1
-    output_format: str = "json-lines"
-    exact_mode: bool = False
-    include_timings: bool = True
-    dev_eps: float = 0.05
-    truncation: moments.TruncationConfig = field(default_factory=moments.TruncationConfig)
-    c1_pair: tuple[int, int] | None = None
-    c1_x: int | None = None
-    bench_suite: str | None = None
-    bench_repeat: int = 3
+class ExperimentSpec(types.SimpleNamespace):
+    """A resolved run: ``command``, every option's value under its name (``n``
+    and ``alpha`` as ``n_values`` and ``alphas``) and the ``truncation``
+    config the four truncation options make."""
 
 
 # ---------------------------------------------------------------------------
-# option parsing: registry shared by CLI flags, QLCM_* env vars, config files
+# option parsing: one table shared by CLI flags, QLCM_* env vars, config files
 # ---------------------------------------------------------------------------
 
 
@@ -84,40 +76,60 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _checked(conv, ok, rule: str):
+    """A parser that converts with ``conv`` and refuses values failing ``ok``."""
+
+    def parse(text: str):
+        v = conv(text)
+        if not ok(v):
+            raise ValueError(f"must {rule}, got {v!r}")
+        return v
+
+    return parse
+
+
+def _one_of(choices: tuple[str, ...]):
+    return _checked(str, choices.__contains__, "be one of " + ", ".join(choices))
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, "be >= 1")
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "fit in 64 bits")
+_OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+
+
+def _split(text: str) -> list[str]:
+    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+    if not parts:
+        raise ValueError("no values given")
+    return parts
+
+
 def _parse_n_values(text: str) -> tuple[int, ...]:
-    """An integer, a comma list, or an inclusive range a:b[:step]."""
+    """An integer, a comma list, or an inclusive range a:b[:step].  A value or
+    range end past the table limit is refused before any range is expanded."""
     out: list[int] = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            bits = part.split(":")
-            if len(bits) not in (2, 3):
-                raise ValueError(f"range must be a:b or a:b:step, got {part!r}")
-            a, b = int(bits[0]), int(bits[1])
-            step = int(bits[2]) if len(bits) == 3 else 1
-            if step < 1:
-                raise ValueError(f"range step must be >= 1, got {step}")
-            if a > b:
-                raise ValueError(f"range endpoints out of order: {part!r}")
-            out.extend(range(a, b + 1, step))
-        else:
-            out.append(int(part))
-    if not out:
-        raise ValueError("no n values given")
-    for n in out:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+    for part in _split(text):
+        bits = [int(b) for b in part.split(":")]
+        if len(bits) > 3:
+            raise ValueError(f"range must be a:b or a:b:step, got {part!r}")
+        a, b = bits[0], bits[min(1, len(bits) - 1)]
+        step = bits[2] if len(bits) == 3 else 1
+        if min(a, b) < 1:
+            raise ValueError(f"n must be >= 1, got {min(a, b)}")
+        if max(a, b) > arith.TABLE_LIMIT:
+            raise ResourceLimitError(f"--n {max(a, b)} exceeds the table limit {arith.TABLE_LIMIT}")
+        if step < 1:
+            raise ValueError(f"range step must be >= 1, got {step}")
+        if a > b:
+            raise ValueError(f"range endpoints out of order: {part!r}")
+        out.extend(range(a, b + 1, step))
     return tuple(out)
 
 
-def _parse_alpha_list(text: str, exact: bool) -> tuple:
+def _parse_alphas(text: str, exact: bool = False) -> tuple:
+    """A comma list in [0, 1]; fractions allowed, kept exact in exact mode."""
     out = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _split(text):
         if exact:
             v = Fraction(part)
         elif "/" in part:
@@ -127,38 +139,50 @@ def _parse_alpha_list(text: str, exact: bool) -> tuple:
         if not 0 <= v <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {part}")
         out.append(v)
-    if not out:
-        raise ValueError("no alpha values given")
     return tuple(out)
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    bits = [b.strip() for b in str(text).split(",")]
+    bits = str(text).split(",")
     if len(bits) != 2:
         raise ValueError(f"expected a1,a2 got {text!r}")
-    return int(bits[0]), int(bits[1])
+    pair = (int(bits[0]), int(bits[1]))
+    if math.gcd(*pair) != 1 or min(pair) < 1:
+        raise ValueError(f"needs coprime positive a1,a2, got {pair}")
+    return pair
 
 
-# name -> (converter from string, default); converters run on env/config
-# values, while argparse supplies already-converted CLI values
-_OPTIONS = {
-    "seed": (int, 0),
-    "trials": (int, 1000),
-    "workers": (int, 1),
-    "format": (str, "json-lines"),
-    "exact": (_parse_bool, False),
-    "timings": (_parse_bool, True),
-    "dev_eps": (float, 0.05),
-    "j3_max": (int, 40),
-    "tail_tol": (float, 1e-12),
-    "c1_cutoff": (int, 100000),
-    "dilog_tol": (float, 1e-12),
-    "n": (str, None),
-    "alpha": (str, None),
-    "c1_pair": (str, None),
-    "c1_x": (int, None),
-    "suite": (str, None),
-    "repeat": (int, 3),
+@dataclass(frozen=True)
+class Option:
+    flag: str
+    parse: object  # text -> value; raises ValueError on an invalid one
+    default: object
+    help: str
+    const: str | None = None  # the text a flag that takes no value stands for
+
+
+_TRUNC = moments.TruncationConfig
+
+# name -> option, in resolution order: exact comes before alpha, whose
+# parse depends on it
+OPTIONS = {
+    "n": Option("--n", _parse_n_values, (), "int, comma list, or a:b[:step]"),
+    "exact": Option("--exact", _parse_bool, False, "exact rationals plus enumeration", "true"),
+    "alpha": Option("--alpha", _parse_alphas, (), "comma list; fractions allowed"),
+    "seed": Option("--seed", _SEED, 0, "64-bit unsigned simulation seed"),
+    "trials": Option("--trials", _POSITIVE, 1000, "Monte Carlo trial count"),
+    "workers": Option("--workers", _POSITIVE, 1, "worker threads for trials"),
+    "dev_eps": Option("--dev-eps", _OPEN_UNIT, 0.05, "relative deviation band of dev_frac"),
+    "c1_pair": Option("--c1-pair", _parse_pair, None, "a1,a2 for a C1 record"),
+    "c1_x": Option("--c1-x", _POSITIVE, None, "brute-force C1 check at x"),
+    "suite": Option("--suite", _one_of(BENCH_SUITES), None, ", ".join(BENCH_SUITES)),
+    "repeat": Option("--repeat", _POSITIVE, 3, "runs per bench case"),
+    "format": Option("--format", _one_of(("json-lines", "csv")), "json-lines", "json-lines or csv"),
+    "timings": Option("--no-timings", _parse_bool, True, "suppress the timing block", "false"),
+    "j3_max": Option("--j3-max", int, _TRUNC.j3_max, "S_inf enumeration depth"),
+    "tail_tol": Option("--tail-tol", float, _TRUNC.beta_tail_tol, "S_inf beta tail tolerance"),
+    "c1_cutoff": Option("--c1-cutoff", int, _TRUNC.c1_cutoff, "C1 double-sum cutoff"),
+    "dilog_tol": Option("--dilog-tol", float, _TRUNC.dilog_tol, "dilog series tolerance"),
 }
 
 
@@ -177,151 +201,113 @@ def _load_config_file(path: str) -> dict:
             raise SpecError(f"config: line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _OPTIONS:
+        if key not in OPTIONS:
             raise SpecError(f"config: unknown key {key!r} (line {lineno})")
         values[key] = value.strip()
     return values
 
 
-def _resolve_options(args: argparse.Namespace) -> dict:
-    """Merge CLI > env > config file > defaults into a flat dict."""
+def _resolve(args: argparse.Namespace, cmd: Command) -> dict:
+    """Each option the command reads: the first of CLI flag, QLCM_* variable,
+    config file and command default, parsed.  The rest keep their defaults."""
     config_path = getattr(args, "config", None) or os.environ.get("QLCM_CONFIG")
     file_values = _load_config_file(config_path) if config_path else {}
-    resolved = {}
-    for name, (conv, default) in _OPTIONS.items():
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            resolved[name] = cli_val
+    values = {name: opt.default for name, opt in OPTIONS.items()}
+    for name, opt in OPTIONS.items():
+        if name not in cmd.options:
             continue
-        env_val = os.environ.get("QLCM_" + name.upper())
-        source = None
-        if env_val is not None:
-            source = ("environment variable QLCM_" + name.upper(), env_val)
-        elif name in file_values:
-            source = (f"config key {name}", file_values[name])
-        if source is None:
-            resolved[name] = default
+        env = "QLCM_" + name.upper()
+        sources = (
+            (name, getattr(args, name, None)),
+            (f"{name} (environment variable {env})", os.environ.get(env)),
+            (f"{name} (config key {name})", file_values.get(name)),
+            (name, cmd.defaults.get(name)),
+        )
+        origin, raw = next(((o, r) for o, r in sources if r is not None), (name, None))
+        if raw is None:
             continue
-        origin, raw = source
         try:
-            resolved[name] = conv(raw)
+            if name == "alpha":
+                values[name] = _parse_alphas(raw, exact=values["exact"])
+            else:
+                values[name] = opt.parse(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"{origin}: {exc}") from exc
-    return resolved
+    return values
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    opts = _resolve_options(args)
-    command = args.command
-    if command not in COMMANDS:
-        raise SpecError(f"command: unknown command {command!r}")
-
-    def _positive(name, lo=1):
-        v = opts[name]
-        if v < lo:
-            raise SpecError(f"{name}: must be >= {lo}, got {v}")
-        return v
-
-    seed = opts["seed"]
-    if not 0 <= seed < 2**64:
-        raise SpecError(f"seed: must fit in 64 bits, got {seed}")
-    trials = _positive("trials")
-    workers = _positive("workers")
-    fmt = opts["format"]
-    if fmt not in ("json-lines", "csv"):
-        raise SpecError(f"format: expected json-lines or csv, got {fmt!r}")
-    exact = bool(opts["exact"])
-    dev_eps = opts["dev_eps"]
-    if not 0.0 < dev_eps < 1.0:
-        raise SpecError(f"dev_eps: must lie in (0, 1), got {dev_eps}")
+    """Resolve the command's options into a spec, then run its pre-flight."""
+    cmd = COMMANDS.get(args.command)
+    if cmd is None:
+        raise SpecError(f"command: unknown command {args.command!r}")
+    values = _resolve(args, cmd)
     try:
-        trunc = moments.TruncationConfig(
-            c1_cutoff=opts["c1_cutoff"],
-            j3_max=opts["j3_max"],
-            beta_tail_tol=opts["tail_tol"],
-            dilog_tol=opts["dilog_tol"],
+        truncation = moments.TruncationConfig(
+            c1_cutoff=values.pop("c1_cutoff"),
+            j3_max=values.pop("j3_max"),
+            beta_tail_tol=values.pop("tail_tol"),
+            dilog_tol=values.pop("dilog_tol"),
         )
     except ValueError as exc:
         raise SpecError(f"truncation: {exc}") from exc
+    spec = ExperimentSpec(
+        command=args.command,
+        n_values=values.pop("n"),
+        alphas=values.pop("alpha"),
+        truncation=truncation,
+        **values,
+    )
+    cmd.preflight(spec)
+    return spec
 
-    n_values: tuple[int, ...] = ()
-    if command in ("expect", "variance", "simulate", "oracle-check"):
-        if opts["n"] is None:
-            raise SpecError("n: required for this command")
-        try:
-            n_values = _parse_n_values(opts["n"])
-        except ValueError as exc:
-            raise SpecError(f"n: {exc}") from exc
 
-    alphas: tuple = ()
-    if command in ("expect", "variance", "simulate", "vfun"):
-        if opts["alpha"] is None:
-            if command == "vfun" and opts["c1_pair"] is not None:
-                alphas = ()
-            else:
-                raise SpecError("alpha: required for this command")
-        else:
-            try:
-                alphas = _parse_alpha_list(opts["alpha"], exact)
-            except ValueError as exc:
-                raise SpecError(f"alpha: {exc}") from exc
-    elif command == "oracle-check":
-        alphas = (0.5,) if opts["alpha"] is None else _parse_alpha_list(opts["alpha"], False)
+# pre-flight checks: each refuses a spec before anything is allocated, with
+# SpecError (exit 2) or ResourceLimitError (exit 3)
 
-    if exact:
-        if command not in ("expect", "variance"):
-            raise SpecError("exact: only meaningful for expect and variance")
-        bad = [n for n in n_values if n > moments.EXACT_RATIONAL_LIMIT]
-        if bad:
-            raise SpecError(
-                f"exact: rational mode limited to n <= {moments.EXACT_RATIONAL_LIMIT}, got {bad[0]}"
-            )
 
-    if command == "vfun":
-        for a in alphas:
-            if not 0 < a < 1:
-                raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
+def _check_grid(spec: ExperimentSpec):
+    if not spec.n_values:
+        raise SpecError("n: required for this command")
+    if not spec.alphas:
+        raise SpecError("alpha: required for this command")
 
-    c1_pair = None
-    if opts["c1_pair"] is not None:
-        if command != "vfun":
-            raise SpecError("c1_pair: only available with vfun")
-        try:
-            c1_pair = _parse_pair(opts["c1_pair"])
-        except ValueError as exc:
-            raise SpecError(f"c1_pair: {exc}") from exc
-        if math.gcd(*c1_pair) != 1 or min(c1_pair) < 1:
-            raise SpecError(f"c1_pair: needs coprime positive a1,a2, got {c1_pair}")
-    c1_x = opts["c1_x"]
-    if c1_x is not None and c1_pair is None:
+
+def _check_exact(spec: ExperimentSpec):
+    _check_grid(spec)
+    bad = [n for n in spec.n_values if n > moments.EXACT_RATIONAL_LIMIT]
+    if spec.exact and bad:
+        raise SpecError(
+            f"exact: rational mode limited to n <= {moments.EXACT_RATIONAL_LIMIT}, got {bad[0]}"
+        )
+
+
+def _check_vfun(spec: ExperimentSpec):
+    if not spec.alphas and spec.c1_pair is None:
+        raise SpecError("alpha: required for this command")
+    for a in spec.alphas:
+        if not 0 < a < 1:
+            raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
+    if spec.c1_x is not None and spec.c1_pair is None:
         raise SpecError("c1_x: requires c1_pair")
 
-    suite = None
-    repeat = opts["repeat"]
-    if command == "bench":
-        suite = opts["suite"]
-        if suite not in BENCH_SUITES:
-            raise SpecError(f"suite: expected one of {', '.join(BENCH_SUITES)}, got {suite!r}")
-        if repeat < 1:
-            raise SpecError(f"repeat: must be >= 1, got {repeat}")
 
-    return ExperimentSpec(
-        command=command,
-        n_values=n_values,
-        alphas=alphas,
-        seed=seed,
-        trials=trials,
-        workers=workers,
-        output_format=fmt,
-        exact_mode=exact,
-        include_timings=bool(opts["timings"]),
-        dev_eps=dev_eps,
-        truncation=trunc,
-        c1_pair=c1_pair,
-        c1_x=c1_x,
-        bench_suite=suite,
-        bench_repeat=repeat,
-    )
+def _check_oracle(spec: ExperimentSpec):
+    _check_grid(spec)
+    n_max = max(spec.n_values)
+    if n_max > qpoly.ORACLE_LIMIT:
+        raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
+    work = spec.trials * len(spec.alphas) * sum(n**5 for n in spec.n_values)
+    if work > ORACLE_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"oracle-check work {work:.3g} (--trials x alphas x sum of --n to the fifth) "
+            f"exceeds {ORACLE_WORK_LIMIT:.2g}; lower --trials or --n"
+        )
+
+
+def _check_bench(spec: ExperimentSpec):
+    if spec.suite is None:
+        raise SpecError(f"suite: required, one of {', '.join(BENCH_SUITES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,173 +357,165 @@ def emit_csv_row(record: dict) -> str:
     return ",".join(cells)
 
 
-def _truncation_echo(cfg: moments.TruncationConfig) -> dict:
+# ---------------------------------------------------------------------------
+# command implementations: each takes (spec, phases) and yields records
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _timed(phases, name):
+    """Times a phase; counters put in the yielded dict go into its timing record."""
+    counters: dict = {}
+    t0 = time.perf_counter()
+    yield counters
+    phases.append({"phase": name, "seconds": time.perf_counter() - t0, **counters})
+
+
+def _report(spec: ExperimentSpec, body: dict, **head) -> dict:
+    """The record scaffold: type, command, [n,] [alpha,] seed, body, truncation."""
     return {
-        "c1_cutoff": cfg.c1_cutoff,
-        "j3_max": cfg.j3_max,
-        "beta_tail_tol": cfg.beta_tail_tol,
-        "dilog_tol": cfg.dilog_tol,
+        "type": "report",
+        "command": spec.command,
+        **head,
+        "seed": spec.seed,
+        **body,
+        "truncation": dataclasses.asdict(spec.truncation),
     }
 
 
-# ---------------------------------------------------------------------------
-# command implementations: each yields ("report"|"timing", dict)
-# ---------------------------------------------------------------------------
+def _grid(point):
+    """Records of a walk over the (n, alpha) grid: tables built once, n outer,
+    alpha inner.  point(spec, tables, n, a, af, timer) returns a record's
+    body and times its core work under ``timer``."""
+
+    def records(spec: ExperimentSpec, phases):
+        with _timed(phases, "tables"):
+            tables = arith.build_tables(max(spec.n_values))
+        for n in spec.n_values:
+            for a in spec.alphas:
+                af = float(a)
+                timer = _timed(phases, f"{spec.command} n={n} alpha={af:g}")
+                yield _report(spec, point(spec, tables, n, a, af, timer), n=n, alpha=af)
+
+    return records
 
 
-def _timed(phase_sink, name):
-    """Times a phase; counters set on the context go into its timing record."""
-
-    class _Ctx:
-        def __enter__(self):
-            self.counters = {}
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc):
-            phase_sink.append((name, time.perf_counter() - self.t0, self.counters))
-            return False
-
-    return _Ctx()
+def _enumeration_check(body, key, rational, stat, n, a, tables):
+    """Exact mode: the rational moment and, where n is small enough to
+    enumerate, the enumerated one and whether the two agree."""
+    body[f"{key}_rational"] = rational
+    if n <= model.ENUMERATION_LIMIT:
+        enumerated = getattr(model.enumerate_exact(n, a, tables), stat)
+        body[f"enum_{stat}"] = enumerated
+        body["enum_agrees"] = enumerated == rational
 
 
-def _build_tables_for(spec: ExperimentSpec, phases) -> arith.ArithTables:
-    need = max(spec.n_values)
-    with _timed(phases, "tables"):
-        return arith.build_tables(need)
+def _expect_point(spec, tables, n, a, af, timer):
+    with timer:
+        e_exact = moments.expectation_exact(n, af, tables)
+        e_grouped = moments.expectation_grouped(n, af, tables)
+        e_asym = moments.expectation_asymptotic(n, af)
+    body = {
+        "e_exact": e_exact,
+        "e_grouped": e_grouped,
+        "e_asym": e_asym,
+        "gap_asym": e_exact - e_asym,
+        "alpha_factor": moments.alpha_factor(af),
+    }
+    if spec.exact:
+        e_rat = moments.expectation_exact(n, a, tables, exact=True)
+        _enumeration_check(body, "e_exact", e_rat, "mean", n, a, tables)
+    return body
 
 
-def _run_expect(spec: ExperimentSpec, phases):
-    tables = _build_tables_for(spec, phases)
-    for n in spec.n_values:
-        for a in spec.alphas:
-            af = float(a)
-            with _timed(phases, f"expect n={n} alpha={af:g}"):
-                e_exact = moments.expectation_exact(n, af, tables)
-                e_grouped = moments.expectation_grouped(n, af, tables)
-                e_asym = moments.expectation_asymptotic(n, af)
-            rec = {
-                "type": "report",
-                "command": "expect",
-                "n": n,
-                "alpha": af,
-                "seed": spec.seed,
-                "e_exact": e_exact,
-                "e_grouped": e_grouped,
-                "e_asym": e_asym,
-                "gap_asym": e_exact - e_asym,
-                "alpha_factor": moments.alpha_factor(af),
-            }
-            if spec.exact_mode:
-                e_rat = moments.expectation_exact(n, a, tables, exact=True)
-                rec["e_exact_rational"] = e_rat
-                if n <= model.ENUMERATION_LIMIT:
-                    dist = model.enumerate_exact(n, a, tables)
-                    rec["enum_mean"] = dist.mean
-                    rec["enum_agrees"] = dist.mean == e_rat
-            rec["truncation"] = _truncation_echo(spec.truncation)
-            yield rec
+def _variance_point(spec, tables, n, a, af, timer):
+    with timer:
+        v_exact = moments.variance_exact(n, af, tables)
+    v_upper = moments.variance_upper_envelope(n, af)
+    body = {
+        "v_exact": v_exact,
+        "v_upper": v_upper,
+        "envelope_ratio": (v_exact / v_upper) if v_upper > 0 else 0.0,
+    }
+    if spec.exact:
+        v_rat = moments.variance_exact(n, a, tables, exact=True)
+        _enumeration_check(body, "v_exact", v_rat, "variance", n, a, tables)
+    return body
 
 
-def _run_variance(spec: ExperimentSpec, phases):
-    tables = _build_tables_for(spec, phases)
-    for n in spec.n_values:
-        for a in spec.alphas:
-            af = float(a)
-            with _timed(phases, f"variance n={n} alpha={af:g}"):
-                v_exact = moments.variance_exact(n, af, tables)
-            v_upper = moments.variance_upper_envelope(n, af)
-            rec = {
-                "type": "report",
-                "command": "variance",
-                "n": n,
-                "alpha": af,
-                "seed": spec.seed,
-                "v_exact": v_exact,
-                "v_upper": v_upper,
-                "envelope_ratio": (v_exact / v_upper) if v_upper > 0 else 0.0,
-            }
-            if spec.exact_mode:
-                v_rat = moments.variance_exact(n, a, tables, exact=True)
-                rec["v_exact_rational"] = v_rat
-                if n <= model.ENUMERATION_LIMIT:
-                    dist = model.enumerate_exact(n, a, tables)
-                    rec["enum_variance"] = dist.variance
-                    rec["enum_agrees"] = dist.variance == v_rat
-            rec["truncation"] = _truncation_echo(spec.truncation)
-            yield rec
+def _simulate_point(spec, tables, n, a, af, timer):
+    params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
+    # the exact moments go first: V's temporaries are then freed
+    # before the trial blocks are allocated, not on top of them
+    e_exact = moments.expectation_exact(n, af, tables)
+    v_exact = moments.variance_exact(n, af, tables)
+    with timer:
+        mc = model.monte_carlo(params, tables, workers=spec.workers)
+    if e_exact > 0:
+        dev = np.abs(mc.degrees - e_exact) > spec.dev_eps * e_exact
+        dev_frac = float(Fraction(int(dev.sum()), mc.trials))
+    else:
+        dev_frac = 0.0
+    cheb_den = (spec.dev_eps * e_exact) ** 2
+    return {
+        "trials": spec.trials,
+        "mc_mean": mc.mean,
+        "mc_var": mc.variance,
+        "mc_stderr": mc.stderr,
+        "e_exact": e_exact,
+        "v_exact": v_exact,
+        "z_mean": (mc.mean - e_exact) / mc.stderr if mc.stderr > 0 else 0.0,
+        "var_ratio": mc.variance / v_exact if v_exact > 0 else 0.0,
+        "dev_eps": spec.dev_eps,
+        "dev_frac": dev_frac,
+        "cheb_bound": v_exact / cheb_den if cheb_den > 0 else 0.0,
+    }
 
 
-def _run_simulate(spec: ExperimentSpec, phases):
-    tables = _build_tables_for(spec, phases)
-    for n in spec.n_values:
-        for a in spec.alphas:
-            af = float(a)
-            params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
-            # the exact moments go first: V's temporaries are then freed
-            # before the trial blocks are allocated, not on top of them
-            e_exact = moments.expectation_exact(n, af, tables)
-            v_exact = moments.variance_exact(n, af, tables)
-            with _timed(phases, f"simulate n={n} alpha={af:g}"):
-                mc = model.monte_carlo(params, tables, workers=spec.workers)
-            if e_exact > 0:
-                dev = np.abs(mc.degrees - e_exact) > spec.dev_eps * e_exact
-                dev_frac = float(Fraction(int(dev.sum()), mc.trials))
-            else:
-                dev_frac = 0.0
-            cheb_den = (spec.dev_eps * e_exact) ** 2
-            yield {
-                "type": "report",
-                "command": "simulate",
-                "n": n,
-                "alpha": af,
-                "seed": spec.seed,
-                "trials": spec.trials,
-                "mc_mean": mc.mean,
-                "mc_var": mc.variance,
-                "mc_stderr": mc.stderr,
-                "e_exact": e_exact,
-                "v_exact": v_exact,
-                "z_mean": (mc.mean - e_exact) / mc.stderr if mc.stderr > 0 else 0.0,
-                "var_ratio": mc.variance / v_exact if v_exact > 0 else 0.0,
-                "dev_eps": spec.dev_eps,
-                "dev_frac": dev_frac,
-                "cheb_bound": v_exact / cheb_den if cheb_den > 0 else 0.0,
-                "truncation": _truncation_echo(spec.truncation),
-            }
+def _oracle_point(spec, tables, n, a, af, timer):
+    params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
+    agree = 0
+    with timer:
+        for t in range(spec.trials):
+            bits = model.sample_set(params, t)
+            members = [int(k) for k in np.nonzero(bits)[0]]
+            x = model.degree_statistic(bits, n, tables)
+            d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
+            d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
+            if x == d_cyc == d_gcd:
+                agree += 1
+    return {
+        "trials": spec.trials,
+        "agree_count": agree,
+        "disagree_count": spec.trials - agree,
+        "all_agree": agree == spec.trials,
+    }
 
 
-def _run_vfun(spec: ExperimentSpec, phases):
+def _vfun_records(spec: ExperimentSpec, phases):
     for a in spec.alphas:
         af = float(a)
-        with _timed(phases, f"vfun alpha={af:g}") as timer:
+        with _timed(phases, f"vfun alpha={af:g}") as counters:
             est = moments.v_alpha(af, spec.truncation)
-            timer.counters = {
-                "triples": est.triples,
-                "members": est.terms,
-                "c1_inner_evals": est.c1_inner_evals,
-                "c1_cache_hits": est.triples - est.c1_inner_evals,
-            }
-        yield {
-            "type": "report",
-            "command": "vfun",
-            "alpha": af,
-            "seed": spec.seed,
+            counters.update(
+                triples=est.triples,
+                members=est.terms,
+                c1_inner_evals=est.c1_inner_evals,
+                c1_cache_hits=est.triples - est.c1_inner_evals,
+            )
+        body = {
             "v_alpha": est.value,
             "v_alpha_error": est.truncation_error,
             "v_alpha_terms": est.terms,
             "alpha_factor": moments.alpha_factor(af),
             "dilog_beta": moments.dilog(1.0 - af, spec.truncation.dilog_tol),
-            "truncation": _truncation_echo(spec.truncation),
         }
+        yield _report(spec, body, alpha=af)
     if spec.c1_pair is not None:
         a1, a2 = spec.c1_pair
         with _timed(phases, f"c1 ({a1},{a2})"):
             est = moments.c1_constant(a1, a2, spec.truncation)
-        rec = {
-            "type": "report",
-            "command": "vfun",
-            "seed": spec.seed,
+        body = {
             "c1_a1": a1,
             "c1_a2": a2,
             "c1_value": est.value,
@@ -550,54 +528,14 @@ def _run_vfun(spec: ExperimentSpec, phases):
                 tables = arith.build_tables(max(a1, a2) * x)
                 brute = arith.phi_pair_summatory(tables, a1, a2, x)
             ratio = brute / float(x) ** 3
-            rec["phi_pair_x"] = x
-            rec["phi_pair_ratio"] = ratio
-            rec["c1_rel_diff"] = abs(est.value - ratio) / ratio if ratio else 0.0
-        rec["truncation"] = _truncation_echo(spec.truncation)
-        yield rec
-
-
-def _run_oracle_check(spec: ExperimentSpec, phases):
-    n_max = max(spec.n_values)
-    if n_max > qpoly.ORACLE_LIMIT:
-        raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
-    work = spec.trials * len(spec.alphas) * sum(n * n for n in spec.n_values)
-    if work > ORACLE_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"oracle-check work {work:.3g} (--trials x alphas x sum of --n squared) "
-            f"exceeds {ORACLE_WORK_LIMIT:.0e}; lower --trials or --n"
-        )
-    tables = _build_tables_for(spec, phases)
-    for n in spec.n_values:
-        for a in spec.alphas:
-            af = float(a)
-            params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
-            agree = 0
-            with _timed(phases, f"oracle-check n={n} alpha={af:g}"):
-                for t in range(spec.trials):
-                    bits = model.sample_set(params, t)
-                    members = [int(k) for k in np.nonzero(bits)[0]]
-                    x = model.degree_statistic(bits, n, tables)
-                    d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
-                    d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
-                    if x == d_cyc == d_gcd:
-                        agree += 1
-            yield {
-                "type": "report",
-                "command": "oracle-check",
-                "n": n,
-                "alpha": af,
-                "seed": spec.seed,
-                "trials": spec.trials,
-                "agree_count": agree,
-                "disagree_count": spec.trials - agree,
-                "all_agree": agree == spec.trials,
-                "truncation": _truncation_echo(spec.truncation),
-            }
+            body["phi_pair_x"] = x
+            body["phi_pair_ratio"] = ratio
+            body["c1_rel_diff"] = abs(est.value - ratio) / ratio if ratio else 0.0
+        yield _report(spec, body)
 
 
 def _bench_cases(spec: ExperimentSpec):
-    suite = spec.bench_suite
+    suite = spec.suite
     if suite == "sieve":
         for size in (10**5, 10**6):
             yield f"build_tables {size}", size, lambda size=size: arith.build_tables(size)
@@ -626,60 +564,88 @@ def _bench_cases(spec: ExperimentSpec):
         yield "oracle n=40 x20 both paths", 40, run_sets
 
 
-def _run_bench(spec: ExperimentSpec):
+def _bench_records(spec: ExperimentSpec, phases):
     # cold caches would double-count sieve work; each case runs repeat times
     # and reports the median
     for case, size, fn in _bench_cases(spec):
         times = []
-        for _ in range(spec.bench_repeat):
+        for _ in range(spec.repeat):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
         yield {
             "type": "bench",
-            "suite": spec.bench_suite,
+            "suite": spec.suite,
             "case": case,
             "size": size,
-            "runs": spec.bench_repeat,
+            "runs": spec.repeat,
             "median_s": statistics.median(times),
             "times_s": times,
         }
 
 
+@dataclass(frozen=True)
+class Command:
+    help: str
+    options: tuple[str, ...]  # the options it reads, and so its flags
+    preflight: object  # spec -> None; raises SpecError or ResourceLimitError
+    records: object  # (spec, phases) -> records
+    defaults: dict = field(default_factory=dict)  # texts, parsed as an env value is
+
+
+_COMMON = ("seed", "format", "timings", "j3_max", "tail_tol", "c1_cutoff", "dilog_tol")
+
+COMMANDS = {
+    "expect": Command(
+        "exact, grouped, and asymptotic E[X]",
+        ("n", "exact", "alpha", *_COMMON),
+        _check_exact,
+        _grid(_expect_point),
+    ),
+    "variance": Command(
+        "exact V[X] and the alpha*n^3 envelope",
+        ("n", "exact", "alpha", *_COMMON),
+        _check_exact,
+        _grid(_variance_point),
+    ),
+    "simulate": Command(
+        "Monte Carlo degree statistics",
+        ("n", "alpha", "dev_eps", "trials", "workers", *_COMMON),
+        _check_grid,
+        _grid(_simulate_point),
+    ),
+    "vfun": Command(
+        "limiting variance constant v(alpha); C1 diagnostics",
+        ("alpha", "c1_pair", "c1_x", *_COMMON),
+        _check_vfun,
+        _vfun_records,
+    ),
+    "oracle-check": Command(
+        "degree statistic vs both polynomial oracles",
+        ("n", "alpha", "trials", *_COMMON),
+        _check_oracle,
+        _grid(_oracle_point),
+        defaults={"alpha": "0.5"},
+    ),
+    "bench": Command(
+        "micro-benchmarks", ("suite", "repeat", *_COMMON), _check_bench, _bench_records
+    ),
+}
+
+
 def run(spec: ExperimentSpec):
     """Yield science records in grid order, then timing records."""
-    phases: list[tuple[str, float, dict]] = []
-    if spec.command == "expect":
-        gen = _run_expect(spec, phases)
-    elif spec.command == "variance":
-        gen = _run_variance(spec, phases)
-    elif spec.command == "simulate":
-        gen = _run_simulate(spec, phases)
-    elif spec.command == "vfun":
-        gen = _run_vfun(spec, phases)
-    elif spec.command == "oracle-check":
-        gen = _run_oracle_check(spec, phases)
-    elif spec.command == "bench":
-        yield from _run_bench(spec)
-        return
-    else:
-        raise SpecError(f"command: unknown command {spec.command!r}")
-    yield from gen
-    if spec.include_timings:
-        for phase, seconds, counters in phases:
-            yield {
-                "type": "timing",
-                "command": spec.command,
-                "phase": phase,
-                "seconds": seconds,
-                **counters,
-            }
+    phases: list[dict] = []
+    yield from COMMANDS[spec.command].records(spec, phases)
+    if spec.timings:
+        for phase in phases:
+            yield {"type": "timing", "command": spec.command, **phase}
 
 
 def render(spec: ExperimentSpec, records) -> list[str]:
     """Serialize a record stream per the spec's output format."""
     lines: list[str] = []
-    if spec.output_format == "csv" and spec.command != "bench":
+    if spec.format == "csv" and spec.command != "bench":
         lines.append(emit_csv_header())
         for rec in records:
             if rec.get("type") == "report":
@@ -690,67 +656,19 @@ def render(spec: ExperimentSpec, records) -> list[str]:
     return lines
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="64-bit unsigned simulation seed")
-    p.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
-    p.add_argument("--workers", type=int, default=None, help="worker threads for trials")
-    p.add_argument("--format", choices=("json-lines", "csv"), default=None, dest="format")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument(
-        "--no-timings",
-        action="store_const",
-        const=False,
-        default=None,
-        dest="timings",
-        help="suppress the trailing timing block",
-    )
-    p.add_argument("--j3-max", type=int, default=None, dest="j3_max")
-    p.add_argument("--tail-tol", type=float, default=None, dest="tail_tol")
-    p.add_argument("--c1-cutoff", type=int, default=None, dest="c1_cutoff")
-    p.add_argument("--dilog-tol", type=float, default=None, dest="dilog_tol")
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlcm",
         description="moments and simulation of the lcm degree of q-analogs of random sets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expect", help="exact, grouped, and asymptotic E[X]")
-    p.add_argument("--n", default=None, help="int, comma list, or a:b[:step]")
-    p.add_argument("--alpha", default=None, help="comma list; fractions allowed")
-    p.add_argument("--exact", action="store_const", const=True, default=None, dest="exact")
-    _add_common(p)
-
-    p = sub.add_parser("variance", help="exact V[X] and the alpha*n^3 envelope")
-    p.add_argument("--n", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--exact", action="store_const", const=True, default=None, dest="exact")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo degree statistics")
-    p.add_argument("--n", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--dev-eps", type=float, default=None, dest="dev_eps")
-    _add_common(p)
-
-    p = sub.add_parser("vfun", help="limiting variance constant v(alpha); C1 diagnostics")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--c1-pair", default=None, dest="c1_pair", help="a1,a2 for a C1 record")
-    p.add_argument("--c1-x", type=int, default=None, dest="c1_x", help="brute-force C1 check at x")
-    _add_common(p)
-
-    p = sub.add_parser("oracle-check", help="degree statistic vs both polynomial oracles")
-    p.add_argument("--n", default=None)
-    p.add_argument("--alpha", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="micro-benchmarks")
-    p.add_argument("--suite", choices=BENCH_SUITES, default=None)
-    p.add_argument("--repeat", type=int, default=None)
-    _add_common(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for opt_name in cmd.options:
+            opt = OPTIONS[opt_name]
+            action = "store" if opt.const is None else "store_const"
+            p.add_argument(opt.flag, dest=opt_name, action=action, const=opt.const, help=opt.help)
+        p.add_argument("--config", help="flat key = value config file")
     return parser
 
 

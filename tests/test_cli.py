@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import re
+import shlex
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qlcm.arith import TABLE_LIMIT
 from qlcm.cli import (
     CSV_COLUMNS,
+    OPTIONS,
     SpecError,
     _make_parser,
     build_spec,
@@ -162,16 +167,27 @@ def test_exit_code_spec_error(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["expect", "--n", "5", "--alpha", "0.5", "--seed", "-3"])
     assert code == 2 and "seed" in err
+    # every command's alpha goes through the one guarded parse; c1_x >= 1
+    for argv, name in (
+        (["oracle-check", "--n", "10", "--alpha", "1.5"], "alpha"),
+        (["oracle-check", "--n", "10", "--alpha", "abc"], "alpha"),
+        (["vfun", "--c1-pair", "1,1", "--c1-x", "0"], "c1_x"),
+        (["vfun", "--c1-pair", "1,1", "--c1-x", "-5"], "c1_x"),
+    ):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2 and err.startswith(f"error: {name}"), (argv, err)
 
 
 def test_exit_code_resource_limit(capsys):
-    # the first four requests exceed the table cap (--c1-x x needs tables up
-    # to max(a1, a2) * x, --c1-cutoff T a C1 weight prefix up to T), the two
-    # small alphas the S_inf member bound.  The refusal comes before any
-    # table is allocated or any member enumerated, and names the option to
-    # change where one is given.
+    # the first five requests exceed the table cap (--c1-x x needs tables up
+    # to max(a1, a2) * x, --c1-cutoff T a C1 weight prefix up to T, and an
+    # --n range is refused by its end before it is expanded), the two small
+    # alphas the S_inf member bound.  The refusal comes before any table is
+    # allocated or any member enumerated, and names the option to change
+    # where one is given.
     for argv, option in (
         (["variance", "--n", str(TABLE_LIMIT + 1), "--alpha", "0.5"], ""),
+        (["expect", "--n", "1:10000000000", "--alpha", "0.5"], "--n"),
         (["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--c1-x", "1000000000"], ""),
         (["vfun", "--c1-pair", "2,3", "--c1-x", "4000000"], ""),
         (["vfun", "--alpha", "0.5", "--c1-cutoff", "10000000000"], "--c1-cutoff"),
@@ -193,8 +209,10 @@ def test_exit_code_resource_limit(capsys):
     "argv,option",
     [
         (["--n", "600", "--trials", "1"], "--n"),  # past qpoly.ORACLE_LIMIT
-        (["--n", "512", "--trials", "500"], "--trials"),  # 1.3e8 work units
+        (["--n", "512", "--trials", "500"], "--trials"),  # 1.8e16 work units
         (["--n", "40", "--trials", "62501"], "--trials"),  # one trial past the cap
+        (["--n", "200", "--trials", "2500"], "--trials"),  # hours of oracle work
+        (["--n", "200", "--trials", "21"], "--trials"),  # one trial past the cap at n = 200
     ],
 )
 def test_oracle_check_preflight_refuses(capsys, argv, option):
@@ -233,6 +251,39 @@ def test_precedence_cli_env_config(tmp_path, monkeypatch):
     assert s.seed == 5  # config discovered through the environment
 
 
+def test_options_scoped_to_their_command(tmp_path, monkeypatch, capsys):
+    # a setting for an option a command does not read changes nothing
+    for var in ("QLCM_EXACT", "QLCM_C1_PAIR", "QLCM_TRIALS", "QLCM_CONFIG"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value, argv in (
+        ("QLCM_EXACT", "1", ["simulate", "--n", "50", "--alpha", "0.5", "--trials", "20"]),
+        ("QLCM_C1_PAIR", "1,1", ["expect", "--n", "10", "--alpha", "0.5"]),
+        ("QLCM_TRIALS", "0", ["vfun", "--alpha", "0.5"]),
+    ):
+        argv = argv + ["--no-timings"]
+        code, plain, _ = run_cli(capsys, argv)
+        monkeypatch.setenv(var, value)
+        code_env, with_env, err = run_cli(capsys, argv)
+        monkeypatch.delenv(var)
+        assert code == code_env == 0 and not err, (var, err)
+        assert with_env == plain and plain, var
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 0\n")
+    code, out, err = run_cli(
+        capsys, ["expect", "--n", "5", "--alpha", "0.5", "--config", str(cfg), "--no-timings"]
+    )
+    assert code == 0 and not err and len(out) == 1
+
+    # a command has no flag for an option it does not read
+    for argv in (["expect", "--n", "5", "--alpha", "0.5", "--trials", "5"],
+                 ["vfun", "--alpha", "0.5", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 3\n")
@@ -252,6 +303,28 @@ def test_config_errors(tmp_path, capsys):
         capsys, ["expect", "--n", "5", "--alpha", "0.5", "--config", str(tmp_path / "none.cfg")]
     )
     assert code == 2 and "cannot read" in err
+
+
+def test_readme_commands_and_variables_match_the_cli(monkeypatch):
+    # every qlcm line of the README's Examples block and of its acceptance
+    # criteria parses and passes its command's pre-flight, and the README
+    # lists exactly the QLCM_* variables of the option table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for var in [v for v in os.environ if v.startswith("QLCM_")]:
+        monkeypatch.delenv(var)
+    examples = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in examples.splitlines() if ln.startswith("qlcm ")]
+    criteria = readme.split("## Acceptance criteria as CLI runs", 1)[1]
+    runs = re.findall(r"`(qlcm [^`]*)`", criteria)
+    assert len(lines) >= 8 and len(runs) >= 12, (lines, runs)
+    for line in lines + runs:
+        argv = shlex.split(line, comments=True)[1:]
+        spec = build_spec(_make_parser().parse_args(argv))
+        assert spec.command == argv[0], line
+
+    listed = readme.split("\nEnvironment variables are", 1)[1].split("\n\n", 1)[0]
+    names = set(re.findall(r"`(QLCM_\w+)`", listed))
+    assert names == {"QLCM_" + name.upper() for name in OPTIONS}
 
 
 def test_simulate_alpha_one_degenerate(capsys):
