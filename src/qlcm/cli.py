@@ -25,6 +25,7 @@ import sys
 import time
 import types
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -126,12 +127,30 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# largest decimal exponent an exact alpha may carry: Fraction expands a
+# decimal with exponent e as 10^|e| (1e-10000000 takes seconds)
+EXACT_EXPONENT_LIMIT = 100
+
+
+def _exact_alpha(part: str) -> Fraction:
+    if "/" not in part:  # a ratio p/q carries no exponent
+        try:
+            scale = Decimal(part).adjusted()
+        except InvalidOperation:
+            raise ValueError(f"cannot read {part!r} as a number") from None
+        if abs(scale) > EXACT_EXPONENT_LIMIT:
+            raise ValueError(
+                f"exponent of {part} is past +-{EXACT_EXPONENT_LIMIT} under --exact"
+            )
+    return Fraction(part)
+
+
 def _parse_alphas(text: str, exact: bool = False) -> tuple:
     """A comma list in [0, 1]; fractions allowed, kept exact in exact mode."""
     out = []
     for part in _split(text):
         if exact:
-            v = Fraction(part)
+            v = _exact_alpha(part)
         elif "/" in part:
             v = float(Fraction(part))
         else:
@@ -288,8 +307,15 @@ def _check_vfun(spec: ExperimentSpec):
     for a in spec.alphas:
         if not 0 < a < 1:
             raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
-    if spec.c1_x is not None and spec.c1_pair is None:
-        raise SpecError("c1_x: requires c1_pair")
+    if spec.c1_x is not None:
+        if spec.c1_pair is None:
+            raise SpecError("c1_x: requires c1_pair")
+        # the C1 check builds tables to max(a1, a2) * x
+        size = max(spec.c1_pair) * spec.c1_x
+        if size > arith.TABLE_LIMIT:
+            raise ResourceLimitError(
+                f"--c1-x {spec.c1_x} needs tables to {size}, past the cap {arith.TABLE_LIMIT}"
+            )
 
 
 def _check_oracle(spec: ExperimentSpec):
@@ -473,17 +499,27 @@ def _simulate_point(spec, tables, n, a, af, timer):
 
 
 def _oracle_point(spec, tables, n, a, af, timer):
+    # X of each set is its Monte Carlo degree: the coverage transform that
+    # simulate runs, on the same keyed trials
     params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
-    agree = 0
-    with timer:
+    agree = elements = 0
+    gcd_before = qpoly._q_gcd.cache_info()
+    with timer as counters:
+        degrees = model.monte_carlo(params, tables).degrees
         for t in range(spec.trials):
-            bits = model.sample_set(params, t)
-            members = [int(k) for k in np.nonzero(bits)[0]]
-            x = model.degree_statistic(bits, n, tables)
+            members = np.nonzero(model.sample_set(params, t))[0].tolist()
+            elements += len(members)
             d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
             d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
-            if x == d_cyc == d_gcd:
+            if degrees[t] == d_cyc == d_gcd:
                 agree += 1
+        gcd_after = qpoly._q_gcd.cache_info()
+        counters.update(
+            sets=spec.trials,
+            elements=elements,
+            gcd_pairs=gcd_after.misses - gcd_before.misses,
+            gcd_pair_hits=gcd_after.hits - gcd_before.hits,
+        )
     return {
         "trials": spec.trials,
         "agree_count": agree,

@@ -2,20 +2,22 @@
 
 Provides q-analogs ``1 + q + ... + q^(k-1)``, cyclotomic polynomials, and two
 independent brute-force oracles for the degree of the lcm of a set of
-q-analogs: one multiplies out cyclotomic factors over the divisor closure of
-the set, the other folds the set with ``lcm(f, [k]_q) = f * [k]_q / g``,
-``g = gcd(f, [k]_q)``, found by Euclid on the integers.
+q-analogs: one sums the degrees of the cyclotomic polynomials over the
+divisor closure of the set, the other builds, for each element k, the gcd of
+``[k]_q`` with the lcm of the elements before it, from pairwise gcds found
+by Euclid on the integers.
 
 Coefficients are arbitrary-precision Python integers, stored dense and
 lowest-degree first, and every division is exact integer long division.
 ``IntPoly(...)`` applies ``int`` to its input; results built here skip that.
-The gcd oracle never divides its growing accumulator: since
-``q^k - 1 = (q - 1) [k]_q``, the accumulator reduces mod ``[k]_q`` by adding
-coefficient i into slot i mod k (that is, mod ``q^k - 1``) and taking one
-monic step by ``[k]_q``, so the gcd runs on polynomials of degree below k.
-It folds the largest element first, so an element dividing one already
-folded leaves remainder 0, Euclid returns ``[k]_q`` at once, and the
-accumulator is not multiplied by the unit quotient.
+
+The gcd oracle never forms the lcm itself.  In a UFD
+``gcd(a, lcm(b, c)) = lcm(gcd(a, b), gcd(a, c))`` and
+``deg lcm(L, a) = deg L + deg a - deg gcd(L, a)``, so each element k, largest
+first, adds ``k - 1 - deg g_k`` with g_k the lcm of ``gcd([k]_q, [m]_q)``
+over the elements m folded before it.  Every polynomial involved divides
+some ``[k]_q``, so it has degree below k; the pairwise gcds are cached by
+(k, m), at most n(n - 1)/2 of them, and shared by every set of a run.
 """
 
 from __future__ import annotations
@@ -227,47 +229,51 @@ def _validated_elements(elements, limit):
     return items
 
 
-def _rem_q_analog(coeffs, k: int) -> list[int]:
-    """Remainder of a polynomial by [k]_q, k >= 2, as k - 1 coefficients.
+@lru_cache(maxsize=None)
+def _q_gcd(k: int, m: int) -> IntPoly:
+    """gcd([k]_q, [m]_q) by Euclid over Z."""
+    return poly_gcd(q_analog(k), q_analog(m))
 
-    Folds mod q^k - 1 (coefficient i into slot i mod k), which [k]_q
-    divides, then subtracts the top slot times the monic [k]_q.
-    """
-    slots = [sum(coeffs[j::k]) for j in range(k)]
-    top = slots.pop()
-    return [c - top for c in slots]
+
+# entries of the lcm memo; its keys are whole polynomials, so it is bounded
+LCM_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=LCM_MEMO_SIZE)
+def _divisor_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
+    """lcm of two divisors of one [k]_q: primitive, positive leading
+    coefficient, as both are."""
+    return poly_mul(poly_divexact(a, poly_gcd(a, b)), b)
 
 
 def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_LIMIT) -> int:
     """Degree of lcm{ [k]_q : k in elements }, by brute polynomial arithmetic.
 
-    method="cyclotomic": collect the divisor closure {d > 1 : d | k for some
-    k}, multiply the corresponding cyclotomic polynomials, and report the
-    product's degree.  method="gcd": fold the set, largest first, into f by
-    f <- f * ([k]_q / g), g = gcd([k]_q, f mod [k]_q), leaving f as it is
-    when k divides an element already folded (then f mod [k]_q = 0 and
-    g = [k]_q); shares no code with the first path beyond base polynomial
-    arithmetic.  The empty set has lcm 1, hence degree 0.
+    method="cyclotomic": sum deg Phi_d over the divisor closure {d > 1 :
+    d | k for some k}, each Phi_d built by exact division of q^d - 1; the
+    Phi_d are monic and distinct, so this is the degree of their product.
+    method="gcd": for each k, largest first, add k - 1 - deg g_k, where g_k
+    is the lcm of gcd([k]_q, [m]_q) over the elements m already folded, each
+    gcd found by Euclid and cached by (k, m); the loop over m stops once
+    g_k = [k]_q.  The second path shares no code with the first beyond base
+    polynomial arithmetic.  The empty set has lcm 1, hence degree 0.
     """
     items = _validated_elements(elements, limit)
     if method == "cyclotomic":
-        closure = set()
-        for k in items:
-            for d in range(2, k + 1):
-                if k % d == 0:
-                    closure.add(d)
-        prod = ONE
-        for d in sorted(closure):
-            prod = poly_mul(prod, cyclotomic(d))
-        return prod.degree
+        closure = {d for k in items for d in range(2, k + 1) if k % d == 0}
+        return sum(cyclotomic(d).degree for d in closure)
     if method == "gcd":
-        acc = ONE
+        degree = 0
+        folded: list[int] = []
         for k in reversed(items):
             if k == 1:
                 continue
-            qk = q_analog(k)
-            g = poly_gcd(qk, IntPoly._of_ints(_rem_q_analog(acc.coeffs, k)))
-            if g != qk:
-                acc = poly_mul(acc, poly_divexact(qk, g))
-        return acc.degree
+            g = ONE
+            for m in folded:
+                g = _divisor_lcm(g, _q_gcd(k, m))
+                if g.degree == k - 1:
+                    break
+            degree += k - 1 - g.degree
+            folded.append(k)
+        return degree
     raise ValueError(f"unknown oracle method {method!r}")

@@ -157,3 +157,30 @@ def lcm_degree_by_fold(elements) -> int:
     for k in sorted(set(elements)):
         acc = poly_lcm(acc, q_analog(k))
     return acc.degree
+
+
+def _rem_q_analog(coeffs, k: int) -> list[int]:
+    """Remainder of a polynomial by [k]_q, k >= 2, as k - 1 coefficients.
+
+    Folds mod q^k - 1 (coefficient i into slot i mod k), which [k]_q
+    divides, then subtracts the top slot times the monic [k]_q.
+    """
+    slots = [sum(coeffs[j::k]) for j in range(k)]
+    top = slots.pop()
+    return [c - top for c in slots]
+
+
+def lcm_degree_by_accumulator(elements) -> int:
+    """Degree of lcm{ [k]_q : k in elements }, folding the set largest first
+    into an accumulator f <- f * ([k]_q / g), g = gcd([k]_q, f mod [k]_q),
+    with f mod [k]_q taken by _rem_q_analog; f stays as it is when k divides
+    an element already folded (remainder 0, g = [k]_q)."""
+    acc = ONE
+    for k in sorted(set(elements), reverse=True):
+        if k == 1:
+            continue
+        qk = q_analog(k)
+        g = poly_gcd(qk, IntPoly._of_ints(_rem_q_analog(acc.coeffs, k)))
+        if g != qk:
+            acc = poly_mul(acc, poly_divexact(qk, g))
+    return acc.degree

@@ -5,12 +5,14 @@ import math
 import os
 import re
 import shlex
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qlcm import model, moments, qpoly
 from qlcm.arith import TABLE_LIMIT
 from qlcm.cli import (
     CSV_COLUMNS,
@@ -188,8 +190,8 @@ def test_exit_code_resource_limit(capsys):
     for argv, option in (
         (["variance", "--n", str(TABLE_LIMIT + 1), "--alpha", "0.5"], ""),
         (["expect", "--n", "1:10000000000", "--alpha", "0.5"], "--n"),
-        (["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--c1-x", "1000000000"], ""),
-        (["vfun", "--c1-pair", "2,3", "--c1-x", "4000000"], ""),
+        (["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--c1-x", "1000000000"], "--c1-x"),
+        (["vfun", "--c1-pair", "2,3", "--c1-x", "4000000"], "--c1-x"),
         (["vfun", "--alpha", "0.5", "--c1-cutoff", "10000000000"], "--c1-cutoff"),
         (["vfun", "--alpha", "0.01"], "--alpha"),
         (["vfun", "--alpha", "1e-300"], "--alpha"),  # beta = 1.0 in floating point
@@ -226,6 +228,81 @@ def test_oracle_check_preflight_refuses(capsys, argv, option):
     assert code == 3 and err.startswith("resource limit:") and not out
     assert option in err, err
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "0.1", "--c1-pair", "1,1", "--c1-x", "20000000"],  # v(0.1) used to run first
+        ["--alpha", "0.5,0.2", "--c1-pair", "3,2", "--c1-x", "3333334"],  # 3 x 3333334 > 10^7
+    ],
+)
+def test_vfun_c1_x_refused_before_v_alpha(capsys, monkeypatch, argv):
+    # the C1 check's table size is a pre-flight refusal: no v(alpha) record
+    # is computed before it
+    calls = []
+    monkeypatch.setattr(moments, "v_alpha", lambda *a, **k: calls.append(a))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["vfun", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and "--c1-x" in err, err
+    assert not out and not calls
+    assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+def test_exact_alpha_exponent_refused_at_once(capsys):
+    # Fraction would expand 10^10000000 first; the exponent is read as a
+    # Decimal's and refused
+    for alpha in ("1e-10000000", "1e+10000000", "1e-99999999999999999999999", "0.5e-101"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["expect", "--exact", "--n", "5", "--alpha", alpha])
+        assert time.perf_counter() - t0 < 0.5, alpha
+        assert code == 2 and err.startswith("error: alpha") and not out, (alpha, err)
+    # the exponent bound itself, ratios and the float path are accepted
+    for argv in (["--exact", "--alpha", "1e-100"], ["--exact", "--alpha", "1/3,0.25"],
+                 ["--alpha", "1e-10000000"]):
+        code, out, err = run_cli(capsys, ["expect", "--n", "5", "--no-timings", *argv])
+        assert code == 0 and not err, argv
+
+
+def test_oracle_check_takes_x_from_monte_carlo(capsys, monkeypatch):
+    # X is the coverage transform simulate runs: the per-d loop is not
+    # called, and a transform off by one disagrees on every set
+    argv = ["oracle-check", "--n", "30", "--trials", "25", "--seed", "3", "--no-timings"]
+
+    def refuse(*args):
+        raise AssertionError("degree_statistic called")
+
+    monkeypatch.setattr(model, "degree_statistic", refuse)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out[0])["agree_count"] == 25
+    block_degrees = model._block_degrees
+    monkeypatch.setattr(model, "_block_degrees", lambda *a: block_degrees(*a) + 1)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out[0])["disagree_count"] == 25
+
+
+def test_oracle_check_timing_counters(capsys):
+    # Euclid runs once per pair (k, m) of elements, and the pairs are shared
+    # by every set of the run and by later runs in the same process
+    qpoly._q_gcd.cache_clear()
+    argv = ["oracle-check", "--n", "30", "--trials", "25", "--seed", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and len(out) == 3
+    rec, _, tm = (json.loads(ln) for ln in out)
+    assert not {"sets", "elements", "gcd_pairs", "gcd_pair_hits"} & set(rec)
+    params = model.ModelParams(n=30, alpha=0.5, seed=3, trials=25)
+    sizes = [int(model.sample_set(params, t).sum()) for t in range(25)]
+    assert tm["sets"] == 25 and tm["elements"] == sum(sizes)
+    assert tm["gcd_pairs"] == qpoly._q_gcd.cache_info().currsize <= 30 * 29 // 2
+    assert tm["gcd_pair_hits"] > tm["gcd_pairs"] > 0
+    code, out, _ = run_cli(capsys, argv)
+    again = json.loads(out[2])
+    assert again["gcd_pairs"] == 0
+    assert again["gcd_pair_hits"] == tm["gcd_pair_hits"] + tm["gcd_pairs"]
 
 
 def test_precedence_cli_env_config(tmp_path, monkeypatch):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from reference import lcm_degree_by_fold, poly_lcm
+from reference import _rem_q_analog, lcm_degree_by_accumulator, lcm_degree_by_fold, poly_lcm
 
+from qlcm import qpoly
 from qlcm.errors import ResourceLimitError
 from qlcm.qpoly import (
     ONE,
@@ -11,7 +12,6 @@ from qlcm.qpoly import (
     IntPoly,
     _divmod_python,
     _primitive,
-    _rem_q_analog,
     cyclotomic,
     lcm_degree_oracle,
     poly_divexact,
@@ -290,5 +290,41 @@ def test_gcd_oracle_on_divisor_chains(tables_small):
     for subset in cases:
         deg = lcm_degree_oracle(subset, method="gcd")
         assert deg == lcm_degree_by_fold(subset) == lcm_degree_oracle(subset), subset
+        assert deg == lcm_degree_by_accumulator(subset), subset
         closure = {d for k in subset for d in range(2, k + 1) if k % d == 0}
         assert deg == int(sum(tables_small.phi[d] for d in closure)), subset
+
+
+def _closure_degree(subset, tables):
+    closure = {d for k in subset for d in range(2, k + 1) if k % d == 0}
+    return int(sum(tables.phi[d] for d in closure))
+
+
+def test_oracles_agree_with_reference_folds_up_to_120(tables_small):
+    # random sets and divisor chains at n <= 120: the pairwise-gcd method,
+    # the accumulator fold it replaced, the poly_lcm fold, the cyclotomic
+    # degree sum and the totient sum give one number
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(8):
+        n = int(rng.integers(60, 121))
+        density = rng.uniform(0.05, 0.3)  # the poly_lcm fold is slow on dense sets
+        cases.append([int(k) for k in np.nonzero(rng.random(n) < density)[0] + 1])
+        k = int(rng.integers(1, n // 3 + 1))
+        chain = list(range(k, n + 1, k))[: int(rng.integers(2, 7))]
+        cases.append(chain + [int(x) for x in rng.integers(1, n + 1, size=3)])
+    for subset in cases:
+        deg = lcm_degree_oracle(subset, method="gcd")
+        assert deg == lcm_degree_by_accumulator(subset) == lcm_degree_by_fold(subset), subset
+        assert deg == lcm_degree_oracle(subset) == _closure_degree(subset, tables_small), subset
+
+
+def test_lcm_memo_is_bounded():
+    # its keys are whole polynomials: the memo keeps at most LCM_MEMO_SIZE,
+    # however many sets pass through it
+    info = qpoly._divisor_lcm.cache_info()
+    assert info.maxsize == qpoly.LCM_MEMO_SIZE and info.maxsize is not None
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        lcm_degree_oracle([int(k) for k in np.nonzero(rng.random(120) < 0.5)[0] + 1], "gcd")
+        assert qpoly._divisor_lcm.cache_info().currsize <= qpoly.LCM_MEMO_SIZE
