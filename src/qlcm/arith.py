@@ -41,6 +41,11 @@ class ArithTables:
     phi: np.ndarray
     phi_prefix: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the two tables."""
+        return self.phi.nbytes + self.phi_prefix.nbytes
+
 
 def primes_up_to(limit: int) -> np.ndarray:
     """The primes p <= limit in ascending order, as int64 (Eratosthenes)."""
@@ -54,11 +59,31 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def split_primes(limit: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The primes p <= limit split at r = isqrt(limit): (small, large,
+    counts), small the primes p <= r and large those above r, ascending.
+
+    No m <= limit has two prime factors above r, or one squared, so a large
+    prime P acts on its multiple j*P alone and j < P.  The sieves therefore
+    apply all large primes in one vector op per j = 1..limit // (r + 1),
+    over large[:counts[j - 1]], the large primes P <= limit // j.
+    """
+    primes = primes_up_to(limit)
+    r = math.isqrt(limit)
+    small = primes[primes <= r]
+    large = primes[len(small) :]
+    js = np.arange(1, limit // (r + 1) + 1)
+    counts = np.searchsorted(large, limit // js, side="right").tolist()
+    return small, large, counts
+
+
 def build_tables(limit: int) -> ArithTables:
     """Sieve phi and its prefix sum up to ``limit`` (inclusive).
 
-    One vectorized pass per prime p multiplies phi over the multiples of p
-    by (1 - 1/p).  Raises ResourceLimitError above TABLE_LIMIT, before
+    One vectorized pass per small prime p multiplies phi over the multiples
+    of p by (1 - 1/p); the large primes follow in one pass per batch of
+    ``split_primes``, about sqrt(limit) passes in all.  The divisions are
+    exact in any order.  Raises ResourceLimitError above TABLE_LIMIT, before
     allocating anything.
     """
     if limit < 1:
@@ -67,8 +92,12 @@ def build_tables(limit: int) -> ArithTables:
         raise ResourceLimitError(f"table limit {limit} exceeds the cap {TABLE_LIMIT}")
     n = int(limit)
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in primes_up_to(n):
+    small, large, counts = split_primes(n)
+    for p in small:
         phi[p::p] -= phi[p::p] // p
+    for j, k in enumerate(counts, 1):
+        idx = j * large[:k]
+        phi[idx] -= phi[idx] // large[:k]
     phi_prefix = np.cumsum(phi, dtype=np.int64)
     phi.setflags(write=False)
     phi_prefix.setflags(write=False)

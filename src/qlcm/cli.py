@@ -415,8 +415,9 @@ def _grid(point):
     body and times its core work under ``timer``."""
 
     def records(spec: ExperimentSpec, phases):
-        with _timed(phases, "tables"):
+        with _timed(phases, "tables") as counters:
             tables = arith.build_tables(max(spec.n_values))
+            counters["table_bytes"] = tables.nbytes
         for n in spec.n_values:
             for a in spec.alphas:
                 af = float(a)
@@ -500,19 +501,21 @@ def _simulate_point(spec, tables, n, a, af, timer):
 
 def _oracle_point(spec, tables, n, a, af, timer):
     # X of each set is its Monte Carlo degree: the coverage transform that
-    # simulate runs, on the same keyed trials
+    # simulate runs, on the same keyed trials; each block is drawn once and
+    # its members read before the transform overwrites them
     params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
     agree = elements = 0
     gcd_before = qpoly._q_gcd.cache_info()
     with timer as counters:
-        degrees = model.monte_carlo(params, tables).degrees
-        for t in range(spec.trials):
-            members = np.nonzero(model.sample_set(params, t))[0].tolist()
-            elements += len(members)
-            d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
-            d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
-            if degrees[t] == d_cyc == d_gcd:
-                agree += 1
+        for start in range(0, spec.trials, model.BLOCK_SIZE):
+            bits = model._draw_block(params, start, min(start + model.BLOCK_SIZE, spec.trials))
+            sets = [np.nonzero(row)[0].tolist() for row in bits]
+            for members, x in zip(sets, model._block_degrees(bits, tables)):
+                elements += len(members)
+                d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
+                d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
+                if x == d_cyc == d_gcd:
+                    agree += 1
         gcd_after = qpoly._q_gcd.cache_info()
         counters.update(
             sets=spec.trials,
@@ -560,9 +563,10 @@ def _vfun_records(spec: ExperimentSpec, phases):
         }
         if spec.c1_x is not None:
             x = spec.c1_x
-            with _timed(phases, f"phi_pair x={x}"):
+            with _timed(phases, f"phi_pair x={x}") as counters:
                 tables = arith.build_tables(max(a1, a2) * x)
                 brute = arith.phi_pair_summatory(tables, a1, a2, x)
+                counters["table_bytes"] = tables.nbytes
             ratio = brute / float(x) ** 3
             body["phi_pair_x"] = x
             body["phi_pair_ratio"] = ratio
@@ -593,6 +597,9 @@ def _bench_cases(spec: ExperimentSpec):
             sets.append([int(k) for k in np.nonzero(bits)[0]])
 
         def run_sets():
+            # cold oracles on every repeat, not cached lookups after the first
+            for cache in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic):
+                cache.cache_clear()
             for members in sets:
                 qpoly.lcm_degree_oracle(members, method="cyclotomic")
                 qpoly.lcm_degree_oracle(members, method="gcd")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import TABLE_LIMIT, ArithTables, as_fraction, check_point, phi_summatory, primes_up_to
+from .arith import TABLE_LIMIT, ArithTables, as_fraction, check_point, phi_summatory, split_primes
 from .errors import ResourceLimitError
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -347,11 +347,16 @@ def _c1_weight_prefix(limit: int) -> np.ndarray:
         return cached
     w = np.ones(limit + 1, dtype=np.float64)
     w[0] = 0.0
-    for p in primes_up_to(limit):
-        p = int(p)
+    small, large, counts = split_primes(limit)
+    for p in small.tolist():
         w[p::p] *= (1.0 - 2.0 * p) / (p * p * p)
-        if p * p <= limit:
-            w[p * p :: p * p] = 0.0
+        w[p * p :: p * p] = 0.0
+    # a large prime is the largest factor of its multiples, so applying it
+    # last multiplies in the same order as one ascending pass over primes
+    pf = large.astype(np.float64)
+    large_w = (1.0 - 2.0 * pf) / (pf * pf * pf)
+    for j, k in enumerate(counts, 1):
+        w[j * large[:k]] *= large_w[:k]
     prefix = np.cumsum(w)
     prefix.setflags(write=False)
     _c1_prefix_cache[limit] = prefix

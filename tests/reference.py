@@ -50,6 +50,36 @@ def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
     return total
 
 
+def phi_per_prime(limit: int) -> np.ndarray:
+    """phi[0..limit] by one slice pass per prime: phi[p::p] -= phi[p::p] // p."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in primes_up_to(limit):
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def c1_weight_prefix_per_prime(limit: int) -> np.ndarray:
+    """Prefix sums of prod (1-2p)/p^3 over squarefree m <= limit, one slice
+    pass per prime in ascending order, squares zeroed at their prime."""
+    w = np.ones(limit + 1, dtype=np.float64)
+    w[0] = 0.0
+    for p in primes_up_to(limit):
+        p = int(p)
+        w[p::p] *= (1.0 - 2.0 * p) / (p * p * p)
+        if p * p <= limit:
+            w[p * p :: p * p] = 0.0
+    return np.cumsum(w)
+
+
+def draw_by_generator(seed: int, trial_index: int, n: int, alpha) -> np.ndarray:
+    """Membership bitmap over 0..n of one keyed trial, by float uniforms:
+    Generator(Philox(key)).random(n) < alpha, key = (seed << 64) | trial."""
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | trial_index))
+    bits = np.zeros(n + 1, dtype=bool)
+    bits[1:] = rng.random(n) < alpha
+    return bits
+
+
 def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
     """Reference evaluation straight from the defining double sum: squarefree
     d1, d2 with [d1/(a1,d1), d2/(a2,d2)] <= cutoff.  Quadratic in a_i*cutoff;

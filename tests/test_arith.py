@@ -9,9 +9,10 @@ import pytest
 
 import qlcm
 from calibration import PHI_SUMMATORY_K
-from qlcm.arith import build_tables, phi_pair_summatory, phi_summatory, primes_up_to
+from qlcm.arith import build_tables, phi_pair_summatory, phi_summatory, primes_up_to, split_primes
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo
 from qlcm.moments import expectation_exact, expectation_grouped, variance_exact
+from reference import phi_per_prime
 
 PI2_OVER_3 = math.pi**2 / 3
 
@@ -57,6 +58,33 @@ def test_primes_up_to_matches_trial_division():
         got = primes_up_to(limit)
         assert got.dtype == np.int64
         assert got.tolist() == [p for p in expect if p <= limit], limit
+
+
+# limits just below, at and above a prime square, where the split moves
+SPLIT_EDGES = (24, 25, 26, 120, 121, 122, 168, 169, 170)
+
+
+def test_split_primes_matches_definition():
+    for limit in (*range(1, 400), *SPLIT_EDGES, 10**4):
+        r = math.isqrt(limit)
+        primes = primes_up_to(limit).tolist()
+        small, large, counts = split_primes(limit)
+        assert small.tolist() == [p for p in primes if p <= r], limit
+        assert large.tolist() == [p for p in primes if p > r], limit
+        assert len(counts) == limit // (r + 1), limit
+        for j, k in enumerate(counts, 1):
+            assert large[:k].tolist() == [p for p in primes if r < p <= limit // j], (limit, j)
+
+
+def test_build_tables_matches_per_prime_sieve(tables_big):
+    # phi[m] does not depend on the limit, so one reference serves them all
+    ref = phi_per_prime(3000)
+    ref_prefix = np.cumsum(ref)
+    for limit in range(1, 3001):
+        t = build_tables(limit)
+        assert np.array_equal(t.phi, ref[: limit + 1]), limit
+        assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
+    assert np.array_equal(tables_big.phi, phi_per_prime(10**6))
 
 
 def test_totient_divisor_sum_identity():

@@ -72,6 +72,8 @@ def test_timing_records_trail_science(capsys):
     assert all(k == "timing" for k in kinds[first_timing:])
     tm = json.loads(out[first_timing])
     assert tm["seconds"] >= 0.0 and tm["command"] == "expect"
+    # phi and its prefix sum over 0..5, int64
+    assert tm["phase"] == "tables" and tm["table_bytes"] == 2 * 6 * 8
 
     code, out, _ = run_cli(capsys, ["expect", "--n", "5", "--alpha", "0.5", "--no-timings"])
     assert all(json.loads(ln)["type"] == "report" for ln in out)
@@ -483,13 +485,12 @@ def test_vfun_timing_counters(capsys):
 
 def test_vfun_c1_pair_above_one(capsys):
     # the paired sum reads phi up to max(a1, a2) * x
-    code, out, _ = run_cli(
-        capsys, ["vfun", "--c1-pair", "2,3", "--c1-x", "1000", "--no-timings"]
-    )
-    assert code == 0 and len(out) == 1
-    rec = json.loads(out[0])
+    code, out, _ = run_cli(capsys, ["vfun", "--c1-pair", "2,3", "--c1-x", "1000"])
+    assert code == 0 and len(out) == 3
+    rec, _, tm = (json.loads(ln) for ln in out)
     assert rec["phi_pair_x"] == 1000
     assert math.isfinite(rec["c1_rel_diff"]) and rec["c1_rel_diff"] < 0.01
+    assert tm["phase"] == "phi_pair x=1000" and tm["table_bytes"] == 2 * 3001 * 8
 
 
 @pytest.mark.parametrize("n,alpha", [(10000, "0.1"), (1000, "0.9")])
@@ -544,6 +545,21 @@ def test_bench_smoke(capsys):
                                     "--format", "csv"])
     assert code == 0
     assert json.loads(out[0])["type"] == "bench"
+
+
+def test_bench_oracle_repeats_start_cold(capsys):
+    # each repeat clears the oracle caches first: three repeats end with the
+    # cache counts of one, not with two repeats of cached lookups on top
+    def caches():
+        return [f.cache_info() for f in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic)]
+
+    counts = []
+    for repeat in ("1", "3"):
+        code, out, _ = run_cli(capsys, ["bench", "--suite", "oracle", "--repeat", repeat])
+        assert code == 0 and len(json.loads(out[0])["times_s"]) == int(repeat)
+        counts.append(caches())
+    assert counts[0] == counts[1]
+    assert all(info.misses > 0 for info in counts[0])
 
 
 def test_bench_variance_sum_scales_near_linearly(capsys):

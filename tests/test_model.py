@@ -21,6 +21,7 @@ from qlcm.model import (
     sample_stream,
 )
 from qlcm.qpoly import lcm_degree_oracle
+from reference import draw_by_generator
 
 
 def test_params_validation():
@@ -67,6 +68,18 @@ def test_sample_set_keyed_determinism():
     # a different seed changes the draw
     other = ModelParams(n=50, alpha=0.5, seed=124, trials=8)
     assert not np.array_equal(sample_set(p, 0), sample_set(other, 0))
+
+
+@pytest.mark.parametrize("n", [1, 40, 20000])
+def test_draws_match_generator_random(n):
+    # raw Philox words against the cut give the bits of random(n) < alpha
+    for alpha in (0.0, 2.0**-60, 0.1, 1 / 3, 0.5, 0.9, 1 - 2.0**-53, 1.0):
+        p = ModelParams(n=n, alpha=alpha, seed=20260814, trials=5)
+        block = model._draw_block(p, 0, p.trials)
+        for t in range(p.trials):
+            want = draw_by_generator(p.seed, t, n, alpha)
+            assert np.array_equal(sample_set(p, t), want), (n, alpha, t)
+            assert np.array_equal(block[t], want), (n, alpha, t)
 
 
 def test_sample_set_trial_range():
@@ -181,7 +194,7 @@ def test_monte_carlo_worker_and_block_invariance(tables_small):
         monte_carlo(p, tables_small, workers=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 97, 1000, 2310])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 24, 25, 26, 97, 120, 121, 122, 1000, 2310])
 def test_block_degrees_match_per_d_oracle(tables_small, n):
     # the coverage transform gives the per-d loop's degree, trial by trial
     tables = tables_small if n <= tables_small.limit else build_tables(n)

@@ -25,7 +25,13 @@ from qlcm.moments import (
     variance_exact,
     variance_upper_envelope,
 )
-from reference import c1_constant_direct, dense_variance, s_infinity_cells, v_alpha_per_term
+from reference import (
+    c1_constant_direct,
+    c1_weight_prefix_per_prime,
+    dense_variance,
+    s_infinity_cells,
+    v_alpha_per_term,
+)
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
 
@@ -214,6 +220,13 @@ def test_c1_fast_path_matches_direct_sum(a1, a2):
         fast = c1_constant(a1, a2, TruncationConfig(c1_cutoff=cutoff)).value
         direct = c1_constant_direct(a1, a2, cutoff)
         assert rel_close(fast, direct), f"T={cutoff}: {fast} vs {direct}"
+
+
+def test_c1_weight_prefix_matches_per_prime_sieve():
+    # bit for bit: each weight is multiplied in the same prime order
+    for limit in (24, 25, 26, 120, 121, 122, 168, 169, 170, 10**5):
+        fast = moments._c1_weight_prefix(limit)
+        assert fast.tobytes() == c1_weight_prefix_per_prime(limit).tobytes(), limit
 
 
 def test_c1_validation():
