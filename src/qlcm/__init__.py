@@ -12,14 +12,10 @@ from .model import (
     ExactDistribution,
     ModelParams,
     MonteCarloSummary,
-    SampleResult,
-    bitset,
     degree_statistic,
     enumerate_exact,
-    indicator,
     monte_carlo,
     sample_set,
-    sample_stream,
 )
 from .moments import (
     C1Estimate,
@@ -45,11 +41,9 @@ __all__ = [
     "ModelParams",
     "MonteCarloSummary",
     "ResourceLimitError",
-    "SampleResult",
     "TruncationConfig",
     "VAlphaEstimate",
     "alpha_factor",
-    "bitset",
     "build_tables",
     "c1_constant",
     "cyclotomic",
@@ -59,7 +53,6 @@ __all__ = [
     "expectation_asymptotic",
     "expectation_exact",
     "expectation_grouped",
-    "indicator",
     "lcm_degree_oracle",
     "monte_carlo",
     "phi_pair_summatory",
@@ -69,7 +62,6 @@ __all__ = [
     "poly_mul",
     "q_analog",
     "sample_set",
-    "sample_stream",
     "v_alpha",
     "variance_exact",
     "variance_upper_envelope",

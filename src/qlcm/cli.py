@@ -48,8 +48,11 @@ CSV_COLUMNS = (
 
 BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 
-# oracle-check work cap in trials x |alpha| x sum of n^5 (one set's oracle
-# cost grows about as n^5), 125 times the README run's 500 x 40^5
+# oracle-check work in units of one n^5: a set costs about n^5 plus a fixed
+# ORACLE_SET_WORK (one process, 2 cores: 27-39 us a set at n = 2 and
+# 190-330 us at n = 40, medians 33 and 308 us); the cap is 125 times the
+# README run's 500 x 40^5
+ORACLE_SET_WORK = 40**5 // 8
 ORACLE_WORK_LIMIT = 125 * 500 * 40**5
 
 
@@ -307,6 +310,8 @@ def _check_vfun(spec: ExperimentSpec):
     for a in spec.alphas:
         if not 0 < a < 1:
             raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
+        # the S_inf member bound, for every alpha before any v(alpha) runs
+        moments._enumeration_depth(float(a), spec.truncation)
     if spec.c1_x is not None:
         if spec.c1_pair is None:
             raise SpecError("c1_x: requires c1_pair")
@@ -323,11 +328,11 @@ def _check_oracle(spec: ExperimentSpec):
     n_max = max(spec.n_values)
     if n_max > qpoly.ORACLE_LIMIT:
         raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
-    work = spec.trials * len(spec.alphas) * sum(n**5 for n in spec.n_values)
+    work = spec.trials * len(spec.alphas) * sum(n**5 + ORACLE_SET_WORK for n in spec.n_values)
     if work > ORACLE_WORK_LIMIT:
         raise ResourceLimitError(
-            f"oracle-check work {work:.3g} (--trials x alphas x sum of --n to the fifth) "
-            f"exceeds {ORACLE_WORK_LIMIT:.2g}; lower --trials or --n"
+            f"oracle-check work {work:.3g} (--trials x alphas x sum of --n to the fifth plus "
+            f"{ORACLE_SET_WORK:.3g} a set) exceeds {ORACLE_WORK_LIMIT:.2g}; lower --trials or --n"
         )
 
 

@@ -62,18 +62,7 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class SampleResult:
-    """One realized set (membership bitmap over 0..n) and its degree."""
-
-    subset: np.ndarray
-    degree: int
-
-
-@dataclass(frozen=True)
 class MonteCarloSummary:
-    n: int
-    alpha: float
-    seed: int
     trials: int
     mean: float
     variance: float
@@ -92,16 +81,6 @@ class ExactDistribution:
     variance: Fraction
 
 
-def bitset(members, n: int) -> np.ndarray:
-    """Membership bitmap of length n+1 (index 0 unused, always False)."""
-    bits = np.zeros(n + 1, dtype=bool)
-    for k in members:
-        if not 1 <= k <= n:
-            raise ValueError(f"element {k} outside 1..{n}")
-        bits[k] = True
-    return bits
-
-
 def sample_set(params: ModelParams, trial_index: int) -> np.ndarray:
     """Membership bitmap for one keyed trial; independent of all others."""
     if not 0 <= trial_index < params.trials:
@@ -109,15 +88,6 @@ def sample_set(params: ModelParams, trial_index: int) -> np.ndarray:
     bits = np.zeros(params.n + 1, dtype=bool)
     _draw(params, trial_index, bits[1:])
     return bits
-
-
-def indicator(subset: np.ndarray, d: int, n: int) -> int:
-    """1 when some multiple of d in 1..n belongs to the set, else 0."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if d > n:
-        return 0
-    return int(subset[d::d].any())
 
 
 def degree_statistic(subset: np.ndarray, n: int, tables: ArithTables) -> int:
@@ -129,13 +99,6 @@ def degree_statistic(subset: np.ndarray, n: int, tables: ArithTables) -> int:
         if subset[d::d].any():
             total += int(phi[d])
     return total
-
-
-def sample_stream(params: ModelParams, tables: ArithTables):
-    """Yield SampleResult for trials 0..trials-1 in order."""
-    for t in range(params.trials):
-        bits = sample_set(params, t)
-        yield SampleResult(bits, degree_statistic(bits, params.n, tables))
 
 
 def _draw(params: ModelParams, trial_index: int, out: np.ndarray) -> None:
@@ -223,9 +186,6 @@ def monte_carlo(
         variance = 0.0
     stderr = float(np.sqrt(variance / t))
     return MonteCarloSummary(
-        n=params.n,
-        alpha=params.alpha,
-        seed=params.seed,
         trials=t,
         mean=mean,
         variance=variance,

@@ -15,6 +15,7 @@ covered divisors 1 < d <= n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,35 +155,35 @@ def alpha_factor(alpha: float) -> float:
     return alpha * dilog(1.0 - alpha) / (1.0 - alpha)
 
 
+def _beta(n: int, alpha, exact: bool, what: str):
+    """1 - alpha: a float, or under exact a Fraction, which needs a rational
+    alpha and n <= EXACT_RATIONAL_LIMIT."""
+    if not exact:
+        return 1.0 - float(alpha)
+    a = as_fraction(alpha)
+    if n > EXACT_RATIONAL_LIMIT:
+        raise ResourceLimitError(f"exact-rational {what} limited to n <= {EXACT_RATIONAL_LIMIT}")
+    return 1 - a
+
+
 def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     """E[X] = sum over 1 < d <= n of phi(d) (1 - beta^floor(n/d)).
 
-    Float path groups d by constant j = floor(n/d) (one beta power and one
-    Phi-prefix difference per block, fsum over blocks).  exact=True takes a
-    rational alpha and n <= EXACT_RATIONAL_LIMIT and returns a Fraction.
+    Groups d by constant j = floor(n/d): one beta power and one Phi-prefix
+    difference per block, fsum over blocks.  exact=True runs the same blocks
+    with a Fraction beta and returns a Fraction.
     """
     check_point(n, alpha, tables)
-    if exact:
-        a = as_fraction(alpha)
-        if n > EXACT_RATIONAL_LIMIT:
-            raise ResourceLimitError(
-                f"exact-rational expectation limited to n <= {EXACT_RATIONAL_LIMIT}"
-            )
-        beta = 1 - a
-        return sum(
-            (Fraction(int(tables.phi[d])) * (1 - _powi(beta, n // d)) for d in range(2, n + 1)),
-            Fraction(0),
-        )
-    beta = 1.0 - float(alpha)
+    beta = _beta(n, alpha, exact, "expectation")
     terms = []
     d = 2
     while d <= n:
         j = n // d
         hi = n // j
-        block = float(tables.phi_prefix[hi] - tables.phi_prefix[d - 1])
-        terms.append(block * (1.0 - _powi(beta, j)))
+        block = int(tables.phi_prefix[hi] - tables.phi_prefix[d - 1])
+        terms.append(block * (1 - _powi(beta, j)))
         d = hi + 1
-    return math.fsum(terms)
+    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
 
 
 def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
@@ -206,57 +207,21 @@ def expectation_asymptotic(n: int, alpha: float) -> float:
     return (3.0 / (math.pi * math.pi)) * alpha_factor(float(alpha)) * float(n) * float(n)
 
 
-def _cofactor_groups(n: int):
-    """(a, all b > a coprime to a with ab <= n, 2) for a <= sqrt(n), after
-    the diagonal a = b = 1, which counts once."""
-    yield 1, np.ones(1, dtype=np.int64), 1.0
-    for a in range(1, math.isqrt(n) + 1):
-        b = np.arange(a + 1, n // a + 1, dtype=np.int64)
-        yield a, b[np.gcd(b, a) == 1], 2.0
+def _variance_pairs(n: int):
+    """Yield (d1, d2, j3, factor): arrays of at most VARIANCE_CHUNK pairs
+    1 < d1 <= d2 <= n with lcm(d1, d2) <= n, and the int weight of a chunk.
 
-
-def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
-    """V[X] as the exact double sum over 1 < d1, d2 <= n of
-
-        phi(d1) phi(d2) beta^(j1 + j2 - j3) (1 - beta^j3),
-
-    with j_i = floor(n/d_i) and j3 = floor(n / lcm(d1, d2)); pairs whose lcm
-    exceeds n contribute exactly zero.  The float path visits only the
-    others: d1 = g a, d2 = g b with gcd(a, b) = 1 has lcm g a b <= n, so it
-    loops over the cofactor pairs a <= b and walks their (b, g) elements in
-    chunks of VARIANCE_CHUNK, combining the chunk sums by fsum in fixed
-    order.  exact=True mirrors the dense sum in Fractions for rational alpha
-    and n <= EXACT_RATIONAL_LIMIT.
+    d1 = g a, d2 = g b with gcd(a, b) = 1 has lcm g a b <= n, so each
+    cofactor pair a <= b contributes its (b, g) elements, g <= n // (a b).
+    factor is 2 for a < b, counting the mirrored pair (d2, d1) too, and 1
+    for the diagonal a = b = 1.
     """
-    check_point(n, alpha, tables)
-    if exact:
-        a = as_fraction(alpha)
-        if n > EXACT_RATIONAL_LIMIT:
-            raise ResourceLimitError(
-                f"exact-rational variance limited to n <= {EXACT_RATIONAL_LIMIT}"
-            )
-        beta = 1 - a
-        total = Fraction(0)
-        for d1 in range(2, n + 1):
-            j1 = n // d1
-            for d2 in range(2, n + 1):
-                g = math.gcd(d1, d2)
-                l = (d1 // g) * d2
-                j3 = n // l
-                if j3 == 0:
-                    continue
-                j2 = n // d2
-                total += (
-                    Fraction(int(tables.phi[d1]) * int(tables.phi[d2]))
-                    * _powi(beta, j1 + j2 - j3)
-                    * (1 - _powi(beta, j3))
-                )
-        return total
-    # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
-    pb = np.power(1.0 - float(alpha), np.arange(n + 1, dtype=np.float64))
-    phi_f = tables.phi[: n + 1].astype(np.float64)
-    sums = []
-    for a, b, factor in _cofactor_groups(n):
+    diagonal = [(1, np.ones(1, dtype=np.int64), 1)]
+    rest = (
+        (a, np.arange(a + 1, n // a + 1, dtype=np.int64), 2) for a in range(1, math.isqrt(n) + 1)
+    )
+    for a, b, factor in itertools.chain(diagonal, rest):
+        b = b[np.gcd(b, a) == 1]
         g0 = 2 if a == 1 else 1  # g = 1 would make d1 = a = 1
         counts = n // (a * b) - (g0 - 1)
         ends = np.cumsum(counts)
@@ -272,10 +237,34 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
             g = np.arange(s + g0, e + g0, dtype=np.int64) - np.repeat(starts[i0:i1], reps)
             d1 = g * a
             d2 *= g
-            j3 = n // (d2 * a)
-            w = phi_f[d1] * phi_f[d2] * pb[n // d1 + n // d2 - j3] * (1.0 - pb[j3])
-            sums.append(factor * float(np.sum(w)))
-    return math.fsum(sums)
+            yield d1, d2, n // (d2 * a), factor
+
+
+def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
+    """V[X] as the exact double sum over 1 < d1, d2 <= n of
+
+        phi(d1) phi(d2) beta^(j1 + j2 - j3) (1 - beta^j3),
+
+    with j_i = floor(n/d_i) and j3 = floor(n / lcm(d1, d2)).  Pairs whose
+    lcm exceeds n contribute exactly zero, so only the _variance_pairs
+    chunks are summed, and the chunk sums combined by fsum in fixed order.
+    exact=True runs the same chunks over Python ints and Fractions (object
+    arrays) and returns a Fraction.
+    """
+    check_point(n, alpha, tables)
+    beta = _beta(n, alpha, exact, "variance")
+    # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
+    if exact:
+        pb = np.array([_powi(beta, k) for k in range(n + 1)], dtype=object)
+        phi = tables.phi[: n + 1].astype(object)
+    else:
+        pb = np.power(beta, np.arange(n + 1, dtype=np.float64))
+        phi = tables.phi[: n + 1].astype(np.float64)
+    terms = []
+    for d1, d2, j3, factor in _variance_pairs(n):
+        w = phi[d1] * phi[d2] * pb[n // d1 + n // d2 - j3] * (1 - pb[j3])
+        terms.append(factor * w.sum())
+    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
 
 
 def variance_upper_envelope(n: int, alpha: float) -> float:

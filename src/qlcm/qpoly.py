@@ -77,9 +77,6 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __mul__(self, other):
-        return poly_mul(self, other)
-
     def __repr__(self):
         if not self.coeffs:
             return "IntPoly('0')"

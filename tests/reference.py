@@ -2,6 +2,7 @@
 against."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +48,35 @@ def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
             t = total + y
             comp = (t - total) - y
             total = t
+    return total
+
+
+def expectation_per_d_rational(n: int, alpha: Fraction, tables) -> Fraction:
+    """E[X] in Fractions, one addend phi(d) (1 - beta^floor(n/d)) per d."""
+    beta = 1 - Fraction(alpha)
+    return sum(
+        (Fraction(int(tables.phi[d])) * (1 - _powi(beta, n // d)) for d in range(2, n + 1)),
+        Fraction(0),
+    )
+
+
+def dense_variance_rational(n: int, alpha: Fraction, tables) -> Fraction:
+    """V[X] in Fractions over every ordered pair 1 < d1, d2 <= n, the pairs
+    with lcm(d1, d2) > n skipped (they add zero).  O(n^2) Fraction terms."""
+    beta = 1 - Fraction(alpha)
+    total = Fraction(0)
+    for d1 in range(2, n + 1):
+        j1 = n // d1
+        for d2 in range(2, n + 1):
+            j3 = n // math.lcm(d1, d2)
+            if j3 == 0:
+                continue
+            j2 = n // d2
+            total += (
+                Fraction(int(tables.phi[d1]) * int(tables.phi[d2]))
+                * _powi(beta, j1 + j2 - j3)
+                * (1 - _powi(beta, j3))
+            )
     return total
 
 
@@ -113,6 +143,72 @@ def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
                 continue
             terms.append(m1 * m2 / (d1 * d2 * l))
     return (a1 * a2 / 3.0) * math.fsum(terms)
+
+
+def _primes_below(limit: int) -> list[int]:
+    return [p for p in range(2, limit) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _mobius(j: int) -> int:
+    sign = 1
+    for p in _primes_below(j + 1):
+        if j % p == 0:
+            j //= p
+            if j % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+def _zeta_minus_one(s: int, cut: int = 20) -> float:
+    """zeta(s) - 1 for integer s >= 2: the terms 2 <= m < cut, then the
+    Euler-Maclaurin tail at cut with five Bernoulli corrections."""
+    terms = [m**-s for m in range(2, cut)]
+    terms += [cut ** (1 - s) / (s - 1), 0.5 * cut**-s]
+    rising = s  # s (s + 1) ... (s + 2i - 2)
+    for i, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66), 1):
+        terms.append(b / math.factorial(2 * i) * rising * cut ** (1 - s - 2 * i))
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+    return math.fsum(terms)
+
+
+def _prime_zeta(k: int) -> float:
+    """P(k) = sum over primes of p^-k = sum over j of mu(j)/j log zeta(jk),
+    the j with jk past 64 dropped (log zeta(jk) < 2^-63)."""
+    return math.fsum(
+        _mobius(j) / j * math.log1p(_zeta_minus_one(j * k)) for j in range(1, 64 // k + 1)
+    )
+
+
+def euler_product_k(direct: int = 100, kmax: int = 12) -> float:
+    """K = product over primes of (1 - (2p - 1)/p^3), in pure Python floats.
+
+    The primes below direct are multiplied in one by one.  For the rest,
+    log(1 - 2u^2 + u^3) = -sum_k s_k u^k / k with s_k the power sums of the
+    roots of t^3 - 2t + 1 (s_k = 2 s_(k-2) - s_(k-3)), and each power of the
+    primes past direct is P(k) less the primes below it, for k <= kmax: past
+    that the subtraction cancels to noise, and the terms are below 10^-20.
+    """
+    small = _primes_below(direct)
+    logs = [math.log1p(-(2 * p - 1) / p**3) for p in small]
+    s = [3, 0, 4]
+    for k in range(2, kmax + 1):
+        if k >= len(s):
+            s.append(2 * s[k - 2] - s[k - 3])
+        rest = _prime_zeta(k) - math.fsum(p**-k for p in small)
+        logs.append(-s[k] / k * rest)
+    return math.exp(math.fsum(logs))
+
+
+def c1_closed_form(a1: int, a2: int) -> float:
+    """C1(a1, a2) as its Euler product, the sieve's limit as the cutoff grows:
+    (phi(a1 a2)/3) K prod over p | a1 a2 of (1 - 1/p^2)/(1 - (2p - 1)/p^3)."""
+    m = a1 * a2
+    value = m / 3 * euler_product_k()
+    for p in _primes_below(m + 1):
+        if m % p == 0:
+            value *= (1 - 1 / p) * (1 - 1 / p**2) / (1 - (2 * p - 1) / p**3)
+    return value
 
 
 def s_infinity_cells(alpha: float, config: TruncationConfig | None = None):

@@ -2,7 +2,9 @@
 totient sum, and the shared point validation."""
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +196,25 @@ def test_entry_points_reject_bad_points(call, n, alpha, limit):
 def test_package_exports_resolve():
     missing = [name for name in qlcm.__all__ if not hasattr(qlcm, name)]
     assert not missing
+
+
+def test_package_exports_are_used():
+    # every exported name serves a library path, a test oracle or the
+    # benchmark tracer: it occurs in src/qlcm outside __init__.py and its own
+    # def or class line, in tests/reference.py, or in Tracer.install
+    root = Path(__file__).resolve().parents[1]
+    texts = [p.read_text() for p in (root / "src" / "qlcm").glob("*.py") if p.name != "__init__.py"]
+    texts.append((root / "tests" / "reference.py").read_text())
+    tracing = (root / "perfbench" / "tracing.py").read_text()
+    texts.append(tracing.split("def install(")[1].split("\n    def ")[0])
+    unused = []
+    for name in qlcm.__all__:
+        use = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*(def|class) {name}\b")
+        if not any(
+            use.search(line) and not definition.match(line)
+            for text in texts
+            for line in text.splitlines()
+        ):
+            unused.append(name)
+    assert not unused

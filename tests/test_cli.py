@@ -14,6 +14,7 @@ import pytest
 
 from qlcm import model, moments, qpoly
 from qlcm.arith import TABLE_LIMIT
+from qlcm.errors import ResourceLimitError
 from qlcm.cli import (
     CSV_COLUMNS,
     OPTIONS,
@@ -214,9 +215,9 @@ def test_exit_code_resource_limit(capsys):
     [
         (["--n", "600", "--trials", "1"], "--n"),  # past qpoly.ORACLE_LIMIT
         (["--n", "512", "--trials", "500"], "--trials"),  # 1.8e16 work units
-        (["--n", "40", "--trials", "62501"], "--trials"),  # one trial past the cap
+        (["--n", "40", "--trials", "62501"], "--trials"),  # past the cap of 55,555 at n = 40
         (["--n", "200", "--trials", "2500"], "--trials"),  # hours of oracle work
-        (["--n", "200", "--trials", "21"], "--trials"),  # one trial past the cap at n = 200
+        (["--n", "200", "--trials", "21"], "--trials"),  # past the cap of 19 at n = 200
     ],
 )
 def test_oracle_check_preflight_refuses(capsys, argv, option):
@@ -230,6 +231,16 @@ def test_oracle_check_preflight_refuses(capsys, argv, option):
     assert code == 3 and err.startswith("resource limit:") and not out
     assert option in err, err
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+def test_oracle_check_counts_a_cost_per_set():
+    # each set costs a fixed share besides its n^5, so many tiny sets are
+    # refused (10^11 sets at n = 2 would take weeks); the README run is not
+    with pytest.raises(ResourceLimitError, match="--trials"):
+        spec_for(["oracle-check", "--n", "2", "--trials", "100000000000"])
+    with pytest.raises(ResourceLimitError, match="--trials"):
+        spec_for(["oracle-check", "--n", "1:8", "--trials", "100000"])
+    spec_for(["oracle-check", "--n", "40", "--trials", "500", "--seed", "20260814"])
 
 
 @pytest.mark.parametrize(
@@ -253,6 +264,22 @@ def test_vfun_c1_x_refused_before_v_alpha(capsys, monkeypatch, argv):
     assert code == 3 and err.startswith("resource limit:") and "--c1-x" in err, err
     assert not out and not calls
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+def test_vfun_small_alpha_refused_before_v_alpha(capsys, monkeypatch):
+    # the S_inf member bound of every alpha is a pre-flight refusal: v(0.1)
+    # is not computed before 0.01 is refused
+    calls = []
+    monkeypatch.setattr(moments, "v_alpha", lambda *a, **k: calls.append(a))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["vfun", "--alpha", "0.1,0.01"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and "--alpha" in err, err
+    assert not out and not calls
+    assert peak < 2**24, f"peak {peak} bytes"
 
 
 def test_exact_alpha_exponent_refused_at_once(capsys):

@@ -10,18 +10,21 @@ import pytest
 from qlcm import model
 from qlcm.arith import build_tables
 from qlcm.errors import ResourceLimitError
-from qlcm.model import (
-    ModelParams,
-    bitset,
-    degree_statistic,
-    enumerate_exact,
-    indicator,
-    monte_carlo,
-    sample_set,
-    sample_stream,
-)
+from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo, sample_set
 from qlcm.qpoly import lcm_degree_oracle
 from reference import draw_by_generator
+
+
+def bits_of(members, n):
+    """Membership bitmap over 0..n of the given elements of 1..n."""
+    bits = np.zeros(n + 1, dtype=bool)
+    bits[list(members)] = True
+    return bits
+
+
+def covered(bits, d):
+    """1 when some multiple of d in 1..n belongs to the set, else 0."""
+    return int(bits[d::d].any())
 
 
 def test_params_validation():
@@ -38,16 +41,6 @@ def test_params_validation():
         ModelParams(n=5, alpha=0.5, seed=-1, trials=10)
     with pytest.raises(ValueError):
         ModelParams(n=5, alpha=0.5, seed=2**64, trials=10)
-
-
-def test_bitset():
-    bits = bitset({3, 5}, 6)
-    assert bits.tolist() == [False, False, False, True, False, True, False]
-    assert not bitset([], 4).any()
-    with pytest.raises(ValueError):
-        bitset({0}, 4)
-    with pytest.raises(ValueError):
-        bitset({5}, 4)
 
 
 def test_sample_set_degenerate_alphas():
@@ -100,31 +93,16 @@ def test_sample_set_mean_size():
     assert abs(mean - n * alpha) < 4 * se, f"mean {mean} vs {n * alpha}"
 
 
-def test_indicator_examples():
-    bits = bitset({4, 9}, 12)
-    assert indicator(bits, 2, 12) == 1
-    assert indicator(bits, 3, 12) == 1
-    assert indicator(bits, 4, 12) == 1
-    assert indicator(bits, 9, 12) == 1
-    assert indicator(bits, 5, 12) == 0
-    assert indicator(bits, 8, 12) == 0
-    assert indicator(bits, 13, 12) == 0  # d > n never covered
-    assert indicator(bits, 1, 12) == 1
-    assert indicator(bitset([], 12), 1, 12) == 0
-    with pytest.raises(ValueError):
-        indicator(bits, 0, 12)
-
-
 def test_degree_statistic_examples(tables_small):
-    assert degree_statistic(bitset({1, 2, 3}, 3), 3, tables_small) == 3
-    assert degree_statistic(bitset([], 3), 3, tables_small) == 0
-    assert degree_statistic(bitset({1}, 3), 3, tables_small) == 0
-    assert degree_statistic(bitset({6}, 6), 6, tables_small) == 5
+    assert degree_statistic(bits_of({1, 2, 3}, 3), 3, tables_small) == 3
+    assert degree_statistic(bits_of([], 3), 3, tables_small) == 0
+    assert degree_statistic(bits_of({1}, 3), 3, tables_small) == 0
+    assert degree_statistic(bits_of({6}, 6), 6, tables_small) == 5
 
 
 def test_degree_statistic_requires_tables(tables_small):
     with pytest.raises(ValueError):
-        degree_statistic(bitset({2}, 2000), 2000, tables_small)
+        degree_statistic(bits_of({2}, 2000), 2000, tables_small)
 
 
 def test_degree_statistic_matches_oracles(tables_small):
@@ -132,7 +110,7 @@ def test_degree_statistic_matches_oracles(tables_small):
     for _ in range(60):
         mask = rng.random(30) < 0.4
         members = [int(k) for k in np.nonzero(mask)[0] + 1]
-        bits = bitset(members, 30)
+        bits = bits_of(members, 30)
         x = degree_statistic(bits, 30, tables_small)
         assert x == lcm_degree_oracle(members, method="cyclotomic")
         assert x == lcm_degree_oracle(members, method="gcd")
@@ -148,15 +126,6 @@ def test_degree_statistic_monotone_under_inclusion(tables_small):
         bs = np.concatenate(([False], small))
         bb = np.concatenate(([False], big))
         assert degree_statistic(bs, n, tables_small) <= degree_statistic(bb, n, tables_small)
-
-
-def test_sample_stream_order_and_content(tables_small):
-    p = ModelParams(n=25, alpha=0.5, seed=5, trials=12)
-    results = list(sample_stream(p, tables_small))
-    assert len(results) == 12
-    for t, r in enumerate(results):
-        assert np.array_equal(r.subset, sample_set(p, t))
-        assert r.degree == degree_statistic(r.subset, p.n, tables_small)
 
 
 def test_monte_carlo_alpha_one_degenerate(tables_small):
@@ -178,7 +147,7 @@ def test_monte_carlo_single_trial(tables_small):
 def test_monte_carlo_matches_stream(tables_small):
     p = ModelParams(n=30, alpha=0.4, seed=17, trials=300)
     s = monte_carlo(p, tables_small)
-    degs = [r.degree for r in sample_stream(p, tables_small)]
+    degs = [degree_statistic(sample_set(p, t), p.n, tables_small) for t in range(p.trials)]
     assert s.degrees.tolist() == degs
     assert s.mean == float(Fraction(sum(degs), len(degs)))
 
@@ -256,9 +225,9 @@ def test_indicator_first_and_second_moments(tables_small):
     for t in range(trials):
         bits = sample_set(p, t)
         for d in singles:
-            singles[d] += indicator(bits, d, n)
+            singles[d] += covered(bits, d)
         for d1, d2 in pair_list:
-            pairs[(d1, d2)] += indicator(bits, d1, n) * indicator(bits, d2, n)
+            pairs[(d1, d2)] += covered(bits, d1) * covered(bits, d2)
     for d, count in singles.items():
         expect = 1 - beta ** (n // d)
         se = math.sqrt(expect * (1 - expect) / trials) + 1e-12
@@ -294,7 +263,7 @@ def test_enumerate_exact_against_direct_subsets(tables_small):
     ref: dict[int, Fraction] = {}
     for r in range(n + 1):
         for members in itertools.combinations(range(1, n + 1), r):
-            x = degree_statistic(bitset(members, n), n, tables_small)
+            x = degree_statistic(bits_of(members, n), n, tables_small)
             w = alpha**r * beta ** (n - r)
             ref[x] = ref.get(x, Fraction(0)) + w
     dist = enumerate_exact(n, alpha, tables_small)

@@ -26,9 +26,13 @@ from qlcm.moments import (
     variance_upper_envelope,
 )
 from reference import (
+    c1_closed_form,
     c1_constant_direct,
     c1_weight_prefix_per_prime,
     dense_variance,
+    dense_variance_rational,
+    euler_product_k,
+    expectation_per_d_rational,
     s_infinity_cells,
     v_alpha_per_term,
 )
@@ -135,6 +139,19 @@ def test_moments_match_enumeration(tables_small, alpha):
         )
 
 
+def test_rational_moments_match_reference_sums(tables_small):
+    # the block and pair-chunk walks in Fractions against the per-d sum and
+    # the dense double sum over every pair, value and type
+    for n in range(1, 31):
+        for alpha in (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+                      Fraction(7, 10), 1):
+            e = expectation_exact(n, alpha, tables_small, exact=True)
+            v = variance_exact(n, alpha, tables_small, exact=True)
+            assert type(e) is Fraction and type(v) is Fraction, (n, alpha)
+            assert e == expectation_per_d_rational(n, alpha, tables_small), (n, alpha)
+            assert v == dense_variance_rational(n, alpha, tables_small), (n, alpha)
+
+
 def test_grouped_equals_direct(tables_mid):
     assert rel_close(expectation_grouped(2, 0.5, tables_mid), 0.5)
     for n in (10, 100, 1000, 10000):
@@ -227,6 +244,20 @@ def test_c1_weight_prefix_matches_per_prime_sieve():
     for limit in (24, 25, 26, 120, 121, 122, 168, 169, 170, 10**5):
         fast = moments._c1_weight_prefix(limit)
         assert fast.tobytes() == c1_weight_prefix_per_prime(limit).tobytes(), limit
+
+
+def test_c1_sieve_approaches_euler_product():
+    # K against mpmath's 30-digit prime-zeta evaluation, computed once outside
+    # the suite; the sieved C1 then closes in on the closed form as the
+    # cutoff grows
+    assert abs(euler_product_k() / 0.428249505677094440218765707582 - 1) < 1e-15
+    for a1, a2 in [(1, 1), (1, 2), (2, 3), (5, 6), (7, 10)]:
+        exact = c1_closed_form(a1, a2)
+        gaps = [
+            abs(c1_constant(a1, a2, TruncationConfig(c1_cutoff=t)).value - exact)
+            for t in (10**4, 10**5, 10**6)
+        ]
+        assert gaps[0] > gaps[1] > gaps[2], (a1, a2, gaps)
 
 
 def test_c1_validation():
