@@ -54,6 +54,12 @@ BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 # README run's 500 x 40^5
 ORACLE_SET_WORK = 40**5 // 8
 ORACLE_WORK_LIMIT = 125 * 500 * 40**5
+# simulate work in units of one bit draw: a trial costs n draws plus a fixed
+# SIMULATE_TRIAL_WORK (one process, 2 cores: about 24 us a trial at n <= 40
+# and 14-15 ns a bit at n >= 10^4); the cap is 125 times the README run's
+# 2000 x 10^4, about 35 s of draws
+SIMULATE_TRIAL_WORK = 2048
+SIMULATE_WORK_LIMIT = 125 * 2000 * 10**4
 
 
 class SpecError(ValueError):
@@ -307,6 +313,8 @@ def _check_exact(spec: ExperimentSpec):
 def _check_vfun(spec: ExperimentSpec):
     if not spec.alphas and spec.c1_pair is None:
         raise SpecError("alpha: required for this command")
+    if spec.c1_pair is not None and spec.format == "csv":
+        raise SpecError("format: csv has no columns for the C1 record of c1_pair")
     for a in spec.alphas:
         if not 0 < a < 1:
             raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
@@ -323,17 +331,27 @@ def _check_vfun(spec: ExperimentSpec):
             )
 
 
+def _check_work(spec: ExperimentSpec, per_n, per_n_text: str, per_trial: int, limit: int):
+    """Refuse trials x alphas x sum over n of (per_n(n) + per_trial) past limit."""
+    work = spec.trials * len(spec.alphas) * sum(per_n(n) + per_trial for n in spec.n_values)
+    if work > limit:
+        raise ResourceLimitError(
+            f"{spec.command} work {work:.3g} (--trials x alphas x sum of {per_n_text} plus "
+            f"{per_trial:.3g} a trial) exceeds {limit:.2g}; lower --trials or --n"
+        )
+
+
+def _check_simulate(spec: ExperimentSpec):
+    _check_grid(spec)
+    _check_work(spec, int, "--n", SIMULATE_TRIAL_WORK, SIMULATE_WORK_LIMIT)
+
+
 def _check_oracle(spec: ExperimentSpec):
     _check_grid(spec)
     n_max = max(spec.n_values)
     if n_max > qpoly.ORACLE_LIMIT:
         raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
-    work = spec.trials * len(spec.alphas) * sum(n**5 + ORACLE_SET_WORK for n in spec.n_values)
-    if work > ORACLE_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"oracle-check work {work:.3g} (--trials x alphas x sum of --n to the fifth plus "
-            f"{ORACLE_SET_WORK:.3g} a set) exceeds {ORACLE_WORK_LIMIT:.2g}; lower --trials or --n"
-        )
+    _check_work(spec, lambda n: n**5, "--n to the fifth", ORACLE_SET_WORK, ORACLE_WORK_LIMIT)
 
 
 def _check_bench(spec: ExperimentSpec):
@@ -403,7 +421,8 @@ def _timed(phases, name):
 
 
 def _report(spec: ExperimentSpec, body: dict, **head) -> dict:
-    """The record scaffold: type, command, [n,] [alpha,] seed, body, truncation."""
+    """The record scaffold: type, command, [n,] [alpha,] seed, body, truncation.
+    A command that reads no seed or truncation echoes the defaults."""
     return {
         "type": "report",
         "command": spec.command,
@@ -512,8 +531,9 @@ def _oracle_point(spec, tables, n, a, af, timer):
     agree = elements = 0
     gcd_before = qpoly._q_gcd.cache_info()
     with timer as counters:
-        for start in range(0, spec.trials, model.BLOCK_SIZE):
-            bits = model._draw_block(params, start, min(start + model.BLOCK_SIZE, spec.trials))
+        rows = model._block_rows(n)
+        for start in range(0, spec.trials, rows):
+            bits = model._draw_block(params, start, min(start + rows, spec.trials))
             sets = [np.nonzero(row)[0].tolist() for row in bits]
             for members, x in zip(sets, model._block_degrees(bits, tables)):
                 elements += len(members)
@@ -593,7 +613,15 @@ def _bench_cases(spec: ExperimentSpec):
                 lambda n=n: moments.variance_exact(n, 0.5, tables),
             )
     elif suite == "valpha":
-        yield "v_alpha 0.5", 0, lambda: moments.v_alpha(0.5, spec.truncation)
+
+        def cold_v_alpha():
+            # cold C1 caches on every repeat, as in the oracle suite
+            for cache in (moments._c1_prefix_cache, moments._c1_value_cache,
+                          moments._c1_inner_cache):
+                cache.clear()
+            moments.v_alpha(0.5, spec.truncation)
+
+        yield "v_alpha 0.5", 0, cold_v_alpha
     elif suite == "oracle":
         params = model.ModelParams(n=40, alpha=0.5, seed=spec.seed, trials=20)
         sets = []
@@ -641,42 +669,44 @@ class Command:
     defaults: dict = field(default_factory=dict)  # texts, parsed as an env value is
 
 
-_COMMON = ("seed", "format", "timings", "j3_max", "tail_tol", "c1_cutoff", "dilog_tol")
+_OUTPUT = ("format", "timings")
+_TRUNCATION = ("j3_max", "tail_tol", "c1_cutoff", "dilog_tol")
 
 COMMANDS = {
     "expect": Command(
         "exact, grouped, and asymptotic E[X]",
-        ("n", "exact", "alpha", *_COMMON),
+        ("n", "exact", "alpha", *_OUTPUT),
         _check_exact,
         _grid(_expect_point),
     ),
     "variance": Command(
         "exact V[X] and the alpha*n^3 envelope",
-        ("n", "exact", "alpha", *_COMMON),
+        ("n", "exact", "alpha", *_OUTPUT),
         _check_exact,
         _grid(_variance_point),
     ),
     "simulate": Command(
         "Monte Carlo degree statistics",
-        ("n", "alpha", "dev_eps", "trials", "workers", *_COMMON),
-        _check_grid,
+        ("n", "alpha", "dev_eps", "trials", "workers", "seed", *_OUTPUT),
+        _check_simulate,
         _grid(_simulate_point),
     ),
     "vfun": Command(
         "limiting variance constant v(alpha); C1 diagnostics",
-        ("alpha", "c1_pair", "c1_x", *_COMMON),
+        ("alpha", "c1_pair", "c1_x", *_OUTPUT, *_TRUNCATION),
         _check_vfun,
         _vfun_records,
     ),
     "oracle-check": Command(
         "degree statistic vs both polynomial oracles",
-        ("n", "alpha", "trials", *_COMMON),
+        ("n", "alpha", "trials", "seed", "timings"),
         _check_oracle,
         _grid(_oracle_point),
         defaults={"alpha": "0.5"},
     ),
+    # the valpha suite reads the truncation, the oracle suite the seed
     "bench": Command(
-        "micro-benchmarks", ("suite", "repeat", *_COMMON), _check_bench, _bench_records
+        "micro-benchmarks", ("suite", "repeat", "seed", *_TRUNCATION), _check_bench, _bench_records
     ),
 }
 
@@ -693,7 +723,7 @@ def run(spec: ExperimentSpec):
 def render(spec: ExperimentSpec, records) -> list[str]:
     """Serialize a record stream per the spec's output format."""
     lines: list[str] = []
-    if spec.format == "csv" and spec.command != "bench":
+    if spec.format == "csv":
         lines.append(emit_csv_header())
         for rec in records:
             if rec.get("type") == "report":

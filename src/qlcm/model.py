@@ -40,8 +40,12 @@ from .arith import ArithTables, as_fraction, check_point, split_primes
 from .errors import ResourceLimitError
 
 ENUMERATION_LIMIT = 22
-# trials per block of membership bits
+# trials per block of membership bits, and the bytes of bits one block may
+# hold: 128 rows of n + 1 bytes up to n = 32767, fewer rows above
 BLOCK_SIZE = 128
+BLOCK_BYTES = 1 << 22
+# raw Philox words one draw holds at a time (512 KiB)
+DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,6 @@ class MonteCarloSummary:
 class ExactDistribution:
     """Exact pmf of the degree statistic, all quantities rational."""
 
-    n: int
-    alpha: Fraction
     pmf: dict
     mean: Fraction
     variance: Fraction
@@ -106,12 +108,15 @@ def _draw(params: ModelParams, trial_index: int, out: np.ndarray) -> None:
 
     Bit k is Generator(Philox(key)).random(n)[k - 1] < alpha, with key =
     (seed << 64) | trial_index.  That uniform is (raw >> 11) * 2^-53 for the
-    raw Philox word, so the bit is raw < ceil(alpha * 2^53) << 11.
+    raw Philox word, so the bit is raw < ceil(alpha * 2^53) << 11.  The words
+    are drawn DRAW_CHUNK at a time, which continues the same stream.
     """
     # at alpha = 1 the cut is 2^64, past uint64: numpy compares it exactly
     cut = math.ceil(params.alpha * 2**53) << 11
-    raw = np.random.Philox(key=(params.seed << 64) | trial_index).random_raw(params.n)
-    np.less(raw, cut, out=out)
+    bit_gen = np.random.Philox(key=(params.seed << 64) | trial_index)
+    for s in range(0, params.n, DRAW_CHUNK):
+        e = min(s + DRAW_CHUNK, params.n)
+        np.less(bit_gen.random_raw(e - s), cut, out=out[s:e])
 
 
 def _draw_block(params: ModelParams, start: int, stop: int) -> np.ndarray:
@@ -121,6 +126,12 @@ def _draw_block(params: ModelParams, start: int, stop: int) -> np.ndarray:
     for i in range(start, stop):
         _draw(params, i, bits[i - start, 1:])
     return bits
+
+
+def _block_rows(n: int, block_size: int = BLOCK_SIZE) -> int:
+    """Rows of a block over 0..n: block_size, or as many as fit in
+    BLOCK_BYTES, and at least one."""
+    return max(1, min(block_size, BLOCK_BYTES // (n + 1)))
 
 
 def _block_degrees(bits: np.ndarray, tables: ArithTables) -> np.ndarray:
@@ -149,9 +160,10 @@ def monte_carlo(
 ) -> MonteCarloSummary:
     """Simulate the degree statistic over keyed trials.
 
-    Each running block holds block_size * (n + 1) bytes of membership bits;
-    the coverage transform's per-block cost is small enough that 128 rows
-    take only a few percent longer than 256, for half the memory.
+    Each running block holds block_size rows of n + 1 bytes of membership
+    bits, fewer where that would pass BLOCK_BYTES; the coverage transform's
+    per-block cost is small enough that 128 rows take only a few percent
+    longer than 256, for half the memory.
 
     Mean and variance come from exact integer sums of the per-trial degrees
     (converted through Fraction), so the summary is bit-identical for any
@@ -160,10 +172,8 @@ def monte_carlo(
     check_point(params.n, tables=tables)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    spans = [
-        (s, min(s + block_size, params.trials))
-        for s in range(0, params.trials, block_size)
-    ]
+    rows = _block_rows(params.n, block_size)
+    spans = [(s, min(s + rows, params.trials)) for s in range(0, params.trials, rows)]
     # more threads than cores or blocks add no speed, only block memory
     pool_size = min(workers, len(spans), os.cpu_count() or 1)
 
@@ -243,8 +253,6 @@ def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
     mean = sum((Fraction(x) * p for x, p in pmf.items()), Fraction(0))
     second = sum((Fraction(x * x) * p for x, p in pmf.items()), Fraction(0))
     return ExactDistribution(
-        n=n,
-        alpha=a,
         pmf=dict(sorted(pmf.items())),
         mean=mean,
         variance=second - mean * mean,

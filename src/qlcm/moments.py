@@ -70,8 +70,6 @@ class TruncationConfig:
 class C1Estimate:
     """Truncated value of C1(a1, a2) plus a tail-error estimate."""
 
-    a1: int
-    a2: int
     value: float
     tail_error: float
     cutoff: int
@@ -88,11 +86,9 @@ class VAlphaEstimate:
     lookups were cache hits).
     """
 
-    alpha: float
     value: float
     truncation_error: float
     terms: int
-    config: TruncationConfig
     triples: int
     c1_inner_evals: int
 
@@ -418,7 +414,7 @@ def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1E
         phi_m -= phi_m // p
     value = (phi_m / 3.0) * inner
     tail = (m / 3.0) * _sigma_over_m(m, primes) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
-    est = C1Estimate(a1=a1, a2=a2, value=value, tail_error=tail, cutoff=t)
+    est = C1Estimate(value=value, tail_error=tail, cutoff=t)
     _c1_value_cache[key] = est
     return est
 
@@ -446,8 +442,8 @@ def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
         j3 += 1
     if bound > V_ALPHA_MEMBER_LIMIT:
         raise ResourceLimitError(
-            f"v({alpha:g}) at tail tolerance {tol:g}: the S_inf member bound reaches {bound:.3g}, "
-            f"above the limit of {V_ALPHA_MEMBER_LIMIT:.0e}; raise --alpha or --tail-tol"
+            f"v({alpha:g}) at tail tolerance {tol:g}: the S_inf member bound is at least "
+            f"{bound:.3g}, above the limit of {V_ALPHA_MEMBER_LIMIT:.0e}; raise --alpha or --tail-tol"
         )
     beta = 1.0 - alpha
     e = int(top)
@@ -541,11 +537,9 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
             break
         j3 += 1
     return VAlphaEstimate(
-        alpha=alpha,
         value=math.fsum(values),
         truncation_error=math.fsum(tails) + err_j + err_j3,
         terms=n_terms,
-        config=config,
         triples=len(values),
         c1_inner_evals=len(_c1_inner_cache) - evals_before,
     )

@@ -66,11 +66,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 

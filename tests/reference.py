@@ -271,7 +271,7 @@ def poly_lcm(f: IntPoly, g: IntPoly) -> IntPoly:
     pg = IntPoly(_primitive(g.coeffs))
     d = poly_gcd(pf, pg)
     out = poly_mul(poly_divexact(pf, d), pg)
-    if out.leading() < 0:
+    if out.coeffs[-1] < 0:
         out = IntPoly([-c for c in out.coeffs])
     return out
 

@@ -16,6 +16,7 @@ from qlcm import model, moments, qpoly
 from qlcm.arith import TABLE_LIMIT
 from qlcm.errors import ResourceLimitError
 from qlcm.cli import (
+    COMMANDS,
     CSV_COLUMNS,
     OPTIONS,
     SpecError,
@@ -51,11 +52,12 @@ def test_subcommand_required():
 
 
 def test_expect_record_schema_and_roundtrip(capsys):
-    code, out, err = run_cli(capsys, ["expect", "--n", "10", "--alpha", "0.5", "--seed", "7"])
+    code, out, err = run_cli(capsys, ["expect", "--n", "10", "--alpha", "0.5"])
     assert code == 0 and not err
     rec = json.loads(out[0])
     assert list(rec)[:5] == ["type", "command", "n", "alpha", "seed"]
-    assert rec["command"] == "expect" and rec["n"] == 10 and rec["seed"] == 7
+    # expect reads no seed: the record echoes the default
+    assert rec["command"] == "expect" and rec["n"] == 10 and rec["seed"] == 0
     for key in ("e_exact", "e_grouped", "e_asym", "gap_asym", "alpha_factor", "truncation"):
         assert key in rec
     assert rec["truncation"]["c1_cutoff"] == 100000
@@ -170,8 +172,11 @@ def test_exit_code_spec_error(capsys):
     assert code == 2 and "c1_x" in err
     code, _, err = run_cli(capsys, ["bench", "--suite", "oracle", "--repeat", "0"])
     assert code == 2
-    code, _, err = run_cli(capsys, ["expect", "--n", "5", "--alpha", "0.5", "--seed", "-3"])
+    code, _, err = run_cli(capsys, ["simulate", "--n", "5", "--alpha", "0.5", "--seed", "-3"])
     assert code == 2 and "seed" in err
+    code, _, err = run_cli(capsys, ["vfun", "--alpha", "0.5", "--c1-pair", "1,1", "--format",
+                                    "csv"])
+    assert code == 2 and err.startswith("error: format:")
     # every command's alpha goes through the one guarded parse; c1_x >= 1
     for argv, name in (
         (["oracle-check", "--n", "10", "--alpha", "1.5"], "alpha"),
@@ -208,6 +213,9 @@ def test_exit_code_resource_limit(capsys):
         assert code == 3 and err.startswith("resource limit:"), argv
         assert option in err, err
         assert peak < 2**24, f"{argv}: peak {peak} bytes"
+        if option == "--alpha":
+            # the loop stops once the bound passes the limit: a lower bound
+            assert "member bound is at least" in err, err
 
 
 @pytest.mark.parametrize(
@@ -231,6 +239,36 @@ def test_oracle_check_preflight_refuses(capsys, argv, option):
     assert code == 3 and err.startswith("resource limit:") and not out
     assert option in err, err
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "10000000", "--trials", "1000"],  # 10^10 draws
+        ["--n", "10000", "--trials", "300000"],  # 150 times the README run
+        ["--n", "20000", "--alpha", "0.1,0.3,0.5,0.7,0.9", "--trials", "30000"],
+        # 10^9 one-bit trials: 8 GB of degrees, refused only by the cost per trial
+        ["--n", "1", "--trials", "1000000000"],
+    ],
+)
+def test_simulate_preflight_refuses(capsys, argv):
+    # refused before the tables are built or a trial is drawn
+    argv = ["simulate", *argv] if "--alpha" in argv else ["simulate", "--alpha", "0.5", *argv]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and not out, err
+    assert "--trials" in err, err
+    assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+def test_simulate_preflight_accepts_the_documented_runs():
+    # criterion 7's runs and the benchmark's 2000 trials at n = 20000
+    for n, alpha in (("10000", "0.1"), ("1000", "0.9"), ("20000", "0.5")):
+        spec_for(["simulate", "--n", n, "--alpha", alpha, "--trials", "2000"])
 
 
 def test_oracle_check_counts_a_cost_per_set():
@@ -343,6 +381,7 @@ def test_precedence_cli_env_config(tmp_path, monkeypatch):
     base = ["simulate", "--n", "10", "--alpha", "0.5", "--config", str(cfg)]
     s = spec_for(base)
     assert s.seed == 5 and s.trials == 33
+    s = spec_for(["vfun", "--alpha", "0.5", "--config", str(cfg)])
     assert s.truncation.beta_tail_tol == 1e-10
 
     monkeypatch.setenv("QLCM_TRIALS", "44")
@@ -359,12 +398,15 @@ def test_precedence_cli_env_config(tmp_path, monkeypatch):
 
 def test_options_scoped_to_their_command(tmp_path, monkeypatch, capsys):
     # a setting for an option a command does not read changes nothing
-    for var in ("QLCM_EXACT", "QLCM_C1_PAIR", "QLCM_TRIALS", "QLCM_CONFIG"):
+    for var in ("QLCM_EXACT", "QLCM_C1_PAIR", "QLCM_TRIALS", "QLCM_SEED", "QLCM_J3_MAX",
+                "QLCM_CONFIG"):
         monkeypatch.delenv(var, raising=False)
     for var, value, argv in (
         ("QLCM_EXACT", "1", ["simulate", "--n", "50", "--alpha", "0.5", "--trials", "20"]),
         ("QLCM_C1_PAIR", "1,1", ["expect", "--n", "10", "--alpha", "0.5"]),
         ("QLCM_TRIALS", "0", ["vfun", "--alpha", "0.5"]),
+        ("QLCM_SEED", "9", ["expect", "--n", "10", "--alpha", "0.5"]),
+        ("QLCM_J3_MAX", "2", ["simulate", "--n", "50", "--alpha", "0.5", "--trials", "20"]),
     ):
         argv = argv + ["--no-timings"]
         code, plain, _ = run_cli(capsys, argv)
@@ -388,6 +430,93 @@ def test_options_scoped_to_their_command(tmp_path, monkeypatch, capsys):
             main(argv)
         assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
+
+
+# a base run of each command, a valid non-default value of every option it
+# reads (None for a flag that takes no value), and what an option needs
+# beside it
+_BASE = {
+    "expect": ["--n", "10", "--alpha", "0.5"],
+    "variance": ["--n", "10", "--alpha", "0.5"],
+    "simulate": ["--n", "30", "--alpha", "0.5", "--trials", "20"],
+    "vfun": ["--alpha", "0.5"],
+    "oracle-check": ["--n", "20", "--trials", "10"],
+    "bench": ["--suite", "sieve", "--repeat", "1"],
+}
+_OTHER = {
+    "n": "12", "exact": None, "alpha": "0.3", "seed": "9", "trials": "7", "workers": "2",
+    "dev_eps": "0.2", "c1_pair": "1,2", "c1_x": "100", "format": "csv", "timings": None,
+    "j3_max": "20", "tail_tol": "1e-10", "c1_cutoff": "1000", "dilog_tol": "1e-4",
+}
+_NEEDS = {"c1_x": ["--c1-pair", "1,1"]}
+# keys that echo an option the command may not read, or vary from run to
+# run within one process
+_UNCOMPARED = ("seed", "truncation", "seconds", "gcd_pairs", "gcd_pair_hits",
+               "c1_inner_evals", "c1_cache_hits")
+
+
+def _with_option(command, name):
+    """The base run of command with option name set to its _OTHER value."""
+    argv = [command, *_BASE[command], *_NEEDS.get(name, [])]
+    flag, value = OPTIONS[name].flag, _OTHER[name]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def _output(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and not err, (argv, err)
+    recs = []
+    for ln in out:
+        if not ln.startswith("{"):
+            recs.append(ln)  # a csv line
+            continue
+        rec = json.loads(ln)
+        recs.append({k: v for k, v in rec.items() if k not in _UNCOMPARED})
+    return recs
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "bench"])
+def test_every_flag_changes_the_output(capsys, command):
+    # a command takes only the flags that change its output: each option in
+    # its row, set to another valid value, changes the records once the
+    # seed and truncation echo is removed (oracle-check's seed shows in its
+    # timing record's elements); workers by design does not
+    for name in COMMANDS[command].options:
+        if name == "timings":
+            continue
+        base = [command, *_BASE[command], *_NEEDS.get(name, [])]
+        changed = _output(capsys, _with_option(command, name))
+        if name == "workers":
+            assert changed == _output(capsys, base), command
+        else:
+            assert changed != _output(capsys, base), (command, name)
+
+
+# the flags each command took before its row listed only the options it reads
+_REMOVED = {
+    "expect": ("--seed", "--j3-max", "--tail-tol", "--c1-cutoff", "--dilog-tol"),
+    "variance": ("--seed", "--j3-max", "--tail-tol", "--c1-cutoff", "--dilog-tol"),
+    "simulate": ("--j3-max", "--tail-tol", "--c1-cutoff", "--dilog-tol"),
+    "vfun": ("--seed",),
+    "oracle-check": ("--format", "--j3-max", "--tail-tol", "--c1-cutoff", "--dilog-tol"),
+    "bench": ("--format", "--no-timings"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in _REMOVED.items() for f in flags]
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, command, flag):
+    name = next(k for k, opt in OPTIONS.items() if opt.flag == flag)
+    assert name not in COMMANDS[command].options
+    with pytest.raises(SystemExit) as exc:
+        main(_with_option(command, name))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_config_errors(tmp_path, capsys):
@@ -414,7 +543,8 @@ def test_config_errors(tmp_path, capsys):
 def test_readme_commands_and_variables_match_the_cli(monkeypatch):
     # every qlcm line of the README's Examples block and of its acceptance
     # criteria parses and passes its command's pre-flight, and the README
-    # lists exactly the QLCM_* variables of the option table
+    # lists exactly the QLCM_* variables of the option table and each
+    # command's flags
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     for var in [v for v in os.environ if v.startswith("QLCM_")]:
         monkeypatch.delenv(var)
@@ -431,6 +561,14 @@ def test_readme_commands_and_variables_match_the_cli(monkeypatch):
     listed = readme.split("\nEnvironment variables are", 1)[1].split("\n\n", 1)[0]
     names = set(re.findall(r"`(QLCM_\w+)`", listed))
     assert names == {"QLCM_" + name.upper() for name in OPTIONS}
+
+    # the options table lists each command's flags, as its COMMANDS row does
+    table = readme.split("| command | its flags |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table, flags=re.M)
+    documented = {command: re.findall(r"`(--[\w-]+)`", flags) for command, flags in rows}
+    assert documented == {
+        name: [OPTIONS[opt].flag for opt in cmd.options] for name, cmd in COMMANDS.items()
+    }
 
 
 def test_simulate_alpha_one_degenerate(capsys):
@@ -567,26 +705,35 @@ def test_bench_smoke(capsys):
             assert rec["type"] == "bench" and rec["suite"] == suite
             assert rec["runs"] == 1 and rec["median_s"] > 0.0
             assert len(rec["times_s"]) == 1
-    # bench ignores csv: output stays json-lines
-    code, out, _ = run_cli(capsys, ["bench", "--suite", "oracle", "--repeat", "1",
-                                    "--format", "csv"])
-    assert code == 0
-    assert json.loads(out[0])["type"] == "bench"
 
 
-def test_bench_oracle_repeats_start_cold(capsys):
-    # each repeat clears the oracle caches first: three repeats end with the
-    # cache counts of one, not with two repeats of cached lookups on top
-    def caches():
+def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
+    # each repeat clears the suite's caches first: three repeats end with the
+    # cache state of one, not with two repeats of cached lookups on top.  The
+    # C1 caches are dicts, whose sizes a warm repeat would leave as they are,
+    # so their state also counts the C1 inner sums evaluated per repeat
+    inner_sums = []
+    inner_sum = moments._inner_sum
+    monkeypatch.setattr(moments, "_inner_sum", lambda *a: inner_sums.append(a) or inner_sum(*a))
+
+    def oracle_caches(repeat):
         return [f.cache_info() for f in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic)]
 
-    counts = []
-    for repeat in ("1", "3"):
-        code, out, _ = run_cli(capsys, ["bench", "--suite", "oracle", "--repeat", repeat])
-        assert code == 0 and len(json.loads(out[0])["times_s"]) == int(repeat)
-        counts.append(caches())
-    assert counts[0] == counts[1]
-    assert all(info.misses > 0 for info in counts[0])
+    def c1_caches(repeat):
+        caches = (moments._c1_prefix_cache, moments._c1_value_cache, moments._c1_inner_cache)
+        return [len(c) for c in caches] + [len(inner_sums) / repeat]
+
+    for suite, state, cold in (
+        ("oracle", oracle_caches, lambda infos: all(info.misses > 0 for info in infos)),
+        ("valpha", c1_caches, lambda sizes: sizes[-1] > 0),
+    ):
+        counts = []
+        for repeat in (1, 3):
+            inner_sums.clear()
+            code, out, _ = run_cli(capsys, ["bench", "--suite", suite, "--repeat", str(repeat)])
+            assert code == 0 and len(json.loads(out[0])["times_s"]) == repeat
+            counts.append(state(repeat))
+        assert counts[0] == counts[1] and cold(counts[0]), (suite, counts)
 
 
 def test_bench_variance_sum_scales_near_linearly(capsys):

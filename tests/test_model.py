@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,55 @@ def test_draws_match_generator_random(n):
             want = draw_by_generator(p.seed, t, n, alpha)
             assert np.array_equal(sample_set(p, t), want), (n, alpha, t)
             assert np.array_equal(block[t], want), (n, alpha, t)
+
+
+def test_draws_in_chunks_continue_one_stream(monkeypatch):
+    # a trial's raw words come DRAW_CHUNK at a time from one Philox stream:
+    # a draw holds one chunk of words, not n of them (16 MB at n = 2 * 10^6),
+    # and the bits do not depend on the chunk
+    p = ModelParams(n=2 * 10**6, alpha=0.5, seed=1, trials=1)
+    tracemalloc.start()
+    try:
+        sample_set(p, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22, f"peak {peak} bytes"
+    monkeypatch.setattr(model, "DRAW_CHUNK", 7)
+    for n in (6, 7, 8, 40, 1000):
+        p = ModelParams(n=n, alpha=0.3, seed=20260814, trials=3)
+        block = model._draw_block(p, 0, p.trials)
+        for t in range(p.trials):
+            want = draw_by_generator(p.seed, t, n, p.alpha)
+            assert np.array_equal(sample_set(p, t), want), (n, t)
+            assert np.array_equal(block[t], want), (n, t)
+
+
+def test_block_rows_fit_the_byte_budget():
+    # 128 rows at every n up to 20000, which covers every benchmark block;
+    # above that no more than BLOCK_BYTES of bits, unless one row is larger
+    assert {model._block_rows(n) for n in range(1, 20001)} == {model.BLOCK_SIZE}
+    for n in (32767, 32768, 10**5, 2**22 - 1, 2**22, 10**7):
+        rows = model._block_rows(n)
+        assert rows == 1 or rows * (n + 1) <= model.BLOCK_BYTES, n
+    assert model._block_rows(32767) == 128 and model._block_rows(32768) == 127
+    assert model._block_rows(10**5) == 41 and model._block_rows(10**7) == 1
+    assert model._block_rows(60, block_size=10000) == 10000
+
+
+def test_monte_carlo_memory_follows_the_byte_budget():
+    # 128 rows at n = 2 * 10^5 would hold 25.6 MB of bits at once
+    n = 200000
+    tables = build_tables(n)
+    p = ModelParams(n=n, alpha=0.5, seed=1, trials=128)
+    tracemalloc.start()
+    try:
+        s = monte_carlo(p, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.trials == 128
+    assert peak < 2**23, f"peak {peak} bytes"
 
 
 def test_sample_set_trial_range():
