@@ -48,18 +48,23 @@ CSV_COLUMNS = (
 
 BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 
-# oracle-check work in units of one n^5: a set costs about n^5 plus a fixed
-# ORACLE_SET_WORK (one process, 2 cores: 27-39 us a set at n = 2 and
-# 190-330 us at n = 40, medians 33 and 308 us); the cap is 125 times the
-# README run's 500 x 40^5
-ORACLE_SET_WORK = 40**5 // 8
-ORACLE_WORK_LIMIT = 125 * 500 * 40**5
+# oracle-check work in units of about one ns: a set at n costs n^3.5 plus a
+# fixed ORACLE_SET_WORK.  Fitted to one process, 2 cores, alpha = 0.5: the
+# first sets cost 0.23 ms at n = 40, 10 ms at 100, 45 ms at 200, 0.39 s at
+# 300 and 2.5 s at 512 (0.6-1.0 ns per n^3.5), later sets less as the gcd
+# cache fills; 23-27 us a set at n <= 8.  The cap is about 20 s of oracle
+# work: 92 times the README run, 176 sets at n = 200 and 6 at n = 512
+ORACLE_SET_WORK = 30_000
+ORACLE_WORK_LIMIT = 2 * 10**10
 # simulate work in units of one bit draw: a trial costs n draws plus a fixed
 # SIMULATE_TRIAL_WORK (one process, 2 cores: about 24 us a trial at n <= 40
 # and 14-15 ns a bit at n >= 10^4); the cap is 125 times the README run's
 # 2000 x 10^4, about 35 s of draws
 SIMULATE_TRIAL_WORK = 2048
 SIMULATE_WORK_LIMIT = 125 * 2000 * 10**4
+# bytes V[X] at the largest simulate n may allocate beside the tables
+# (moments._variance_bytes): 256 MiB admits n up to about 4.7 * 10^6
+SIMULATE_VARIANCE_BYTES = 1 << 28
 
 
 class SpecError(ValueError):
@@ -344,6 +349,13 @@ def _check_work(spec: ExperimentSpec, per_n, per_n_text: str, per_trial: int, li
 def _check_simulate(spec: ExperimentSpec):
     _check_grid(spec)
     _check_work(spec, int, "--n", SIMULATE_TRIAL_WORK, SIMULATE_WORK_LIMIT)
+    n_max = max(spec.n_values)
+    need = moments._variance_bytes(n_max)
+    if need > SIMULATE_VARIANCE_BYTES:
+        raise ResourceLimitError(
+            f"V[X] at --n {n_max} needs about {need / 2**20:.0f} MiB beside the tables, "
+            f"past the {SIMULATE_VARIANCE_BYTES >> 20} MiB budget; lower --n"
+        )
 
 
 def _check_oracle(spec: ExperimentSpec):
@@ -351,7 +363,7 @@ def _check_oracle(spec: ExperimentSpec):
     n_max = max(spec.n_values)
     if n_max > qpoly.ORACLE_LIMIT:
         raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
-    _check_work(spec, lambda n: n**5, "--n to the fifth", ORACLE_SET_WORK, ORACLE_WORK_LIMIT)
+    _check_work(spec, lambda n: n**3.5, "--n^3.5", ORACLE_SET_WORK, ORACLE_WORK_LIMIT)
 
 
 def _check_bench(spec: ExperimentSpec):

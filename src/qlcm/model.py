@@ -28,6 +28,7 @@ Philox word with a cut, without the float conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -204,21 +205,13 @@ def monte_carlo(
     )
 
 
-def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
-    """Exact distribution of the degree statistic over all 2^n sets.
-
-    Walks the subset lattice once, carrying the covered-divisor mask, and
-    weights each set size s by alpha^s (1-alpha)^(n-s) in exact rationals.
-    Memory is O(n); time is O(2^n), capped at n = ENUMERATION_LIMIT.
-    """
-    if n > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"exact enumeration over 2^{n} sets refused (limit n <= {ENUMERATION_LIMIT})"
-        )
-    check_point(n, alpha, tables)
-    a = as_fraction(alpha)
-
-    phi = [int(x) for x in tables.phi[: n + 1]]
+@functools.lru_cache(maxsize=ENUMERATION_LIMIT)
+def _subset_counts(n: int, phi: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(x, size, count) over all 2^n subsets of 1..n: count sets of that size
+    have degree x.  Walks the subset lattice once, carrying the
+    covered-divisor mask; phi holds phi(0..n).  The counts do not depend on
+    alpha, so each n is walked once per process (n <= ENUMERATION_LIMIT
+    keeps the cache to that many entries)."""
     divs = [[] for _ in range(n + 1)]
     divmask = [0] * (n + 1)
     for k in range(1, n + 1):
@@ -242,11 +235,29 @@ def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
         walk(k + 1, cov | divmask[k], x + gain, size + 1)
 
     walk(1, 0, 0, 0)
+    return tuple((x, size, c) for (x, size), c in counts.items())
+
+
+def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
+    """Exact distribution of the degree statistic over all 2^n sets.
+
+    Weights the walk's count of each (degree, set size s) by
+    alpha^s (1-alpha)^(n-s) in exact rationals.  Memory is O(n) plus the
+    counts; time is O(2^n) for the first alpha at an n, capped at
+    n = ENUMERATION_LIMIT.
+    """
+    if n > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"exact enumeration over 2^{n} sets refused (limit n <= {ENUMERATION_LIMIT})"
+        )
+    check_point(n, alpha, tables)
+    a = as_fraction(alpha)
+    counts = _subset_counts(n, tuple(int(x) for x in tables.phi[: n + 1]))
 
     b = 1 - a
     wt = [a**s * b ** (n - s) for s in range(n + 1)]
     pmf: dict[int, Fraction] = {}
-    for (x, s), c in counts.items():
+    for x, s, c in counts:
         w = c * wt[s]
         if w:
             pmf[x] = pmf.get(x, Fraction(0)) + w

@@ -82,8 +82,8 @@ class VAlphaEstimate:
     truncation_error adds the C1 tails of every summed term to the bounds on
     the dropped (j1, j2) range and the dropped j3 > j3_max range.  terms
     counts the members summed, triples the (j3, a1, a2) groups they came in
-    and c1_inner_evals the C1 inner sums evaluated for them (the other C1
-    lookups were cache hits).
+    and c1_inner_evals the C1 inner sums evaluated for them (the other
+    triples' C1 came from cached inner sums).
     """
 
     value: float
@@ -263,6 +263,15 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     return sum(terms, Fraction(0)) if exact else math.fsum(terms)
 
 
+def _variance_bytes(n: int) -> int:
+    """An upper estimate of the bytes the float variance_exact allocates at
+    n beside the tables: 56 a unit of n (beta^k and phi as float64, the
+    arange np.power reads, and the arrays of the a = 1 run of the pair walk)
+    plus about ten chunk arrays of 8-byte elements.  Its tracemalloc peak
+    is 5.7 MB at n = 20000, 54 MB at 10^6 and 105 MB at 2*10^6."""
+    return 56 * (n + 1) + 80 * VARIANCE_CHUNK
+
+
 def variance_upper_envelope(n: int, alpha: float) -> float:
     """The alpha * n^3 envelope asserted (with constant 1) over V[X]."""
     return float(alpha) * float(n) ** 3
@@ -352,10 +361,12 @@ def _coprime_weight_sum(cap: int, avoid: tuple[int, ...], prefix: np.ndarray, me
     """Sum of the sieved weights over squarefree m <= cap coprime to every
     prime in avoid.  The sieved prefix counts all squarefree m, so each
     avoided prime is stripped by the alternating expansion
-    U(cap, S) = U(cap, S - {p}) - w0(p) U(cap/p, S)."""
+    U(cap, S) = U(cap, S - {p}) - w0(p) U(cap/p, S).  avoid is ascending, so
+    once cap < avoid[0] every level left would subtract w0(p) * 0.0 and
+    return prefix[cap] unchanged: it is returned at once."""
     if cap <= 0:
         return 0.0
-    if not avoid:
+    if not avoid or cap < avoid[0]:
         return float(prefix[cap])
     key = (cap, avoid)
     hit = memo.get(key)
@@ -454,6 +465,35 @@ def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
     return e
 
 
+def _s_infinity_walk(alpha: float, config: TruncationConfig):
+    """Yield the truncated S_infinity one s = a1 + a2 - 1 at a time, as
+    (s, a1, a2, blocks).
+
+    a1 and a2 are the arrays of every coprime pair with a1 + a2 - 1 = s, the
+    a1 <= s with gcd(a1, s + 1) = 1.  Each pair has exactly s + 1 points in
+    [0, a1 a2]: the a2 + 1 multiples of a1 and the a1 - 1 inner multiples of
+    a2 (none is both), so the pairs' points make one (pairs, s + 1) matrix,
+    sorted along its rows.  blocks holds (j3, ends) for j3 up to
+    min(j3_max, emax // s): ends is the (pairs, kept + 1) matrix of
+    a1 a2 j3 + points, whose row for a pair holds the member end points of
+    its triple (j3, a1, a2) as s_infinity_members describes; every triple of
+    one (s, j3) keeps the same kept = min(s, emax - s j3 + 1) members.
+    """
+    emax = _enumeration_depth(alpha, config)
+    for s in range(1, emax + 1):
+        a1 = np.array([a for a in range(1, s + 1) if math.gcd(a, s + 1) == 1], dtype=np.int64)
+        a2 = s + 1 - a1
+        col = np.arange(s + 1, dtype=np.int64)
+        points = np.where(col <= a2[:, None], a1[:, None] * col, a2[:, None] * (col - a2[:, None]))
+        points.sort(axis=1)
+        m = (a1 * a2)[:, None]
+        blocks = []
+        for j3 in range(1, min(config.j3_max, emax // s) + 1):
+            kept = min(s, emax - s * j3 + 1)
+            blocks.append((j3, m * j3 + points[:, : kept + 1]))
+        yield s, a1, a2, blocks
+
+
 def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
     """Yield the truncated S_infinity one coprime triple at a time, as
     (j3, a1, a2, ends).
@@ -466,56 +506,21 @@ def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
     j1 + j2 - j3 = (a1 + a2 - 1) j3 + k.  The gaps with exponent <= emax
     (beta^e >= beta_tail_tol) are members, at most a1 + a2 - 1 of them;
     ends holds their end points in order, member k being
-    (m2, m1) = (ends[k], ends[k + 1]).  j3 runs up to j3_max.
+    (m2, m1) = (ends[k], ends[k + 1]).  j3 runs up to j3_max.  The triples
+    come s = a1 + a2 - 1 major, from the walk v_alpha sums.
     """
     if config is None:
         config = TruncationConfig()
-    emax = _enumeration_depth(alpha, config)
-    for a1 in range(1, emax + 1):
-        for a2 in range(1, emax - a1 + 2):
-            if math.gcd(a1, a2) != 1:
-                continue
-            s = a1 + a2 - 1
-            m = a1 * a2
-            # coprime: no inner multiple of a1 is one of a2
-            points = np.sort(np.concatenate(([0, m], np.arange(a1, m, a1), np.arange(a2, m, a2))))
-            for j3 in range(1, min(config.j3_max, emax // s) + 1):
-                kept = min(s, emax - s * j3 + 1)
-                yield j3, a1, a2, m * j3 + points[: kept + 1]
+    for _, a1, a2, blocks in _s_infinity_walk(alpha, config):
+        for j3, ends in blocks:
+            for x, y, row in zip(a1.tolist(), a2.tolist(), ends):
+                yield j3, x, y, row
 
 
-def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
-    """The limiting variance constant
-
-        v(alpha) = sum over S_infinity of beta^(j1+j2-j3) (1-beta^j3)
-                   * C1(a1, a2) * (rho2^3 - rho1^3),
-
-    truncated per config.  The members of one triple (j3, a1, a2) share
-    C1(a1, a2), so their weighted sum is one numpy expression, multiplied
-    once by C1 and once by its tail error; math.fsum combines the products.
-    truncation_error accounts the C1 tail of every summed term plus
-    geometric bounds on the dropped (j1, j2) and j3 ranges, each using
-    sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
-    """
-    if config is None:
-        config = TruncationConfig()
-    emax = _enumeration_depth(alpha, config)
+def _dropped_bounds(alpha: float, emax: int, config: TruncationConfig) -> tuple[float, float]:
+    """(err_j, err_j3): the v(alpha) truncation bounds on the dropped (j1, j2)
+    range of every kept j3 and on the dropped range j3 > j3_max."""
     beta = 1.0 - alpha
-    pb = np.array([_powi(beta, k) for k in range(emax + 1)])
-    values, tails = [], []
-    n_terms = 0
-    evals_before = len(_c1_inner_cache)
-    for j3, a1, a2, ends in s_infinity_members(alpha, config):
-        e0 = (a1 + a2 - 1) * j3
-        k = len(ends) - 1
-        f = ends.astype(np.float64)
-        inv_cube = 1.0 / (f * f * f)
-        part = (1.0 - pb[j3]) * float(np.sum(pb[e0 : e0 + k] * (inv_cube[:-1] - inv_cube[1:])))
-        est = c1_constant(a1, a2, config)
-        values.append(est.value * part)
-        tails.append(est.tail_error * part)
-        n_terms += k
-
     one_m_beta = alpha
     # dropped (j1, j2) with j1 + j2 - j3 > emax, for each kept j3:
     # sum_{e > E} (e - j3 + 1) beta^e in closed form, E = max(emax, j3 - 1)
@@ -536,6 +541,50 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
         if inc < 1e-18 * max(err_j3, 1e-300) or j3 > config.j3_max + 100000:
             break
         j3 += 1
+    return err_j, err_j3
+
+
+def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
+    """The limiting variance constant
+
+        v(alpha) = sum over S_infinity of beta^(j1+j2-j3) (1-beta^j3)
+                   * C1(a1, a2) * (rho2^3 - rho1^3),
+
+    truncated per config.  The members of one triple (j3, a1, a2) share
+    C1(a1, a2), and the triples of one (s, j3) share their exponents
+    e0 = s j3 onwards, so one numpy pass over the (s, j3) block of the walk
+    gives every triple's weighted sum as a row sum; each is multiplied once
+    by C1 and once by its tail error, and math.fsum combines the products.
+    C1 is looked up once per pair.  truncation_error accounts the C1 tail
+    of every summed term plus geometric bounds on the dropped (j1, j2) and
+    j3 ranges, each using sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
+    """
+    if config is None:
+        config = TruncationConfig()
+    emax = _enumeration_depth(alpha, config)
+    beta = 1.0 - alpha
+    pb = np.array([_powi(beta, k) for k in range(emax + 1)])
+    values, tails = [], []
+    n_terms = 0
+    evals_before = len(_c1_inner_cache)
+    for s, a1, a2, blocks in _s_infinity_walk(alpha, config):
+        c1 = [c1_constant(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
+        c1_value = np.array([est.value for est in c1])
+        c1_tail = np.array([est.tail_error for est in c1])
+        for j3, ends in blocks:
+            e0 = s * j3
+            k = ends.shape[1] - 1
+            f = ends.astype(np.float64)
+            inv_cube = 1.0 / (f * f * f)
+            # a contiguous row reduce: the same pairwise sum as one triple's
+            part = (1.0 - pb[j3]) * np.sum(
+                pb[e0 : e0 + k] * (inv_cube[:, :-1] - inv_cube[:, 1:]), axis=1
+            )
+            values += (c1_value * part).tolist()
+            tails += (c1_tail * part).tolist()
+            n_terms += k * len(part)
+
+    err_j, err_j3 = _dropped_bounds(alpha, emax, config)
     return VAlphaEstimate(
         value=math.fsum(values),
         truncation_error=math.fsum(tails) + err_j + err_j3,

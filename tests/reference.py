@@ -7,7 +7,15 @@ from fractions import Fraction
 import numpy as np
 
 from qlcm.arith import primes_up_to
-from qlcm.moments import TruncationConfig, _enumeration_depth, _powi, c1_constant
+from qlcm.moments import (
+    TruncationConfig,
+    VAlphaEstimate,
+    _c1_inner_cache,
+    _dropped_bounds,
+    _enumeration_depth,
+    _powi,
+    c1_constant,
+)
 from qlcm.qpoly import ONE, ZERO, IntPoly, _primitive, poly_divexact, poly_gcd, poly_mul, q_analog
 
 
@@ -261,6 +269,47 @@ def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tu
         total = t
         n_terms += 1
     return total, n_terms
+
+
+def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
+    """v(alpha) summed one coprime triple (j3, a1, a2) at a time, a1 major,
+    each triple's points sorted on their own and C1 looked up per triple;
+    math.fsum combines the per-triple products, the dropped-range bounds are
+    the library's."""
+    if config is None:
+        config = TruncationConfig()
+    emax = _enumeration_depth(alpha, config)
+    beta = 1.0 - alpha
+    pb = np.array([_powi(beta, k) for k in range(emax + 1)])
+    values, tails = [], []
+    n_terms = 0
+    evals_before = len(_c1_inner_cache)
+    for a1 in range(1, emax + 1):
+        for a2 in range(1, emax - a1 + 2):
+            if math.gcd(a1, a2) != 1:
+                continue
+            s = a1 + a2 - 1
+            m = a1 * a2
+            points = np.sort(np.concatenate(([0, m], np.arange(a1, m, a1), np.arange(a2, m, a2))))
+            for j3 in range(1, min(config.j3_max, emax // s) + 1):
+                k = min(s, emax - s * j3 + 1)
+                f = (m * j3 + points[: k + 1]).astype(np.float64)
+                inv_cube = 1.0 / (f * f * f)
+                e0 = s * j3
+                drho = inv_cube[:-1] - inv_cube[1:]
+                part = (1.0 - pb[j3]) * float(np.sum(pb[e0 : e0 + k] * drho))
+                est = c1_constant(a1, a2, config)
+                values.append(est.value * part)
+                tails.append(est.tail_error * part)
+                n_terms += k
+    err_j, err_j3 = _dropped_bounds(alpha, emax, config)
+    return VAlphaEstimate(
+        value=math.fsum(values),
+        truncation_error=math.fsum(tails) + err_j + err_j3,
+        terms=n_terms,
+        triples=len(values),
+        c1_inner_evals=len(_c1_inner_cache) - evals_before,
+    )
 
 
 def poly_lcm(f: IntPoly, g: IntPoly) -> IntPoly:

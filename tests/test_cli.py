@@ -222,10 +222,10 @@ def test_exit_code_resource_limit(capsys):
     "argv,option",
     [
         (["--n", "600", "--trials", "1"], "--n"),  # past qpoly.ORACLE_LIMIT
-        (["--n", "512", "--trials", "500"], "--trials"),  # 1.8e16 work units
-        (["--n", "40", "--trials", "62501"], "--trials"),  # past the cap of 55,555 at n = 40
-        (["--n", "200", "--trials", "2500"], "--trials"),  # hours of oracle work
-        (["--n", "200", "--trials", "21"], "--trials"),  # past the cap of 19 at n = 200
+        (["--n", "512", "--trials", "500"], "--trials"),  # 1.5e12 work units
+        (["--n", "40", "--trials", "62501"], "--trials"),  # past the cap of 46,001 at n = 40
+        (["--n", "200", "--trials", "2500"], "--trials"),  # minutes of oracle work
+        (["--n", "200", "--trials", "177"], "--trials"),  # past the cap of 176 at n = 200
     ],
 )
 def test_oracle_check_preflight_refuses(capsys, argv, option):
@@ -265,14 +265,44 @@ def test_simulate_preflight_refuses(capsys, argv):
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
 
 
+def test_simulate_preflight_refuses_variance_memory(capsys):
+    # one trial is little work, but V[X] at n = 10^7 would hold about
+    # 539 MiB beside the tables: refused before the tables are built
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["simulate", "--n", "10000000", "--alpha", "0.5",
+                                          "--trials", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and not out, err
+    assert "--n 10000000" in err and "MiB" in err, err
+    assert peak < 2**24, f"peak {peak} bytes"
+
+
 def test_simulate_preflight_accepts_the_documented_runs():
     # criterion 7's runs and the benchmark's 2000 trials at n = 20000
     for n, alpha in (("10000", "0.1"), ("1000", "0.9"), ("20000", "0.5")):
         spec_for(["simulate", "--n", n, "--alpha", alpha, "--trials", "2000"])
 
 
+def test_oracle_check_preflight_fits_measured_costs():
+    # the pre-flight alone, no oracle run: 20 sets at n = 200 take about 1 s
+    # and one set at n = 512 about 3.5 s, so both pass; the cap at n = 512
+    # is 6 sets
+    for argv in (
+        ["--n", "200", "--trials", "20"],
+        ["--n", "512", "--trials", "1"],
+        ["--n", "512", "--trials", "6"],
+        ["--n", "40", "--trials", "500", "--seed", "20260814"],
+    ):
+        spec_for(["oracle-check", *argv])
+    with pytest.raises(ResourceLimitError, match="--trials"):
+        spec_for(["oracle-check", "--n", "512", "--trials", "7"])
+
+
 def test_oracle_check_counts_a_cost_per_set():
-    # each set costs a fixed share besides its n^5, so many tiny sets are
+    # each set costs a fixed share besides its n^3.5, so many tiny sets are
     # refused (10^11 sets at n = 2 would take weeks); the README run is not
     with pytest.raises(ResourceLimitError, match="--trials"):
         spec_for(["oracle-check", "--n", "2", "--trials", "100000000000"])
@@ -605,6 +635,18 @@ def test_variance_exact_mode_agrees_with_enumeration(capsys):
     for ln in out:
         rec = json.loads(ln)
         assert rec["enum_agrees"] is True
+
+
+def test_exact_variance_walks_each_n_once(capsys):
+    # the subset counts do not depend on alpha: four alphas, one walk per n
+    model._subset_counts.cache_clear()
+    code, out, _ = run_cli(
+        capsys,
+        ["variance", "--exact", "--n", "1:12", "--alpha", "1/4,1/3,1/2,3/4", "--no-timings"],
+    )
+    assert code == 0 and len(out) == 48
+    info = model._subset_counts.cache_info()
+    assert (info.misses, info.hits) == (12, 36)
 
 
 def test_oracle_check_all_agree(capsys):

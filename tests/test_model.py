@@ -321,6 +321,28 @@ def test_enumerate_exact_against_direct_subsets(tables_small):
     assert sum(dist.pmf.values()) == 1
 
 
+def test_enumerate_exact_walk_is_shared_across_alphas(tables_small):
+    # a second alpha at the same n reuses the walk and gets the pmf of a
+    # fresh, uncached walk
+    n, alphas = 11, (Fraction(1, 3), Fraction(3, 4))
+    model._subset_counts.cache_clear()
+    warm = [enumerate_exact(n, a, tables_small) for a in alphas]
+    info = model._subset_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for a, dist in zip(alphas, warm):
+        model._subset_counts.cache_clear()
+        assert enumerate_exact(n, a, tables_small) == dist
+
+
+def test_enumerate_exact_result_does_not_alias_the_cache(tables_small):
+    n, alpha = 9, Fraction(2, 5)
+    first = enumerate_exact(n, alpha, tables_small)
+    want = dict(first.pmf)
+    first.pmf.clear()
+    first.pmf[-1] = Fraction(1)
+    assert enumerate_exact(n, alpha, tables_small).pmf == want
+
+
 def test_enumerate_exact_validation(tables_small):
     with pytest.raises(TypeError):
         enumerate_exact(5, 0.5, tables_small)

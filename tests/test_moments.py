@@ -35,6 +35,7 @@ from reference import (
     expectation_per_d_rational,
     s_infinity_cells,
     v_alpha_per_term,
+    v_alpha_per_triple,
 )
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
@@ -366,6 +367,17 @@ def test_v_alpha_matches_per_term_sum(alpha):
     value, terms = v_alpha_per_term(alpha)
     assert est.terms == terms
     assert abs(est.value - value) <= 1e-14 * value
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8])
+def test_v_alpha_matches_per_triple_sum(alpha):
+    # one numpy pass per (s, j3) against one triple at a time: the row sums
+    # are the same pairwise sums, so every field is bit-identical
+    est = v_alpha(alpha)
+    ref = v_alpha_per_triple(alpha)
+    assert est.value == ref.value
+    assert est.truncation_error == ref.truncation_error
+    assert (est.terms, est.triples) == (ref.terms, ref.triples)
 
 
 def test_s_infinity_rejects_endpoints():
