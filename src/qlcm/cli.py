@@ -62,9 +62,10 @@ ORACLE_WORK_LIMIT = 2 * 10**10
 # 2000 x 10^4, about 35 s of draws
 SIMULATE_TRIAL_WORK = 2048
 SIMULATE_WORK_LIMIT = 125 * 2000 * 10**4
-# bytes V[X] at the largest simulate n may allocate beside the tables
-# (moments._variance_bytes): 256 MiB admits n up to about 4.7 * 10^6
-SIMULATE_VARIANCE_BYTES = 1 << 28
+# bytes the float V[X] at the largest n of variance or simulate may
+# allocate beside the tables (moments._variance_bytes): 256 MiB admits n up
+# to about 4.7 * 10^6
+VARIANCE_BYTES = 1 << 28
 
 
 class SpecError(ValueError):
@@ -315,6 +316,21 @@ def _check_exact(spec: ExperimentSpec):
         )
 
 
+def _check_variance_bytes(spec: ExperimentSpec):
+    n_max = max(spec.n_values)
+    need = moments._variance_bytes(n_max)
+    if need > VARIANCE_BYTES:
+        raise ResourceLimitError(
+            f"V[X] at --n {n_max} needs about {need / 2**20:.0f} MiB beside the tables, "
+            f"past the {VARIANCE_BYTES >> 20} MiB budget; lower --n"
+        )
+
+
+def _check_variance(spec: ExperimentSpec):
+    _check_exact(spec)
+    _check_variance_bytes(spec)
+
+
 def _check_vfun(spec: ExperimentSpec):
     if not spec.alphas and spec.c1_pair is None:
         raise SpecError("alpha: required for this command")
@@ -349,13 +365,7 @@ def _check_work(spec: ExperimentSpec, per_n, per_n_text: str, per_trial: int, li
 def _check_simulate(spec: ExperimentSpec):
     _check_grid(spec)
     _check_work(spec, int, "--n", SIMULATE_TRIAL_WORK, SIMULATE_WORK_LIMIT)
-    n_max = max(spec.n_values)
-    need = moments._variance_bytes(n_max)
-    if need > SIMULATE_VARIANCE_BYTES:
-        raise ResourceLimitError(
-            f"V[X] at --n {n_max} needs about {need / 2**20:.0f} MiB beside the tables, "
-            f"past the {SIMULATE_VARIANCE_BYTES >> 20} MiB budget; lower --n"
-        )
+    _check_variance_bytes(spec)
 
 
 def _check_oracle(spec: ExperimentSpec):
@@ -538,16 +548,18 @@ def _simulate_point(spec, tables, n, a, af, timer):
 def _oracle_point(spec, tables, n, a, af, timer):
     # X of each set is its Monte Carlo degree: the coverage transform that
     # simulate runs, on the same keyed trials; each block is drawn once and
-    # its members read before the transform overwrites them
+    # its members read from the planes before the transform overwrites them
     params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
     agree = elements = 0
     gcd_before = qpoly._q_gcd.cache_info()
     with timer as counters:
         rows = model._block_rows(n)
         for start in range(0, spec.trials, rows):
-            bits = model._draw_block(params, start, min(start + rows, spec.trials))
-            sets = [np.nonzero(row)[0].tolist() for row in bits]
-            for members, x in zip(sets, model._block_degrees(bits, tables)):
+            stop = min(start + rows, spec.trials)
+            planes = model._draw_block(params, start, stop)
+            sets = [np.nonzero((planes[r >> 3] >> (r & 7)) & 1)[0].tolist()
+                    for r in range(stop - start)]
+            for members, x in zip(sets, model._block_degrees(planes, stop - start, tables)):
                 elements += len(members)
                 d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
                 d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
@@ -694,7 +706,7 @@ COMMANDS = {
     "variance": Command(
         "exact V[X] and the alpha*n^3 envelope",
         ("n", "exact", "alpha", *_OUTPUT),
-        _check_exact,
+        _check_variance,
         _grid(_variance_point),
     ),
     "simulate": Command(

@@ -8,22 +8,27 @@ lcm{ [k]_q : k in A }, computed through the covered-divisor identity
 
 which the polynomial oracles in ``qpoly`` verify independently.
 
-Monte Carlo trials run in blocks of membership bitmaps, one row per trial.
-Coverage is found for the whole block at once by a transform over
-multiples, done in place: for each prime p <= isqrt(n), d runs downwards
-in levels (hi // p, hi] and row bit d takes the or of bit d * p, which an
-earlier level has already finished.  A larger prime P has one level,
-d < P, so for each d one gather takes the or over every such P at once.
-Once every prime is done, bit d is set exactly when some multiple of d is
-in the set, and a trial's degree is its row of bits dotted with phi.  At
-n = 20000 that is 224 vector operations per block (85 slices for the 34
+Monte Carlo trials run in blocks of byte planes over 0..n: bit t of
+plane j holds the membership bits of trial 8j + t of the block, so a
+byte carries eight trials.  Coverage is found for the whole block at once
+by a transform over multiples, done in place with bitwise or: for each
+prime p <= isqrt(n), d runs downwards in levels (hi // p, hi] and element
+d takes the or of element d * p, which an earlier level has already
+finished.  A larger prime P has one level, d < P, so for each d one gather
+takes the or over every such P at once.  Once every prime is done, bit t
+of element d is set exactly when some multiple of d is in trial t's set.
+A trial's degree is the phi-weighted count of its set bits: one weighted
+histogram of the 256 byte values per plane, times the table of their bits.
+At n = 20000 that is 224 vector operations per block (85 slices for the 34
 small primes, 139 gathers for the 2,228 large ones) instead of one per d,
-19,999; ``degree_statistic`` keeps the per-d loop as the oracle.
+19,999, each over one byte per eight trials; ``degree_statistic`` keeps
+the per-d loop as the oracle.
 
 Trials are keyed, not streamed: trial i of a run with seed s uses a Philox
 generator keyed by (s, i), so any subset of trials can be regenerated in any
-order, on any worker count, with identical bits.  Each bit compares one raw
-Philox word with a cut, without the float conversion.
+order, on any worker count, with identical bits.  Each thread keeps one
+Philox and re-keys it before every trial.  Each bit compares one raw Philox
+word with a cut, without the float conversion.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +47,8 @@ from .arith import ArithTables, as_fraction, check_point, split_primes
 from .errors import ResourceLimitError
 
 ENUMERATION_LIMIT = 22
-# trials per block of membership bits, and the bytes of bits one block may
-# hold: 128 rows of n + 1 bytes up to n = 32767, fewer rows above
+# trials per block, and the bound on rows * (n + 1): 128 rows up to
+# n = 32767, fewer above; a block's planes take ceil(rows / 8) * (n + 1) bytes
 BLOCK_SIZE = 128
 BLOCK_BYTES = 1 << 22
 # raw Philox words one draw holds at a time (512 KiB)
@@ -89,7 +95,7 @@ def sample_set(params: ModelParams, trial_index: int) -> np.ndarray:
     if not 0 <= trial_index < params.trials:
         raise ValueError(f"trial_index {trial_index} outside 0..{params.trials - 1}")
     bits = np.zeros(params.n + 1, dtype=bool)
-    _draw(params, trial_index, bits[1:])
+    _draw(params, trial_index, bits[1:].view(np.uint8))
     return bits
 
 
@@ -104,8 +110,31 @@ def degree_statistic(subset: np.ndarray, n: int, tables: ArithTables) -> int:
     return total
 
 
-def _draw(params: ModelParams, trial_index: int, out: np.ndarray) -> None:
-    """Write the membership bits of elements 1..n of one keyed trial into out.
+# one Philox per thread, re-keyed before each trial: constructing one builds
+# a SeedSequence from OS entropy, which costs about ten times the re-key
+_LOCAL = threading.local()
+
+
+def _keyed_philox(seed: int, trial_index: int) -> np.random.Philox:
+    """This thread's Philox in the state of Philox(key=(seed << 64) | trial_index)."""
+    bit_gen = getattr(_LOCAL, "philox", None)
+    if bit_gen is None:
+        bit_gen = _LOCAL.philox = np.random.Philox(0)
+    # counter 0 and an empty buffer; the key words are (low, high)
+    bit_gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (trial_index, seed)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_gen
+
+
+def _draw(params: ModelParams, trial_index: int, out: np.ndarray, shift: int = 0) -> None:
+    """Or the membership bits of elements 1..n of one keyed trial, shifted
+    left by shift, into the uint8 row out.
 
     Bit k is Generator(Philox(key)).random(n)[k - 1] < alpha, with key =
     (seed << 64) | trial_index.  That uniform is (raw >> 11) * 2^-53 for the
@@ -114,19 +143,24 @@ def _draw(params: ModelParams, trial_index: int, out: np.ndarray) -> None:
     """
     # at alpha = 1 the cut is 2^64, past uint64: numpy compares it exactly
     cut = math.ceil(params.alpha * 2**53) << 11
-    bit_gen = np.random.Philox(key=(params.seed << 64) | trial_index)
+    bit_gen = _keyed_philox(params.seed, trial_index)
     for s in range(0, params.n, DRAW_CHUNK):
         e = min(s + DRAW_CHUNK, params.n)
-        np.less(bit_gen.random_raw(e - s), cut, out=out[s:e])
+        bits = np.less(bit_gen.random_raw(e - s), cut).view(np.uint8)
+        if shift:
+            # bits << shift as a product: numpy's uint8 shift loop is about
+            # six times slower than its multiply
+            np.multiply(bits, 1 << shift, out=bits)
+        np.bitwise_or(out[s:e], bits, out=out[s:e])
 
 
 def _draw_block(params: ModelParams, start: int, stop: int) -> np.ndarray:
-    """Membership bitmaps over 0..n of trials start..stop-1, one row each."""
-    bits = np.empty((stop - start, params.n + 1), dtype=bool)
-    bits[:, 0] = False
-    for i in range(start, stop):
-        _draw(params, i, bits[i - start, 1:])
-    return bits
+    """Byte planes over 0..n of trials start..stop-1: bit t of
+    planes[j, k] is element k of trial start + 8j + t."""
+    planes = np.zeros(((stop - start + 7) // 8, params.n + 1), dtype=np.uint8)
+    for r in range(stop - start):
+        _draw(params, start + r, planes[r >> 3, 1:], r & 7)
+    return planes
 
 
 def _block_rows(n: int, block_size: int = BLOCK_SIZE) -> int:
@@ -135,22 +169,35 @@ def _block_rows(n: int, block_size: int = BLOCK_SIZE) -> int:
     return max(1, min(block_size, BLOCK_BYTES // (n + 1)))
 
 
-def _block_degrees(bits: np.ndarray, tables: ArithTables) -> np.ndarray:
-    """The degree of each row of a block of membership bitmaps over 0..n,
-    by the coverage transform; it overwrites bits with the covered ones."""
-    n = bits.shape[1] - 1
+@functools.cache
+def _bit_table() -> np.ndarray:
+    """(256, 8) float64: entry (v, t) is bit t of the byte value v."""
+    v = np.arange(256)
+    return ((v[:, None] >> np.arange(8)) & 1).astype(np.float64)
+
+
+def _block_degrees(planes: np.ndarray, rows: int, tables: ArithTables) -> np.ndarray:
+    """The degree of each of the first rows trials of a block of byte planes
+    over 0..n, by the coverage transform; it overwrites the planes with the
+    covered bits."""
+    n = planes.shape[1] - 1
     small, large, counts = split_primes(n)
     for p in small.tolist():
         hi = n // p
         while hi > 1:
             lo = max(hi // p, 1)
-            bits[:, lo + 1 : hi + 1] |= bits[:, (lo + 1) * p : hi * p + 1 : p]
+            planes[:, lo + 1 : hi + 1] |= planes[:, (lo + 1) * p : hi * p + 1 : p]
             hi = lo
     # a large prime P has one level, d < P, and its passes commute, since
     # d * P * P' > n: one op per d covers d from every d * P at once
     for d, k in enumerate(counts[1:], 2):
-        bits[:, d] |= bits[:, d * large[:k]].any(axis=1)
-    return np.einsum("ij,j->i", bits[:, 2:], tables.phi[2 : n + 1])
+        planes[:, d] |= np.bitwise_or.reduce(planes[:, d * large[:k]], axis=1)
+    # phi summed per byte value, then split into the value's bits; every sum
+    # is an integer at most sum of phi(d) over d <= TABLE_LIMIT, under
+    # 3.1 * 10^13 < 2^53, so float64 holds it exactly in any order
+    phi = tables.phi[2 : n + 1].astype(np.float64)
+    hist = np.array([np.bincount(row[2:], weights=phi, minlength=256) for row in planes])
+    return (hist @ _bit_table()).astype(np.int64).reshape(-1)[:rows]
 
 
 def monte_carlo(
@@ -161,10 +208,9 @@ def monte_carlo(
 ) -> MonteCarloSummary:
     """Simulate the degree statistic over keyed trials.
 
-    Each running block holds block_size rows of n + 1 bytes of membership
-    bits, fewer where that would pass BLOCK_BYTES; the coverage transform's
-    per-block cost is small enough that 128 rows take only a few percent
-    longer than 256, for half the memory.
+    Each running block holds the byte planes of block_size trials,
+    ceil(block_size / 8) * (n + 1) bytes, with fewer trials where
+    block_size * (n + 1) would pass BLOCK_BYTES.
 
     Mean and variance come from exact integer sums of the per-trial degrees
     (converted through Fraction), so the summary is bit-identical for any
@@ -179,7 +225,8 @@ def monte_carlo(
     pool_size = min(workers, len(spans), os.cpu_count() or 1)
 
     def block(span):
-        return _block_degrees(_draw_block(params, *span), tables)
+        start, stop = span
+        return _block_degrees(_draw_block(params, start, stop), stop - start, tables)
 
     if pool_size == 1:
         parts = [block(span) for span in spans]

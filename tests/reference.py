@@ -118,6 +118,12 @@ def draw_by_generator(seed: int, trial_index: int, n: int, alpha) -> np.ndarray:
     return bits
 
 
+def plane_rows(planes: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, n + 1) bool bitmaps of a block of byte planes, row by row:
+    row r is bit r % 8 of plane r // 8."""
+    return np.array([(planes[r // 8] >> (r % 8)) & 1 for r in range(rows)], dtype=bool)
+
+
 def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
     """Reference evaluation straight from the defining double sum: squarefree
     d1, d2 with [d1/(a1,d1), d2/(a2,d2)] <= cutoff.  Quadratic in a_i*cutoff;

@@ -280,6 +280,22 @@ def test_simulate_preflight_refuses_variance_memory(capsys):
     assert peak < 2**24, f"peak {peak} bytes"
 
 
+def test_variance_preflight_refuses_memory(capsys):
+    # the float V[X] at n = 10^7 would hold about 539 MiB beside the
+    # tables: refused before the tables are built, as simulate refuses it
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["variance", "--n", "10000000", "--alpha", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and not out, err
+    assert "--n 10000000" in err and "MiB" in err, err
+    assert peak < 2**24, f"peak {peak} bytes"
+    # about 54 MiB at n = 10^6: the pre-flight passes (nothing is run)
+    spec_for(["variance", "--n", "1000000", "--alpha", "0.5"])
+
+
 def test_simulate_preflight_accepts_the_documented_runs():
     # criterion 7's runs and the benchmark's 2000 trials at n = 20000
     for n, alpha in (("10000", "0.1"), ("1000", "0.9"), ("20000", "0.5")):
@@ -678,16 +694,24 @@ def test_vfun_records(capsys):
     assert crec["c1_rel_diff"] < 0.01
 
 
-def test_vfun_timing_counters(capsys):
+def test_vfun_timing_counters(capsys, monkeypatch):
+    # from empty C1 caches, whatever ran before in this process
+    for name in ("_c1_prefix_cache", "_c1_value_cache", "_c1_inner_cache"):
+        monkeypatch.setattr(moments, name, {})
     code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5"])
     assert code == 0 and len(out) == 2
     rec, tm = (json.loads(ln) for ln in out)
     assert not {"triples", "members", "c1_inner_evals", "c1_cache_hits"} & set(rec)
     assert tm["type"] == "timing" and tm["phase"] == "vfun alpha=0.5"
     assert tm["members"] == rec["v_alpha_terms"] == 6939 and tm["triples"] == 835
-    # one C1 lookup per triple; at most one inner sum per prime set
+    # one C1 lookup per triple; cold, one inner sum per distinct prime set
     assert tm["c1_inner_evals"] + tm["c1_cache_hits"] == tm["triples"]
-    assert 0 <= tm["c1_inner_evals"] <= 69
+    assert tm["c1_inner_evals"] == 94
+    # a second run in the same process finds every inner sum cached
+    code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5"])
+    again = json.loads(out[1])
+    assert code == 0 and again["c1_inner_evals"] == 0
+    assert again["c1_cache_hits"] == again["triples"] == 835
 
 
 def test_vfun_c1_pair_above_one(capsys):

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from qlcm.arith import build_tables
 from qlcm.errors import ResourceLimitError
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo, sample_set
 from qlcm.qpoly import lcm_degree_oracle
-from reference import draw_by_generator
+from reference import draw_by_generator, plane_rows
 
 
 def bits_of(members, n):
@@ -69,7 +71,7 @@ def test_draws_match_generator_random(n):
     # raw Philox words against the cut give the bits of random(n) < alpha
     for alpha in (0.0, 2.0**-60, 0.1, 1 / 3, 0.5, 0.9, 1 - 2.0**-53, 1.0):
         p = ModelParams(n=n, alpha=alpha, seed=20260814, trials=5)
-        block = model._draw_block(p, 0, p.trials)
+        block = plane_rows(model._draw_block(p, 0, p.trials), p.trials)
         for t in range(p.trials):
             want = draw_by_generator(p.seed, t, n, alpha)
             assert np.array_equal(sample_set(p, t), want), (n, alpha, t)
@@ -91,11 +93,53 @@ def test_draws_in_chunks_continue_one_stream(monkeypatch):
     monkeypatch.setattr(model, "DRAW_CHUNK", 7)
     for n in (6, 7, 8, 40, 1000):
         p = ModelParams(n=n, alpha=0.3, seed=20260814, trials=3)
-        block = model._draw_block(p, 0, p.trials)
+        block = plane_rows(model._draw_block(p, 0, p.trials), p.trials)
         for t in range(p.trials):
             want = draw_by_generator(p.seed, t, n, p.alpha)
             assert np.array_equal(sample_set(p, t), want), (n, t)
             assert np.array_equal(block[t], want), (n, t)
+
+
+@pytest.mark.parametrize("start", [5, 130])
+def test_draw_block_planes_hold_each_trial(start):
+    # trial start + r is bit r % 8 of plane r // 8; a last partial plane is
+    # kept, its unused bits and element 0 stay clear
+    n = 50
+    p = ModelParams(n=n, alpha=0.4, seed=20260814, trials=start + 128)
+    for rows in (1, 7, 8, 9, 17, 128):
+        planes = model._draw_block(p, start, start + rows)
+        assert planes.shape == (-(-rows // 8), n + 1) and planes.dtype == np.uint8
+        got = plane_rows(planes, 8 * planes.shape[0])
+        for r in range(rows):
+            want = draw_by_generator(p.seed, start + r, n, p.alpha)
+            assert np.array_equal(got[r], want), (start, rows, r)
+        assert not got[rows:].any() and not planes[:, 0].any(), (start, rows)
+
+
+def test_threads_draw_their_own_keyed_streams():
+    # each thread re-keys its own Philox: four threads drawing two
+    # different params, switching as often as the interpreter allows,
+    # still draw every trial's own bits
+    params = [ModelParams(n=200, alpha=0.3, seed=1, trials=60),
+              ModelParams(n=333, alpha=0.7, seed=2**64 - 1, trials=60)]
+
+    def draw(p):
+        sets = [sample_set(p, t) for t in range(p.trials)]
+        return sets, plane_rows(model._draw_block(p, 0, p.trials), p.trials)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(draw, params[i % 2]) for i in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (sets, block) in enumerate(results):
+        p = params[i % 2]
+        for t in range(p.trials):
+            want = draw_by_generator(p.seed, t, p.n, p.alpha)
+            assert np.array_equal(sets[t], want) and np.array_equal(block[t], want), (i, t)
 
 
 def test_block_rows_fit_the_byte_budget():
@@ -178,7 +222,7 @@ def test_degree_statistic_monotone_under_inclusion(tables_small):
         assert degree_statistic(bs, n, tables_small) <= degree_statistic(bb, n, tables_small)
 
 
-def test_monte_carlo_alpha_one_degenerate(tables_small):
+def test_monte_carlo_alpha_one_degenerate(tables_small, tables_mid):
     from qlcm.arith import phi_summatory
 
     p = ModelParams(n=10, alpha=1.0, seed=3, trials=50)
@@ -186,6 +230,12 @@ def test_monte_carlo_alpha_one_degenerate(tables_small):
     assert s.variance == 0.0
     assert s.stderr == 0.0
     assert s.mean == phi_summatory(tables_small, 10) - 1
+    # at n = 20000 every degree is the sum of phi(2..n), past 2^24: the
+    # per-byte sums must not lose it
+    p = ModelParams(n=20000, alpha=1.0, seed=3, trials=9)
+    s = monte_carlo(p, tables_mid)
+    assert s.degrees.tolist() == [phi_summatory(tables_mid, 20000) - 1] * 9
+    assert phi_summatory(tables_mid, 20000) > 2**24
 
 
 def test_monte_carlo_single_trial(tables_small):
@@ -222,7 +272,7 @@ def test_block_degrees_match_per_d_oracle(tables_small, n):
         want = [degree_statistic(sample_set(p, t), n, tables) for t in range(p.trials)]
         if n == 1 or alpha == 0:
             assert want == [0] * p.trials
-        for block in (1, 7, 256):
+        for block in (1, 7, 8, 9, 16, 17, 256):
             got = monte_carlo(p, tables, block_size=block).degrees
             assert got.tolist() == want, (n, alpha, block)
 
