@@ -6,7 +6,7 @@ polynomial oracles), ``model`` (random-set sampling and exact enumeration),
 (experiment harness).
 """
 
-from .arith import ArithTables, build_tables, phi_pair_summatory, phi_summatory
+from .arith import ArithTables, build_tables, phi_pair_summatory
 from .errors import ResourceLimitError
 from .model import (
     ExactDistribution,
@@ -56,7 +56,6 @@ __all__ = [
     "lcm_degree_oracle",
     "monte_carlo",
     "phi_pair_summatory",
-    "phi_summatory",
     "poly_divexact",
     "poly_gcd",
     "poly_mul",

@@ -1,9 +1,8 @@
-"""The sieved Euler totient and its summatory sums.
+"""The sieved Euler totient and its paired summatory sum.
 
 One construction pass fills a dense table of the Euler totient phi for every
-integer up to a bound N, plus its prefix sum, so that the summatory function
-Phi(x) = sum_{m<=x} phi(m) is O(1) per query.  The tables are immutable
-after construction and safe to share across threads.
+integer up to a bound N.  The table is immutable after construction and safe
+to share across threads.
 
 The module also holds what the other modules share: the prime sieve, the
 validation of an (n, alpha, tables) point and the exact-rational alpha.
@@ -20,31 +19,29 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# largest product bound we trust to an int64 accumulator
-_INT64_SAFE = 2**62
-# largest table limit build_tables accepts: its two int64 arrays then take
-# about 160 MB
+# largest table limit build_tables accepts: its one int64 array then takes
+# about 80 MB
 TABLE_LIMIT = 10**7
+# elements of one int64 chunk in phi_pair_summatory
+PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Totient tables up to ``limit``, 1-indexed (index 0 unused).
+    """The totient table up to ``limit``, 1-indexed (index 0 unused).
 
     Attributes:
         limit: largest argument covered.
         phi: int64, phi[m] = Euler totient of m.
-        phi_prefix: int64, phi_prefix[m] = sum_{k<=m} phi(k).
     """
 
     limit: int
     phi: np.ndarray
-    phi_prefix: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the two tables."""
-        return self.phi.nbytes + self.phi_prefix.nbytes
+        """Bytes held by the table."""
+        return self.phi.nbytes
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -78,7 +75,7 @@ def split_primes(limit: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
 
 def build_tables(limit: int) -> ArithTables:
-    """Sieve phi and its prefix sum up to ``limit`` (inclusive).
+    """Sieve phi up to ``limit`` (inclusive).
 
     One vectorized pass per small prime p multiplies phi over the multiples
     of p by (1 - 1/p); the large primes follow in one pass per batch of
@@ -98,10 +95,8 @@ def build_tables(limit: int) -> ArithTables:
     for j, k in enumerate(counts, 1):
         idx = j * large[:k]
         phi[idx] -= phi[idx] // large[:k]
-    phi_prefix = np.cumsum(phi, dtype=np.int64)
     phi.setflags(write=False)
-    phi_prefix.setflags(write=False)
-    return ArithTables(limit=n, phi=phi, phi_prefix=phi_prefix)
+    return ArithTables(limit=n, phi=phi)
 
 
 def check_point(n: int, alpha=None, tables: ArithTables | None = None) -> None:
@@ -125,27 +120,13 @@ def as_fraction(alpha) -> Fraction:
     raise TypeError(f"cannot interpret {alpha!r} as a rational probability")
 
 
-def _floor_index(tables: ArithTables, x: float) -> int:
-    m = math.floor(x)
-    if m > tables.limit:
-        raise ValueError(f"summatory argument {x} exceeds table limit {tables.limit}")
-    return m
-
-
-def phi_summatory(tables: ArithTables, x: float) -> int:
-    """Totient summatory Phi(x) = sum_{m <= floor(x)} phi(m); exact integer."""
-    m = _floor_index(tables, x)
-    if m < 1:
-        return 0
-    return int(tables.phi_prefix[m])
-
-
 def phi_pair_summatory(tables: ArithTables, a1: int, a2: int, x: float) -> int:
     """Exact sum_{m <= floor(x)} phi(a1*m) * phi(a2*m).
 
-    Requires a1*floor(x) and a2*floor(x) within the table.  Uses int64
-    vector products when the a1*a2*x^3 bound proves them safe, otherwise
-    falls back to exact Python integers (overflow is never silent).
+    Requires a1*floor(x) and a2*floor(x) within the table.  Sums int64
+    products PAIR_CHUNK at a time and adds each chunk's sum as a Python int.
+    Each chunk is exact: a product is at most TABLE_LIMIT^2 < 2^47, so
+    PAIR_CHUNK = 2^16 of them stay below 2^63.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError("strides a1, a2 must be positive")
@@ -156,9 +137,8 @@ def phi_pair_summatory(tables: ArithTables, a1: int, a2: int, x: float) -> int:
         raise ValueError(
             f"phi_pair_summatory needs tables up to {max(a1, a2) * m}, limit is {tables.limit}"
         )
-    if a1 * a2 * m**3 < _INT64_SAFE:
-        idx = np.arange(1, m + 1, dtype=np.int64)
-        prods = tables.phi[a1 * idx] * tables.phi[a2 * idx]
-        return int(prods.sum(dtype=np.int64))
-    phi = tables.phi
-    return sum(int(phi[a1 * k]) * int(phi[a2 * k]) for k in range(1, m + 1))
+    total = 0
+    for s in range(1, m + 1, PAIR_CHUNK):
+        idx = np.arange(s, min(s + PAIR_CHUNK, m + 1), dtype=np.int64)
+        total += int((tables.phi[a1 * idx] * tables.phi[a2 * idx]).sum())
+    return total

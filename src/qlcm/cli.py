@@ -547,24 +547,17 @@ def _simulate_point(spec, tables, n, a, af, timer):
 
 def _oracle_point(spec, tables, n, a, af, timer):
     # X of each set is its Monte Carlo degree: the coverage transform that
-    # simulate runs, on the same keyed trials; each block is drawn once and
-    # its members read from the planes before the transform overwrites them
+    # simulate runs, on the same keyed trials
     params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
     agree = elements = 0
     gcd_before = qpoly._q_gcd.cache_info()
     with timer as counters:
-        rows = model._block_rows(n)
-        for start in range(0, spec.trials, rows):
-            stop = min(start + rows, spec.trials)
-            planes = model._draw_block(params, start, stop)
-            sets = [np.nonzero((planes[r >> 3] >> (r & 7)) & 1)[0].tolist()
-                    for r in range(stop - start)]
-            for members, x in zip(sets, model._block_degrees(planes, stop - start, tables)):
-                elements += len(members)
-                d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
-                d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
-                if x == d_cyc == d_gcd:
-                    agree += 1
+        for members, x in model.sets_and_degrees(params, tables):
+            elements += len(members)
+            d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
+            d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")
+            if x == d_cyc == d_gcd:
+                agree += 1
         gcd_after = qpoly._q_gcd.cache_info()
         counters.update(
             sets=spec.trials,

@@ -163,10 +163,10 @@ def _draw_block(params: ModelParams, start: int, stop: int) -> np.ndarray:
     return planes
 
 
-def _block_rows(n: int, block_size: int = BLOCK_SIZE) -> int:
-    """Rows of a block over 0..n: block_size, or as many as fit in
+def _block_rows(n: int) -> int:
+    """Rows of a block over 0..n: BLOCK_SIZE, or as many as fit in
     BLOCK_BYTES, and at least one."""
-    return max(1, min(block_size, BLOCK_BYTES // (n + 1)))
+    return max(1, min(BLOCK_SIZE, BLOCK_BYTES // (n + 1)))
 
 
 @functools.cache
@@ -200,17 +200,26 @@ def _block_degrees(planes: np.ndarray, rows: int, tables: ArithTables) -> np.nda
     return (hist @ _bit_table()).astype(np.int64).reshape(-1)[:rows]
 
 
-def monte_carlo(
-    params: ModelParams,
-    tables: ArithTables,
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
-) -> MonteCarloSummary:
+def sets_and_degrees(params: ModelParams, tables: ArithTables):
+    """Yield (members, degree) for each keyed trial in trial order: the
+    sorted elements of its set and its degree by the coverage transform.
+    Each block is drawn once, and its members are read from the planes
+    before the transform overwrites them."""
+    rows = _block_rows(params.n)
+    for start in range(0, params.trials, rows):
+        stop = min(start + rows, params.trials)
+        planes = _draw_block(params, start, stop)
+        sets = [np.nonzero((planes[r >> 3] >> (r & 7)) & 1)[0].tolist()
+                for r in range(stop - start)]
+        yield from zip(sets, _block_degrees(planes, stop - start, tables).tolist())
+
+
+def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> MonteCarloSummary:
     """Simulate the degree statistic over keyed trials.
 
-    Each running block holds the byte planes of block_size trials,
-    ceil(block_size / 8) * (n + 1) bytes, with fewer trials where
-    block_size * (n + 1) would pass BLOCK_BYTES.
+    Each running block holds the byte planes of BLOCK_SIZE trials,
+    ceil(BLOCK_SIZE / 8) * (n + 1) bytes, with fewer trials where
+    BLOCK_SIZE * (n + 1) would pass BLOCK_BYTES.
 
     Mean and variance come from exact integer sums of the per-trial degrees
     (converted through Fraction), so the summary is bit-identical for any
@@ -219,7 +228,7 @@ def monte_carlo(
     check_point(params.n, tables=tables)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    rows = _block_rows(params.n, block_size)
+    rows = _block_rows(params.n)
     spans = [(s, min(s + rows, params.trials)) for s in range(0, params.trials, rows)]
     # more threads than cores or blocks add no speed, only block memory
     pool_size = min(workers, len(spans), os.cpu_count() or 1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import TABLE_LIMIT, ArithTables, as_fraction, check_point, phi_summatory, split_primes
+from .arith import TABLE_LIMIT, ArithTables, as_fraction, check_point, split_primes
 from .errors import ResourceLimitError
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -171,12 +171,13 @@ def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     """
     check_point(n, alpha, tables)
     beta = _beta(n, alpha, exact, "expectation")
+    prefix = np.cumsum(tables.phi[: n + 1])
     terms = []
     d = 2
     while d <= n:
         j = n // d
         hi = n // j
-        block = int(tables.phi_prefix[hi] - tables.phi_prefix[d - 1])
+        block = int(prefix[hi] - prefix[d - 1])
         terms.append(block * (1 - _powi(beta, j)))
         d = hi + 1
     return sum(terms, Fraction(0)) if exact else math.fsum(terms)
@@ -188,12 +189,13 @@ def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
     check_point(n, alpha, tables)
     alpha = float(alpha)
     beta = 1.0 - alpha
+    prefix = np.cumsum(tables.phi[: n + 1])
     terms = []
     for j in range(1, n + 1):
         bj = _powi(beta, j - 1)
         if bj == 0.0:
             break
-        terms.append(bj * float(phi_summatory(tables, n // j)))
+        terms.append(bj * float(prefix[n // j]))
     return alpha * math.fsum(terms) - (1.0 - _powi(beta, n))
 
 

@@ -27,11 +27,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .arith import _INT64_SAFE
 from .errors import ResourceLimitError
 
-# Default cap on elements fed to the degree oracles; they are meant for
-# desk-scale verification, not production-size sets.
+# largest product bound we trust to an int64 accumulator
+_INT64_SAFE = 2**62
+
+# Cap on elements fed to the degree oracles; they are meant for desk-scale
+# verification, not production-size sets.
 ORACLE_LIMIT = 512
 
 
@@ -211,13 +213,13 @@ def cyclotomic(d: int) -> IntPoly:
     return poly
 
 
-def _validated_elements(elements, limit):
+def _validated_elements(elements):
     items = sorted({int(k) for k in elements})
     for k in items:
         if k < 1:
             raise ValueError(f"set elements must be positive integers, got {k}")
-        if k > limit:
-            raise ResourceLimitError(f"oracle element {k} exceeds limit {limit}")
+        if k > ORACLE_LIMIT:
+            raise ResourceLimitError(f"oracle element {k} exceeds limit {ORACLE_LIMIT}")
     return items
 
 
@@ -238,7 +240,7 @@ def _divisor_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
     return poly_mul(poly_divexact(a, poly_gcd(a, b)), b)
 
 
-def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_LIMIT) -> int:
+def lcm_degree_oracle(elements, method: str = "cyclotomic") -> int:
     """Degree of lcm{ [k]_q : k in elements }, by brute polynomial arithmetic.
 
     method="cyclotomic": sum deg Phi_d over the divisor closure {d > 1 :
@@ -250,7 +252,7 @@ def lcm_degree_oracle(elements, method: str = "cyclotomic", limit: int = ORACLE_
     g_k = [k]_q.  The second path shares no code with the first beyond base
     polynomial arithmetic.  The empty set has lcm 1, hence degree 0.
     """
-    items = _validated_elements(elements, limit)
+    items = _validated_elements(elements)
     if method == "cyclotomic":
         closure = {d for k in items for d in range(2, k + 1) if k % d == 0}
         return sum(cyclotomic(d).degree for d in closure)

@@ -138,6 +138,12 @@ def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
     for p in primes_up_to(limit):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+    # the squarefree d2 in ascending order; each d1 takes them in one numpy
+    # expression, every integer below 2^53 so each quotient is the correctly
+    # rounded one that Python's int division gives
+    d2 = np.nonzero(mu[1 : lim2 + 1])[0] + 1
+    m2 = mu[d2]
+    e2 = d2 // np.gcd(a2, d2)
     terms = []
     for d1 in range(1, lim1 + 1):
         m1 = int(mu[d1])
@@ -146,16 +152,9 @@ def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
         e1 = d1 // math.gcd(a1, d1)
         if e1 > cutoff:
             continue
-        for d2 in range(1, lim2 + 1):
-            m2 = int(mu[d2])
-            if m2 == 0:
-                continue
-            e2 = d2 // math.gcd(a2, d2)
-            g = math.gcd(e1, e2)
-            l = (e1 // g) * e2
-            if l > cutoff:
-                continue
-            terms.append(m1 * m2 / (d1 * d2 * l))
+        l = (e1 // np.gcd(e1, e2)) * e2
+        keep = l <= cutoff
+        terms.extend(((m1 * m2[keep]) / (d1 * d2[keep] * l[keep])).tolist())
     return (a1 * a2 / 3.0) * math.fsum(terms)
 
 

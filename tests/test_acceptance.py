@@ -138,7 +138,7 @@ def test_criterion_07_concentration(tables_big):
     measured = {}
     for n, alpha in ((10**4, 0.1), (10**3, 0.9)):
         params = ModelParams(n=n, alpha=alpha, seed=SEED, trials=trials)
-        mc = monte_carlo(params, tables_big, block_size=500)
+        mc = monte_carlo(params, tables_big)
         e = expectation_exact(n, alpha, tables_big)
         v = variance_exact(n, alpha, tables_big)
         frac = float(np.mean(np.abs(mc.degrees - e) > eps * e))

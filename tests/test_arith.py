@@ -1,8 +1,9 @@
-"""The prime sieve, the totient tables, summatory prefix sums, the paired
+"""The prime sieve, the totient table, its summatory prefix sums, the paired
 totient sum, and the shared point validation."""
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import qlcm
+import qlcm.arith as arith
 from calibration import PHI_SUMMATORY_K
-from qlcm.arith import build_tables, phi_pair_summatory, phi_summatory, primes_up_to, split_primes
+from qlcm.arith import build_tables, phi_pair_summatory, primes_up_to, split_primes
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo
 from qlcm.moments import expectation_exact, expectation_grouped, variance_exact
 from reference import phi_per_prime
@@ -22,8 +24,7 @@ PI2_OVER_3 = math.pi**2 / 3
 def test_limit_one_base_case():
     t = build_tables(1)
     assert t.limit == 1
-    assert t.phi[1] == 1
-    assert phi_summatory(t, 1) == 1
+    assert t.phi.tolist() == [0, 1]
 
 
 def test_limit_must_be_positive():
@@ -40,9 +41,8 @@ def test_pointwise_examples():
 
 
 def test_tables_are_read_only(tables_small):
-    for arr in (tables_small.phi, tables_small.phi_prefix):
-        with pytest.raises(ValueError):
-            arr[3] = 99
+    with pytest.raises(ValueError):
+        tables_small.phi[3] = 99
 
 
 def test_prime_values_vectorized(tables_big):
@@ -81,11 +81,9 @@ def test_split_primes_matches_definition():
 def test_build_tables_matches_per_prime_sieve(tables_big):
     # phi[m] does not depend on the limit, so one reference serves them all
     ref = phi_per_prime(3000)
-    ref_prefix = np.cumsum(ref)
     for limit in range(1, 3001):
         t = build_tables(limit)
         assert np.array_equal(t.phi, ref[: limit + 1]), limit
-        assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
     assert np.array_equal(tables_big.phi, phi_per_prime(10**6))
 
 
@@ -99,38 +97,35 @@ def test_totient_divisor_sum_identity():
     assert np.array_equal(acc[1:], np.arange(1, limit + 1))
 
 
+# Phi(x) = sum_{m <= x} phi(m) is the prefix sum the E[X] paths take of phi
 def test_phi_summatory_examples(tables_small):
-    assert phi_summatory(tables_small, 1) == 1
-    assert phi_summatory(tables_small, 10) == 32
-    assert phi_summatory(tables_small, 10.7) == 32
-    assert phi_summatory(tables_small, 0) == 0
-    assert phi_summatory(tables_small, 0.3) == 0
-    assert phi_summatory(tables_small, -4) == 0
+    prefix = np.cumsum(tables_small.phi)
+    assert prefix.dtype == np.int64
+    assert prefix[0] == 0 and prefix[1] == 1 and prefix[10] == 32
 
 
 def test_summatory_rejects_out_of_range(tables_small):
+    limit = tables_small.limit
     with pytest.raises(ValueError):
-        phi_summatory(tables_small, tables_small.limit + 1)
+        phi_pair_summatory(tables_small, 1, 1, limit + 1)
     # fractional overshoot floors back into range
-    assert phi_summatory(tables_small, tables_small.limit + 0.5) == phi_summatory(
-        tables_small, tables_small.limit
+    assert phi_pair_summatory(tables_small, 1, 1, limit + 0.5) == phi_pair_summatory(
+        tables_small, 1, 1, limit
     )
     with pytest.raises(ValueError):
-        phi_summatory(tables_small, tables_small.limit + 1.5)
-    with pytest.raises(ValueError):
-        phi_pair_summatory(tables_small, 2, 1, tables_small.limit)
+        phi_pair_summatory(tables_small, 2, 1, limit)
 
 
 def test_phi_summatory_monotone(tables_big):
     ks = np.unique(np.geomspace(1, tables_big.limit, 200).astype(np.int64))
-    vals = [phi_summatory(tables_big, int(k)) for k in ks]
+    vals = np.cumsum(tables_big.phi)[ks].tolist()
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_phi_summatory_quadratic_envelope(tables_big):
     # |Phi(x) - x^2 / (pi^2/3)| <= K x log x with the frozen K
     x = np.arange(2, tables_big.limit + 1, dtype=np.float64)
-    err = np.abs(tables_big.phi_prefix[2:] - x * x / PI2_OVER_3)
+    err = np.abs(np.cumsum(tables_big.phi)[2:] - x * x / PI2_OVER_3)
     ratio = err / (x * np.log(x))
     assert float(ratio.max()) <= PHI_SUMMATORY_K, f"worst ratio {ratio.max():.4f}"
 
@@ -158,13 +153,43 @@ def test_phi_pair_matches_naive(tables_big, a1, a2):
     assert phi_pair_summatory(tables_big, a1, a2, x) == expect
 
 
-def test_phi_pair_python_fallback_agrees(tables_big, monkeypatch):
-    import qlcm.arith as arith
+def test_phi_pair_chunk_edges_match_python_sum(tables_big, monkeypatch):
+    # x just below, at and above a multiple of the chunk, with a tiny chunk
+    # and with the real one
+    phi = tables_big.phi.tolist()
+    for chunk, ks in ((7, (1, 2, 3)), (arith.PAIR_CHUNK, (1, 3))):
+        monkeypatch.setattr(arith, "PAIR_CHUNK", chunk)
+        for a1, a2 in ((1, 1), (2, 3), (1, 5)):
+            for k in ks:
+                for x in (k * chunk - 1, k * chunk, k * chunk + 1):
+                    want = sum(phi[a1 * k] * phi[a2 * k] for k in range(1, x + 1))
+                    assert phi_pair_summatory(tables_big, a1, a2, x) == want, (chunk, a1, a2, x)
 
-    fast = phi_pair_summatory(tables_big, 3, 5, 4000)
-    monkeypatch.setattr(arith, "_INT64_SAFE", 0)
-    slow = phi_pair_summatory(tables_big, 3, 5, 4000)
-    assert fast == slow
+
+def test_phi_pair_total_past_int64():
+    # the sum of phi(m)^2 for m <= 4.5 * 10^6 passes 2^63; every chunk's
+    # int64 sum stays exact and the chunks add as Python ints
+    x = 4_500_000
+    t = build_tables(x)
+    chunks = (c.astype(object) for c in np.array_split(t.phi[1:], 9))
+    want = sum(int(np.dot(c, c)) for c in chunks)
+    assert want > 2**63
+    assert phi_pair_summatory(t, 1, 1, x) == want
+
+
+def test_phi_pair_chunk_products_fit_int64():
+    # a product is at most TABLE_LIMIT^2, so a chunk's int64 sum cannot wrap
+    assert arith.PAIR_CHUNK * arith.TABLE_LIMIT**2 < 2**63
+
+
+def test_phi_pair_memory_is_one_chunk(tables_big):
+    tracemalloc.start()
+    try:
+        phi_pair_summatory(tables_big, 1, 1, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 # each entry point with the checks it makes: n >= 1, alpha in [0, 1], and

@@ -142,7 +142,7 @@ def test_threads_draw_their_own_keyed_streams():
             assert np.array_equal(sets[t], want) and np.array_equal(block[t], want), (i, t)
 
 
-def test_block_rows_fit_the_byte_budget():
+def test_block_rows_fit_the_byte_budget(monkeypatch):
     # 128 rows at every n up to 20000, which covers every benchmark block;
     # above that no more than BLOCK_BYTES of bits, unless one row is larger
     assert {model._block_rows(n) for n in range(1, 20001)} == {model.BLOCK_SIZE}
@@ -151,7 +151,8 @@ def test_block_rows_fit_the_byte_budget():
         assert rows == 1 or rows * (n + 1) <= model.BLOCK_BYTES, n
     assert model._block_rows(32767) == 128 and model._block_rows(32768) == 127
     assert model._block_rows(10**5) == 41 and model._block_rows(10**7) == 1
-    assert model._block_rows(60, block_size=10000) == 10000
+    monkeypatch.setattr(model, "BLOCK_SIZE", 10000)
+    assert model._block_rows(60) == 10000
 
 
 def test_monte_carlo_memory_follows_the_byte_budget():
@@ -223,19 +224,18 @@ def test_degree_statistic_monotone_under_inclusion(tables_small):
 
 
 def test_monte_carlo_alpha_one_degenerate(tables_small, tables_mid):
-    from qlcm.arith import phi_summatory
-
     p = ModelParams(n=10, alpha=1.0, seed=3, trials=50)
     s = monte_carlo(p, tables_small)
     assert s.variance == 0.0
     assert s.stderr == 0.0
-    assert s.mean == phi_summatory(tables_small, 10) - 1
+    assert s.mean == int(tables_small.phi[2:11].sum())
     # at n = 20000 every degree is the sum of phi(2..n), past 2^24: the
     # per-byte sums must not lose it
     p = ModelParams(n=20000, alpha=1.0, seed=3, trials=9)
     s = monte_carlo(p, tables_mid)
-    assert s.degrees.tolist() == [phi_summatory(tables_mid, 20000) - 1] * 9
-    assert phi_summatory(tables_mid, 20000) > 2**24
+    top = int(tables_mid.phi[2:20001].sum())
+    assert s.degrees.tolist() == [top] * 9
+    assert top > 2**24
 
 
 def test_monte_carlo_single_trial(tables_small):
@@ -252,11 +252,26 @@ def test_monte_carlo_matches_stream(tables_small):
     assert s.mean == float(Fraction(sum(degs), len(degs)))
 
 
-def test_monte_carlo_worker_and_block_invariance(tables_small):
+def test_sets_and_degrees_follow_trial_order(tables_small, monkeypatch):
+    # each trial's members as sample_set draws them and its per-d degree,
+    # in trial order, across blocks and a last partial block
+    p = ModelParams(n=30, alpha=0.4, seed=17, trials=45)
+    want = []
+    for t in range(p.trials):
+        bits = sample_set(p, t)
+        want.append((np.nonzero(bits)[0].tolist(), degree_statistic(bits, p.n, tables_small)))
+    for block in (1, 8, 17, 128):
+        monkeypatch.setattr(model, "BLOCK_SIZE", block)
+        assert list(model.sets_and_degrees(p, tables_small)) == want, block
+
+
+def test_monte_carlo_worker_and_block_invariance(tables_small, monkeypatch):
     p = ModelParams(n=60, alpha=0.3, seed=99, trials=500)
-    base = monte_carlo(p, tables_small, workers=1, block_size=256)
+    monkeypatch.setattr(model, "BLOCK_SIZE", 256)
+    base = monte_carlo(p, tables_small, workers=1)
     for workers, block in [(1, 1), (2, 7), (8, 64), (3, 10000)]:
-        s = monte_carlo(p, tables_small, workers=workers, block_size=block)
+        monkeypatch.setattr(model, "BLOCK_SIZE", block)
+        s = monte_carlo(p, tables_small, workers=workers)
         assert np.array_equal(s.degrees, base.degrees)
         assert s.mean == base.mean and s.variance == base.variance
     with pytest.raises(ValueError):
@@ -264,7 +279,7 @@ def test_monte_carlo_worker_and_block_invariance(tables_small):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 24, 25, 26, 97, 120, 121, 122, 1000, 2310])
-def test_block_degrees_match_per_d_oracle(tables_small, n):
+def test_block_degrees_match_per_d_oracle(tables_small, n, monkeypatch):
     # the coverage transform gives the per-d loop's degree, trial by trial
     tables = tables_small if n <= tables_small.limit else build_tables(n)
     for alpha in (0, 0.1, 0.5, 1):
@@ -273,7 +288,8 @@ def test_block_degrees_match_per_d_oracle(tables_small, n):
         if n == 1 or alpha == 0:
             assert want == [0] * p.trials
         for block in (1, 7, 8, 9, 16, 17, 256):
-            got = monte_carlo(p, tables, block_size=block).degrees
+            monkeypatch.setattr(model, "BLOCK_SIZE", block)
+            got = monte_carlo(p, tables).degrees
             assert got.tolist() == want, (n, alpha, block)
 
 
@@ -297,7 +313,8 @@ def test_monte_carlo_threads_capped(tables_small, monkeypatch):
     ]:
         sizes.clear()
         monkeypatch.setattr(model.os, "cpu_count", lambda cores=cores: cores)
-        got = monte_carlo(p, tables_small, workers=workers, block_size=block).degrees
+        monkeypatch.setattr(model, "BLOCK_SIZE", block)
+        got = monte_carlo(p, tables_small, workers=workers).degrees
         assert sizes == ([] if want is None else [want])
         assert np.array_equal(got, base)
 
@@ -307,7 +324,7 @@ def test_monte_carlo_mean_near_exact_expectation(tables_mid):
 
     n, alpha, trials = 1000, 0.5, 10**4
     p = ModelParams(n=n, alpha=alpha, seed=20260814, trials=trials)
-    s = monte_carlo(p, tables_mid, block_size=1024)
+    s = monte_carlo(p, tables_mid)
     e = expectation_exact(n, alpha, tables_mid)
     sd = math.sqrt(variance_exact(n, alpha, tables_mid))
     assert abs(s.mean - e) < 4 * sd / math.sqrt(trials), f"mc mean {s.mean} vs exact {e}"
@@ -348,10 +365,8 @@ def test_enumerate_exact_two_elements(tables_small):
 
 
 def test_enumerate_exact_point_masses(tables_small):
-    from qlcm.arith import phi_summatory
-
     assert enumerate_exact(1, Fraction(1, 3), tables_small).pmf == {0: Fraction(1)}
-    top = phi_summatory(tables_small, 9) - 1
+    top = int(tables_small.phi[2:10].sum())
     assert enumerate_exact(9, 1, tables_small).pmf == {top: Fraction(1)}
     assert enumerate_exact(9, 0, tables_small).pmf == {0: Fraction(1)}
 

@@ -195,15 +195,16 @@ def test_oracle_examples():
     assert lcm_degree_oracle(range(1, 11)) == lcm_degree_oracle(range(1, 11), method="gcd")
 
 
-def test_oracle_validation():
+def test_oracle_validation(monkeypatch):
     with pytest.raises(ValueError):
         lcm_degree_oracle([0])
     with pytest.raises(ValueError):
         lcm_degree_oracle([-3])
     with pytest.raises(ResourceLimitError):
         lcm_degree_oracle([513])
+    monkeypatch.setattr(qpoly, "ORACLE_LIMIT", 10)
     with pytest.raises(ResourceLimitError):
-        lcm_degree_oracle([11], limit=10)
+        lcm_degree_oracle([11])
     with pytest.raises(ValueError):
         lcm_degree_oracle([2], method="magic")
 
