@@ -57,11 +57,11 @@ BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 ORACLE_SET_WORK = 30_000
 ORACLE_WORK_LIMIT = 2 * 10**10
 # simulate work in units of one bit draw: a trial costs n draws plus a fixed
-# SIMULATE_TRIAL_WORK (one process, 2 cores: about 24 us a trial at n <= 40
-# and 14-15 ns a bit at n >= 10^4); the cap is 125 times the README run's
-# 2000 x 10^4, about 35 s of draws
-SIMULATE_TRIAL_WORK = 2048
-SIMULATE_WORK_LIMIT = 125 * 2000 * 10**4
+# SIMULATE_TRIAL_WORK (one process, 2 cores: 13-15 us a trial at n <= 40
+# and 12.7-13.6 ns a bit at n >= 10^4); the cap is 140 times the README
+# run's 2000 x 10^4, about 34 s of draws
+SIMULATE_TRIAL_WORK = 1024
+SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
 # bytes the float V[X] at the largest n of variance or simulate may
 # allocate beside the tables (moments._variance_bytes): 256 MiB admits n up
 # to about 4.7 * 10^6
@@ -634,7 +634,7 @@ def _bench_cases(spec: ExperimentSpec):
         def cold_v_alpha():
             # cold C1 caches on every repeat, as in the oracle suite
             for cache in (moments._c1_prefix_cache, moments._c1_value_cache,
-                          moments._c1_inner_cache):
+                          moments._c1_inner_cache, moments._c1_factor_cache):
                 cache.clear()
             moments.v_alpha(0.5, spec.truncation)
 

@@ -39,6 +39,9 @@ EXACT_RATIONAL_LIMIT = 30
 V_ALPHA_MEMBER_LIMIT = 10**8
 # elements per chunk of the variance pair walk; bounds its working set
 VARIANCE_CHUNK = 1 << 16
+# cells (suffixes x caps) of one table of the C1 inner-sum sweep, 2 MiB of
+# float64; bounds its working set
+C1_SWEEP_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,10 @@ class VAlphaEstimate:
     truncation_error adds the C1 tails of every summed term to the bounds on
     the dropped (j1, j2) range and the dropped j3 > j3_max range.  terms
     counts the members summed, triples the (j3, a1, a2) groups they came in
-    and c1_inner_evals the C1 inner sums evaluated for them (the other
-    triples' C1 came from cached inner sums).
+    and c1_inner_evals the C1 inner sums evaluated for them: the distinct
+    prime sets of the pairs whose C1 was not cached, all swept by one
+    _inner_sums call before the walk (the other triples' C1 came from
+    cached inner sums).
     """
 
     value: float
@@ -107,6 +112,21 @@ def _powi(base, k: int):
         if k:
             b = b * b
     return acc
+
+
+def _powers(beta: float, count: int) -> np.ndarray:
+    """[_powi(beta, k) for k < count] bit for bit: the same squarings of
+    beta, each multiplied into the exponents whose bit it is, in the same
+    ascending bit order."""
+    bits = max(count - 1, 0).bit_length()
+    acc = np.ones(1 << bits)
+    b = float(beta)
+    for bit in range(bits):
+        # the exponents with this bit set: the upper half of each block of
+        # 2^(bit + 1) consecutive exponents
+        acc.reshape(-1, 2 << bit)[:, 1 << bit :] *= b
+        b *= b
+    return acc[:count]
 
 
 def dilog(z: float, tol: float = 1e-12) -> float:
@@ -190,13 +210,16 @@ def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
     alpha = float(alpha)
     beta = 1.0 - alpha
     prefix = np.cumsum(tables.phi[: n + 1])
-    terms = []
-    for j in range(1, n + 1):
-        bj = _powi(beta, j - 1)
-        if bj == 0.0:
-            break
-        terms.append(bj * float(prefix[n // j]))
-    return alpha * math.fsum(terms) - (1.0 - _powi(beta, n))
+    # beta^(j-1) for j <= n up to the first power that is 0.0: 1024 powers
+    # first, four times as many while none of them is
+    pb = _powers(beta, min(n, 1024))
+    while len(pb) < n and pb.all():
+        pb = _powers(beta, min(n, 4 * len(pb)))
+    zero = np.flatnonzero(pb == 0.0)
+    stop = int(zero[0]) if len(zero) else n
+    j = np.arange(1, stop + 1, dtype=np.int64)
+    terms = pb[:stop] * prefix[n // j]  # each int64 Phi rounded to float64 first
+    return alpha * math.fsum(terms.tolist()) - (1.0 - _powi(beta, n))
 
 
 def expectation_asymptotic(n: int, alpha: float) -> float:
@@ -298,26 +321,46 @@ def variance_upper_envelope(n: int, alpha: float) -> float:
 # Inner is evaluated from a sieved prefix sum of the w-weights by
 # inclusion-exclusion over the primes of a1 a2.  A direct truncated (d1, d2)
 # enumeration cross-checks this decomposition in the tests.
+#
+# The inclusion-exclusion reads U(cap, S), the weight sum over squarefree
+# m <= cap coprime to the primes of S, only at caps T // n and only for the
+# suffixes S of the prime sets.  _inner_sums fills one table of U over every
+# suffix of a batch of prime sets and every such cap, a column range per
+# depth at a time, so a (cap, suffix) node that many sets or many terms
+# share is evaluated once; v_alpha sweeps every prime set its pairs need
+# before its walk, and c1_constant sweeps a single set on a cache miss.
 # ---------------------------------------------------------------------------
 
 _c1_prefix_cache: dict[int, np.ndarray] = {}
 _c1_value_cache: dict[tuple[int, int, int], "C1Estimate"] = {}
 # Inner depends on (a1, a2) only through the prime set of a1 a2
 _c1_inner_cache: dict[tuple[int, tuple[int, ...]], float] = {}
+_c1_factor_cache: dict[int, tuple[int, ...]] = {}
 
 
-def _prime_factors(m: int) -> tuple[int, ...]:
-    ps = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            ps.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        ps.append(m)
-    return tuple(ps)
+def _prime_factors(a: int) -> tuple[int, ...]:
+    """The primes of a, ascending, by trial division once per integer."""
+    hit = _c1_factor_cache.get(a)
+    if hit is None:
+        ps = []
+        m = a
+        p = 2
+        while p * p <= m:
+            if m % p == 0:
+                ps.append(p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        if m > 1:
+            ps.append(m)
+        hit = _c1_factor_cache[a] = tuple(ps)
+    return hit
+
+
+def _pair_primes(a1: int, a2: int) -> tuple[int, ...]:
+    """The primes of a1 a2 for coprime a1, a2, ascending: the two disjoint
+    factorizations merged."""
+    return tuple(sorted(_prime_factors(a1) + _prime_factors(a2)))
 
 
 def _sigma_over_m(m: int, primes: tuple[int, ...]) -> float:
@@ -359,48 +402,123 @@ def _c1_weight_prefix(limit: int) -> np.ndarray:
     return prefix
 
 
-def _coprime_weight_sum(cap: int, avoid: tuple[int, ...], prefix: np.ndarray, memo: dict) -> float:
-    """Sum of the sieved weights over squarefree m <= cap coprime to every
-    prime in avoid.  The sieved prefix counts all squarefree m, so each
-    avoided prime is stripped by the alternating expansion
-    U(cap, S) = U(cap, S - {p}) - w0(p) U(cap/p, S).  avoid is ascending, so
-    once cap < avoid[0] every level left would subtract w0(p) * 0.0 and
-    return prefix[cap] unchanged: it is returned at once."""
-    if cap <= 0:
-        return 0.0
-    if not avoid or cap < avoid[0]:
-        return float(prefix[cap])
-    key = (cap, avoid)
-    hit = memo.get(key)
-    if hit is None:
-        p = avoid[0]
+def _cap_columns(limit: int) -> np.ndarray:
+    """The caps of the C1 inner-sum expansion, ascending: each is some
+    limit // n, so they fit in 2 r + 1 columns, r = isqrt(limit), the caps
+    0..r and then limit // n for n = r down to 1."""
+    r = math.isqrt(limit)
+    return np.concatenate((np.arange(r + 1), limit // np.arange(r, 0, -1)))
+
+
+def _column(limit: int, cap: np.ndarray) -> np.ndarray:
+    """The column of each cap (>= 1, of the form limit // n)."""
+    r = math.isqrt(limit)
+    return np.where(cap <= r, cap, 2 * r + 1 - limit // cap)
+
+
+def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -> list[float]:
+    """The inner sums of one batch of prime sets, from one table of U(cap, S)
+    over every suffix S = (p, R...) of the batch's sets and every cap.
+
+    Rows run by first prime descending, so that R's row is filled before
+    S's; the last row is the empty suffix, prefix[cap].  A row's caps below
+    p are prefix[cap]; above, one column range per depth (the caps in
+    [p^d, p^(d+1))) takes U(cap, R) - w0(p) U(cap // p, S) from the range
+    below it, for all rows of one p at once.  That is the one float
+    operation the recursive expansion does per (cap, S), so each value is
+    the recursion's, bit for bit.
+    """
+    suffixes = sorted({s[j:] for s in prime_sets for j in range(len(s))}, key=lambda s: -s[0])
+    row = {s: i for i, s in enumerate(suffixes)}
+    tail = np.array([row.get(s[1:], -1) for s in suffixes], dtype=np.int64)
+    table = np.empty((len(suffixes) + 1, len(caps)))
+    table[-1] = prefix[caps]
+    # a prime past limit divides no cap: limit + 1 stands for it
+    first = [min(s[0], limit + 1) for s in suffixes]
+    starts = [i for i, p in enumerate(first) if i == 0 or p != first[i - 1]]
+    for lo, hi in zip(starts, starts[1:] + [len(first)]):
+        p = first[lo]
+        # the first column of each depth
+        powers = [p]
+        while powers[-1] <= limit:
+            powers.append(powers[-1] * p)
+        bounds = np.searchsorted(caps, powers).tolist()
+        table[lo:hi, : bounds[0]] = table[-1, : bounds[0]]
         w0 = (1.0 - 2.0 * p) / (p * p * p)
-        hit = _coprime_weight_sum(cap, avoid[1:], prefix, memo) - w0 * _coprime_weight_sum(
-            cap // p, avoid, prefix, memo
-        )
-        memo[key] = hit
-    return hit
+        for c0, c1 in zip(bounds[:-1], bounds[1:]):
+            child = _column(limit, caps[c0:c1] // p)
+            table[lo:hi, c0:c1] = table[tail[lo:hi], c0:c1] - w0 * table[lo:hi, child]
+
+    # every subset of each set's primes with product q <= limit, as
+    # (owner, q, coef) in ascending mask order: the entries of mask bit i
+    # follow those without it, so the list stays sorted by mask, then owner.
+    # No subset with the padding prime limit + 1 qualifies
+    width = max(map(len, prime_sets))
+    padded = np.array(
+        [[min(p, limit + 1) for p in s] + [limit + 1] * (width - len(s)) for s in prime_sets],
+        dtype=np.int64,
+    )
+    owner = np.arange(len(prime_sets))
+    q = np.ones(len(owner), dtype=np.int64)
+    coef = np.ones(len(owner))
+    mask = np.zeros(len(owner), dtype=np.int64)
+    for i in range(width):
+        p = padded[owner, i]
+        keep = q * p <= limit
+        p = p[keep]
+        owner = np.concatenate((owner, owner[keep]))
+        q = np.concatenate((q, q[keep] * p))
+        coef = np.concatenate((coef, coef[keep] * (-1.0 / (p * p))))
+        mask = np.concatenate((mask, mask[keep] | 1 << i))
+    rows = np.array([row.get(s, -1) for s in prime_sets], dtype=np.int64)
+    terms = coef * table[rows[owner], _column(limit, limit // q)]
+    # each set's terms added one mask at a time, in ascending order
+    totals = np.zeros(len(prime_sets))
+    runs = np.flatnonzero(np.diff(mask)) + 1
+    for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(mask)]):
+        totals[owner[lo:hi]] += terms[lo:hi]
+    return totals.tolist()
 
 
-def _inner_sum(limit: int, primes: tuple[int, ...]) -> float:
+def _inner_sums(limit: int, prime_sets: list) -> list[float]:
     """Sum of the C1 weights over squarefree m <= limit, where the primes of
-    a1 a2 carry weight -1/p^2 and every other prime its sieved weight."""
+    a1 a2 carry weight -1/p^2 and every other prime its sieved weight, for
+    each prime set (ascending tuple) of prime_sets.
+
+    The sieved prefix counts all squarefree m, so each avoided prime is
+    stripped by the alternating expansion U(cap, S) = U(cap, R) -
+    w0(p) U(cap // p, S) over S = (p, R...), U(cap, S) = prefix[cap] once
+    cap < p; the inner sum adds coef U(limit // prod, primes) over the
+    subsets of primes with prod <= limit, coef = prod of -1/p^2, in
+    ascending mask order.  The sets go to _sweep in batches, sets that
+    share suffixes together, each batch's table within C1_SWEEP_CELLS.
+    """
     prefix = _c1_weight_prefix(limit)
-    k = len(primes)
-    memo: dict = {}
-    total = 0.0
-    for s_mask in range(1 << k):
-        prod_s = 1
-        coef_s = 1.0
-        for i in range(k):
-            if s_mask >> i & 1:
-                p = primes[i]
-                prod_s *= p
-                coef_s *= -1.0 / (p * p)
-        if prod_s > limit:
-            continue
-        total += coef_s * _coprime_weight_sum(limit // prod_s, primes, prefix, memo)
-    return total
+    caps = _cap_columns(limit)
+    out = [0.0] * len(prime_sets)
+    for batch in _batches(prime_sets, max(1, C1_SWEEP_CELLS // len(caps) - 1)):
+        sums = _sweep(limit, [prime_sets[i] for i in batch], prefix, caps)
+        for i, value in zip(batch, sums):
+            out[i] = value
+    return out
+
+
+def _batches(prime_sets: list, rows: int):
+    """Yield lists of indices into prime_sets, in the order of the sets'
+    reversed tuples, so that sets sharing suffixes come together; a batch
+    holds at most rows distinct suffixes, or a single set."""
+    batch: list[int] = []
+    suffixes: set = set()
+    for i in sorted(range(len(prime_sets)), key=lambda i: prime_sets[i][::-1]):
+        own = {prime_sets[i][j:] for j in range(len(prime_sets[i]))}
+        new = own - suffixes
+        if batch and len(suffixes) + len(new) > rows:
+            yield batch
+            batch, suffixes, new = [], set(), own
+        batch.append(i)
+        suffixes |= new
+    if batch:
+        yield batch
 
 
 def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1Estimate:
@@ -418,10 +536,11 @@ def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1E
         return hit
     t = config.c1_cutoff
     m = a1 * a2
-    primes = _prime_factors(m)
+    primes = _pair_primes(a1, a2)
     inner = _c1_inner_cache.get((t, primes))
     if inner is None:
-        inner = _c1_inner_cache[(t, primes)] = _inner_sum(t, primes)
+        (inner,) = _inner_sums(t, [primes])
+        _c1_inner_cache[(t, primes)] = inner
     phi_m = m  # phi(a1) phi(a2) = phi(a1 a2) for coprime a1, a2
     for p in primes:
         phi_m -= phi_m // p
@@ -467,6 +586,12 @@ def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
     return e
 
 
+def _coprime_cofactors(s: int) -> list[int]:
+    """The a1 <= s with gcd(a1, s + 1) = 1, ascending: the coprime pairs
+    (a1, s + 1 - a1) with a1 + a2 - 1 = s."""
+    return [a for a in range(1, s + 1) if math.gcd(a, s + 1) == 1]
+
+
 def _s_infinity_walk(alpha: float, config: TruncationConfig):
     """Yield the truncated S_infinity one s = a1 + a2 - 1 at a time, as
     (s, a1, a2, blocks).
@@ -483,7 +608,7 @@ def _s_infinity_walk(alpha: float, config: TruncationConfig):
     """
     emax = _enumeration_depth(alpha, config)
     for s in range(1, emax + 1):
-        a1 = np.array([a for a in range(1, s + 1) if math.gcd(a, s + 1) == 1], dtype=np.int64)
+        a1 = np.array(_coprime_cofactors(s), dtype=np.int64)
         a2 = s + 1 - a1
         col = np.arange(s + 1, dtype=np.int64)
         points = np.where(col <= a2[:, None], a1[:, None] * col, a2[:, None] * (col - a2[:, None]))
@@ -546,6 +671,23 @@ def _dropped_bounds(alpha: float, emax: int, config: TruncationConfig) -> tuple[
     return err_j, err_j3
 
 
+def _sweep_missing_inner_sums(emax: int, t: int):
+    """Cache, from one _inner_sums call, the C1 inner sum of every prime set
+    that the pairs with a1 + a2 - 1 <= emax would evaluate in c1_constant:
+    those of the pairs whose C1 at cutoff t is not cached, where the inner
+    sum is not cached either."""
+    missing = {}  # the distinct prime sets, in first-seen order
+    for s in range(1, emax + 1):
+        for x in _coprime_cofactors(s):
+            if (x, s + 1 - x, t) not in _c1_value_cache:
+                primes = _pair_primes(x, s + 1 - x)
+                if (t, primes) not in _c1_inner_cache:
+                    missing[primes] = None
+    if missing:
+        for primes, inner in zip(missing, _inner_sums(t, list(missing))):
+            _c1_inner_cache[(t, primes)] = inner
+
+
 def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
     """The limiting variance constant
 
@@ -557,18 +699,20 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
     e0 = s j3 onwards, so one numpy pass over the (s, j3) block of the walk
     gives every triple's weighted sum as a row sum; each is multiplied once
     by C1 and once by its tail error, and math.fsum combines the products.
-    C1 is looked up once per pair.  truncation_error accounts the C1 tail
-    of every summed term plus geometric bounds on the dropped (j1, j2) and
-    j3 ranges, each using sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
+    C1 is looked up once per pair, its inner sum swept before the walk.
+    truncation_error accounts the C1 tail of every summed term plus
+    geometric bounds on the dropped (j1, j2) and j3 ranges, each using
+    sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
     """
     if config is None:
         config = TruncationConfig()
     emax = _enumeration_depth(alpha, config)
     beta = 1.0 - alpha
-    pb = np.array([_powi(beta, k) for k in range(emax + 1)])
+    pb = _powers(beta, emax + 1)
+    evals_before = len(_c1_inner_cache)
+    _sweep_missing_inner_sums(emax, config.c1_cutoff)
     values, tails = [], []
     n_terms = 0
-    evals_before = len(_c1_inner_cache)
     for s, a1, a2, blocks in _s_infinity_walk(alpha, config):
         c1 = [c1_constant(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
         c1_value = np.array([est.value for est in c1])

@@ -23,3 +23,8 @@ C1_PAIR_ENVELOPE_K = 0.05
 # 0.103 across coprime pairs up to 7x30 and T in {10^3, 10^4, 10^5} with the
 # shipped tail coefficient; the estimate must stay an upper bound (ratio < 1)
 C1_TAIL_RATIO_MAX = 1.0
+
+# tracemalloc peak of v_alpha(0.1) from empty C1 caches, in MiB: measured
+# 10.02 with the recursive C1 inner sum and 10.02 with the batched sweep
+# (C1_SWEEP_CELLS = 2^18); the bound is the former plus 10%
+V_ALPHA_0_1_PEAK_MIB = 11.0

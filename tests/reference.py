@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from qlcm.arith import primes_up_to
+from qlcm import moments
+from qlcm.arith import check_point, primes_up_to
 from qlcm.moments import (
     TruncationConfig,
     VAlphaEstimate,
-    _c1_inner_cache,
+    _c1_weight_prefix,
     _dropped_bounds,
     _enumeration_depth,
     _powi,
@@ -85,6 +86,64 @@ def dense_variance_rational(n: int, alpha: Fraction, tables) -> Fraction:
                 * _powi(beta, j1 + j2 - j3)
                 * (1 - _powi(beta, j3))
             )
+    return total
+
+
+def expectation_grouped_loop(n: int, alpha: float, tables) -> float:
+    """E[X] as alpha * sum over j <= n of beta^(j-1) Phi(n/j) minus 1 - beta^n,
+    one _powi per j, stopping at the first power that is 0.0."""
+    check_point(n, alpha, tables)
+    alpha = float(alpha)
+    beta = 1.0 - alpha
+    prefix = np.cumsum(tables.phi[: n + 1])
+    terms = []
+    for j in range(1, n + 1):
+        bj = _powi(beta, j - 1)
+        if bj == 0.0:
+            break
+        terms.append(bj * float(prefix[n // j]))
+    return alpha * math.fsum(terms) - (1.0 - _powi(beta, n))
+
+
+def _coprime_weight_sum(cap: int, avoid: tuple, prefix: np.ndarray, memo: dict) -> float:
+    """Sum of the sieved C1 weights over squarefree m <= cap coprime to every
+    prime in avoid (ascending), by U(cap, S) = U(cap, S - {p}) - w0(p)
+    U(cap/p, S), p = avoid[0], memoized per (cap, avoid)."""
+    if cap <= 0:
+        return 0.0
+    if not avoid or cap < avoid[0]:
+        return float(prefix[cap])
+    key = (cap, avoid)
+    hit = memo.get(key)
+    if hit is None:
+        p = avoid[0]
+        w0 = (1.0 - 2.0 * p) / (p * p * p)
+        hit = _coprime_weight_sum(cap, avoid[1:], prefix, memo) - w0 * _coprime_weight_sum(
+            cap // p, avoid, prefix, memo
+        )
+        memo[key] = hit
+    return hit
+
+
+def inner_sum_recursive(limit: int, primes: tuple) -> float:
+    """The C1 inner sum of one prime set: coef * U(limit // prod, primes)
+    over every subset of primes with prod <= limit, in ascending mask order,
+    through the memoized recursion."""
+    prefix = _c1_weight_prefix(limit)
+    k = len(primes)
+    memo: dict = {}
+    total = 0.0
+    for s_mask in range(1 << k):
+        prod_s = 1
+        coef_s = 1.0
+        for i in range(k):
+            if s_mask >> i & 1:
+                p = primes[i]
+                prod_s *= p
+                coef_s *= -1.0 / (p * p)
+        if prod_s > limit:
+            continue
+        total += coef_s * _coprime_weight_sum(limit // prod_s, primes, prefix, memo)
     return total
 
 
@@ -288,7 +347,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
     pb = np.array([_powi(beta, k) for k in range(emax + 1)])
     values, tails = [], []
     n_terms = 0
-    evals_before = len(_c1_inner_cache)
+    evals_before = len(moments._c1_inner_cache)
     for a1 in range(1, emax + 1):
         for a2 in range(1, emax - a1 + 2):
             if math.gcd(a1, a2) != 1:
@@ -313,7 +372,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
         truncation_error=math.fsum(tails) + err_j + err_j3,
         terms=n_terms,
         triples=len(values),
-        c1_inner_evals=len(_c1_inner_cache) - evals_before,
+        c1_inner_evals=len(moments._c1_inner_cache) - evals_before,
     )
 
 

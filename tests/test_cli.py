@@ -777,16 +777,23 @@ def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
     # each repeat clears the suite's caches first: three repeats end with the
     # cache state of one, not with two repeats of cached lookups on top.  The
     # C1 caches are dicts, whose sizes a warm repeat would leave as they are,
-    # so their state also counts the C1 inner sums evaluated per repeat
+    # so their state also counts the prime sets whose C1 inner sums are
+    # evaluated per repeat
     inner_sums = []
-    inner_sum = moments._inner_sum
-    monkeypatch.setattr(moments, "_inner_sum", lambda *a: inner_sums.append(a) or inner_sum(*a))
+    sweep = moments._inner_sums
+
+    def counted(limit, prime_sets):
+        inner_sums.extend(prime_sets)
+        return sweep(limit, prime_sets)
+
+    monkeypatch.setattr(moments, "_inner_sums", counted)
 
     def oracle_caches(repeat):
         return [f.cache_info() for f in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic)]
 
     def c1_caches(repeat):
-        caches = (moments._c1_prefix_cache, moments._c1_value_cache, moments._c1_inner_cache)
+        caches = (moments._c1_prefix_cache, moments._c1_value_cache, moments._c1_inner_cache,
+                  moments._c1_factor_cache)
         return [len(c) for c in caches] + [len(inner_sums) / repeat]
 
     for suite, state, cold in (

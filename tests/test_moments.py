@@ -1,12 +1,13 @@
 """Exact moments, asymptotics, the C1 family, and the limiting variance v(alpha)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from calibration import C1_TAIL_RATIO_MAX, EXPECTATION_ENVELOPE_K
+from calibration import C1_TAIL_RATIO_MAX, EXPECTATION_ENVELOPE_K, V_ALPHA_0_1_PEAK_MIB
 from qlcm import moments
 from qlcm.arith import TABLE_LIMIT, build_tables
 from qlcm.errors import ResourceLimitError
@@ -32,7 +33,9 @@ from reference import (
     dense_variance,
     dense_variance_rational,
     euler_product_k,
+    expectation_grouped_loop,
     expectation_per_d_rational,
+    inner_sum_recursive,
     s_infinity_cells,
     v_alpha_per_term,
     v_alpha_per_triple,
@@ -43,6 +46,17 @@ ALPHAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
 
 def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.fixture
+def cold_c1(monkeypatch):
+    # empty C1 caches, whatever ran before in this process
+    for name in ("_c1_prefix_cache", "_c1_value_cache", "_c1_inner_cache", "_c1_factor_cache"):
+        monkeypatch.setattr(moments, name, {})
 
 
 def test_truncation_config_validation():
@@ -160,6 +174,30 @@ def test_grouped_equals_direct(tables_mid):
             assert rel_close(a, b), f"n={n} alpha={alpha}: {a} vs {b}"
 
 
+# every expect point of the benchmark's moments workload; at alpha = 0.5 and
+# 0.9 beta^(j-1) is 0.0 well before j = n at the larger n
+EXPECT_POINTS = [(n, a) for n in (10, 100, 1000, 10000) for a in (0.05, 0.5, 0.95)] + [
+    (n, a) for n in (100, 1000, 10000, 100000) for a in (0.1, 0.5, 0.9, 1.0)
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.5, 0.9, 0.95])
+def test_powers_match_powi(beta):
+    fast = moments._powers(beta, 20001)
+    assert hexes(fast) == hexes(moments._powi(beta, k) for k in range(20001))
+    assert len(moments._powers(beta, 0)) == 0 and moments._powers(beta, 1).tolist() == [1.0]
+
+
+def test_expectation_grouped_matches_loop(tables_big):
+    # bit for bit, with the stop at the first zero power: at (10^5, 0.5) it
+    # comes after the first 1,024 powers, at (20000, 0.05) after 4,096 of
+    # them, and at (10^4, 0.05) no power before j = n is 0.0
+    extra = [(1, 0.5), (2, 1.0), (1024, 0.5), (1100, 0.5), (20000, 0.05), (10**6, 0.3)]
+    for n, alpha in EXPECT_POINTS + extra:
+        fast = expectation_grouped(n, alpha, tables_big)
+        assert fast.hex() == expectation_grouped_loop(n, alpha, tables_big).hex(), (n, alpha)
+
+
 def test_asymptotic_examples():
     assert rel_close(expectation_asymptotic(100, 1.0), 3.0 / math.pi**2 * 100**2)
     assert expectation_asymptotic(50, 0.0) == 0.0
@@ -236,6 +274,78 @@ def test_c1_fast_path_matches_direct_sum(a1, a2):
         fast = c1_constant(a1, a2, TruncationConfig(c1_cutoff=cutoff)).value
         direct = c1_constant_direct(a1, a2, cutoff)
         assert rel_close(fast, direct), f"T={cutoff}: {fast} vs {direct}"
+
+
+def v_alpha_prime_sets(alpha):
+    emax = moments._enumeration_depth(alpha, TruncationConfig())
+    return sorted(
+        {moments._pair_primes(x, s + 1 - x)
+         for s in range(1, emax + 1) for x in moments._coprime_cofactors(s)}
+    )
+
+
+@pytest.mark.parametrize("limit", [2, 7, 1000, 10**5])
+def test_inner_sums_match_recursion(monkeypatch, limit):
+    # bit for bit against the memoized recursion over every prime set v(0.2)
+    # needs, the pair (1, 1)'s empty set among them: in one batch, in batches
+    # of 7 suffixes that split sets sharing a suffix (given in reverse
+    # order), and one set at a time
+    sets = v_alpha_prime_sets(0.2)
+    assert () in sets and len(sets) == 789
+    want = hexes(inner_sum_recursive(limit, primes) for primes in sets)
+    columns = len(moments._cap_columns(limit))
+    monkeypatch.setattr(moments, "C1_SWEEP_CELLS", 10**9)
+    assert len(list(moments._batches(sets, 10**9 // columns - 1))) == 1
+    assert hexes(moments._inner_sums(limit, sets)) == want
+    monkeypatch.setattr(moments, "C1_SWEEP_CELLS", 8 * columns)  # 7 suffixes a batch
+    assert len(list(moments._batches(sets, 7))) > 100
+    assert hexes(moments._inner_sums(limit, sets[::-1])) == want[::-1]
+    assert hexes(moments._inner_sums(limit, [primes])[0] for primes in sets) == want
+
+
+def test_inner_sums_primes_above_limit():
+    # a prime past the cutoff divides no cap, however large
+    for primes in [(3,), (2, 11), (2, 3, 10**9 + 7), (5, 2**61 - 1), (2, 3, 2**89 - 1)]:
+        for limit in (1, 2, 10, 1000):
+            (fast,) = moments._inner_sums(limit, [primes])
+            assert fast.hex() == inner_sum_recursive(limit, primes).hex(), (primes, limit)
+
+
+def test_pair_primes_merge_the_factorizations():
+    for a1, a2 in [(1, 1), (1, 12), (12, 35), (35, 12), (64, 81), (97, 2 * 3 * 5 * 7)]:
+        want = tuple(p for p in range(2, a1 * a2 + 1)
+                     if (a1 * a2) % p == 0 and all(p % q for q in range(2, p)))
+        assert moments._pair_primes(a1, a2) == want, (a1, a2)
+
+
+def test_v_alpha_fills_the_inner_cache_the_walk_needs(cold_c1):
+    # the sweep before the walk evaluates the prime sets of exactly the pairs
+    # whose C1 is not cached yet, to the values one set at a time gives
+    est = v_alpha(0.3)
+    swept = dict(moments._c1_inner_cache)
+    assert est.c1_inner_evals == len(swept) == 327
+    assert est.triples - est.c1_inner_evals == 2777
+    moments._c1_inner_cache.clear()
+    moments._c1_value_cache.clear()
+    ref = v_alpha_per_triple(0.3)  # one c1_constant, one set, at a time
+    assert ref.c1_inner_evals == est.c1_inner_evals
+    assert {k: v.hex() for k, v in moments._c1_inner_cache.items()} == {
+        k: v.hex() for k, v in swept.items()
+    }
+    # C1 values cached, inner sums not: the walk would evaluate none
+    moments._c1_inner_cache.clear()
+    assert v_alpha(0.3).c1_inner_evals == 0 and not moments._c1_inner_cache
+
+
+def test_v_alpha_memory_at_alpha_0_1(cold_c1):
+    # the sweep's table holds at most C1_SWEEP_CELLS values
+    tracemalloc.start()
+    try:
+        v_alpha(0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < V_ALPHA_0_1_PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_c1_weight_prefix_matches_per_prime_sieve():
