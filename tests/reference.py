@@ -8,6 +8,7 @@ import numpy as np
 
 from qlcm import moments
 from qlcm.arith import check_point, primes_up_to
+from qlcm.model import ExactDistribution, _subset_counts
 from qlcm.moments import (
     TruncationConfig,
     VAlphaEstimate,
@@ -20,23 +21,24 @@ from qlcm.moments import (
 from qlcm.qpoly import ONE, ZERO, IntPoly, _primitive, poly_divexact, poly_gcd, poly_mul, q_analog
 
 
-def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
-    """V[X] as the dense double sum over every pair 1 < d1, d2 <= n of
+def dense_variance(n: int, alphas, tables, block_rows: int = 96) -> list[float]:
+    """V[X] at each alpha of alphas as the dense double sum over every pair
+    1 < d1, d2 <= n of
 
         phi(d1) phi(d2) beta^(j1 + j2 - j3) (1 - beta^j3),
 
     j3 = floor(n / lcm(d1, d2)), pairs with lcm > n included (they add
     zero).  Walks the upper triangle in row blocks, off-diagonal pairs
-    counted twice, and reduces the rows in fixed order through a Kahan
-    accumulator.  O(n^2) time; meant for n up to a few thousand.
+    counted twice; each block's alpha-free grid (j3, the exponents, the phi
+    products and the triangle factor) is built once for all alphas, and each
+    alpha reduces its rows in fixed order through its own Kahan accumulator.
+    O(n^2) time; meant for n up to a few thousand.
     """
     if n < 2:
-        return 0.0
-    beta = 1.0 - float(alpha)
-    pb = np.power(beta, np.arange(2 * n + 1, dtype=np.float64))
+        return [0.0] * len(alphas)
+    pbs = [np.power(1.0 - float(alpha), np.arange(2 * n + 1, dtype=np.float64)) for alpha in alphas]
     phi_f = tables.phi[: n + 1].astype(np.float64)
-    total = 0.0
-    comp = 0.0
+    totals = [[0.0, 0.0] for _ in alphas]  # (total, compensation) per alpha
     for r0 in range(2, n + 1, block_rows):
         r1 = min(r0 + block_rows - 1, n)
         rows = np.arange(r0, r1 + 1, dtype=np.int64)
@@ -45,19 +47,42 @@ def dense_variance(n: int, alpha: float, tables, block_rows: int = 96) -> float:
         lcm = (rows[:, None] // g) * cols[None, :]
         j3 = n // lcm
         e = (n // rows)[:, None] + (n // cols)[None, :] - j3
-        w = pb[e] * (1.0 - pb[j3])
-        terms = (phi_f[rows])[:, None] * (phi_f[cols])[None, :] * w
+        phi2 = (phi_f[rows])[:, None] * (phi_f[cols])[None, :]
         # upper triangle doubled, diagonal once, lower (cols < row) dropped
         factor = (cols[None, :] > rows[:, None]).astype(np.float64) + (
             cols[None, :] >= rows[:, None]
         )
-        row_sums = (terms * factor).sum(axis=1)
-        for s in row_sums:
-            y = float(s) - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
+        for pb, acc in zip(pbs, totals):
+            w = pb[e] * (1.0 - pb[j3])
+            row_sums = (phi2 * w * factor).sum(axis=1)
+            for s in row_sums:
+                y = float(s) - acc[1]
+                t = acc[0] + y
+                acc[1] = (t - acc[0]) - y
+                acc[0] = t
+    return [total for total, _ in totals]
+
+
+def enumerate_exact_fraction(n: int, alpha, tables) -> ExactDistribution:
+    """The exact distribution over all 2^n sets in Fractions: each walk
+    count of (degree, set size s) weighted by alpha^s (1 - alpha)^(n - s),
+    the pmf, mean and variance summed as Fractions."""
+    a = Fraction(alpha)
+    counts = _subset_counts(n, tuple(int(x) for x in tables.phi[: n + 1]))
+    b = 1 - a
+    wt = [a**s * b ** (n - s) for s in range(n + 1)]
+    pmf: dict[int, Fraction] = {}
+    for x, s, c in counts:
+        w = c * wt[s]
+        if w:
+            pmf[x] = pmf.get(x, Fraction(0)) + w
+    mean = sum((Fraction(x) * p for x, p in pmf.items()), Fraction(0))
+    second = sum((Fraction(x * x) * p for x, p in pmf.items()), Fraction(0))
+    return ExactDistribution(
+        pmf=dict(sorted(pmf.items())),
+        mean=mean,
+        variance=second - mean * mean,
+    )
 
 
 def expectation_per_d_rational(n: int, alpha: Fraction, tables) -> Fraction:
@@ -315,7 +340,8 @@ def s_infinity_cells(alpha: float, config: TruncationConfig | None = None):
 
 def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tuple[float, int]:
     """(v(alpha), member count) summed one S_infinity member at a time over
-    s_infinity_cells through a Kahan accumulator, C1 looked up per member."""
+    s_infinity_cells through a Kahan accumulator, C1 evaluated once per
+    pair."""
     if config is None:
         config = TruncationConfig()
     beta = 1.0 - alpha
@@ -324,10 +350,13 @@ def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tu
     total = 0.0
     comp = 0.0
     n_terms = 0
+    c1 = {}  # C1 of each pair, looked up once
     for a1, a2, j1, j2, j3, m1, m2 in s_infinity_cells(alpha, config):
         w = pb[j1 + j2 - j3] * (1.0 - pb[j3])
         drho = 1.0 / (m2 * m2 * m2) - 1.0 / (m1 * m1 * m1)
-        y = w * c1_constant(a1, a2, config).value * drho - comp
+        if (a1, a2) not in c1:
+            c1[a1, a2] = c1_constant(a1, a2, config).value
+        y = w * c1[a1, a2] * drho - comp
         t = total + y
         comp = (t - total) - y
         total = t

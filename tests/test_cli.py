@@ -82,6 +82,28 @@ def test_timing_records_trail_science(capsys):
     assert all(json.loads(ln)["type"] == "report" for ln in out)
 
 
+def test_timing_records_carry_peak_rss_and_variance_pairs(capsys):
+    # every timing record ends with the process's peak RSS; a variance
+    # record also counts the ordered pairs (d1, d2) its sum visited, those
+    # with lcm <= n; science records carry neither and do not change
+    argv = ["variance", "--n", "2,30", "--alpha", "0.5"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    recs = [json.loads(ln) for ln in out]
+    reports = [r for r in recs if r["type"] == "report"]
+    timings = [r for r in recs if r["type"] == "timing"]
+    assert len(reports) == 2 and len(timings) == 3
+    for tm in timings:
+        assert list(tm)[-1] == "peak_rss_kib" and tm["peak_rss_kib"] > 0
+    assert timings[0]["phase"] == "tables" and "pairs" not in timings[0]
+    for n, tm in zip((2, 30), timings[1:]):
+        want = sum(1 for d1 in range(2, n + 1) for d2 in range(2, n + 1) if math.lcm(d1, d2) <= n)
+        assert tm["phase"] == f"variance n={n} alpha=0.5" and tm["pairs"] == want
+    assert not any({"pairs", "peak_rss_kib"} & set(r) for r in reports)
+    _, quiet, _ = run_cli(capsys, argv + ["--no-timings"])
+    assert quiet == out[:2]
+
+
 def test_grid_order_n_outer_alpha_inner(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -696,7 +718,7 @@ def test_vfun_records(capsys):
 
 def test_vfun_timing_counters(capsys, monkeypatch):
     # from empty C1 caches, whatever ran before in this process
-    for name in ("_c1_prefix_cache", "_c1_value_cache", "_c1_inner_cache"):
+    for name in ("_c1_prefix_cache", "_c1_inner_cache"):
         monkeypatch.setattr(moments, name, {})
     code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5"])
     assert code == 0 and len(out) == 2
@@ -792,8 +814,7 @@ def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
         return [f.cache_info() for f in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic)]
 
     def c1_caches(repeat):
-        caches = (moments._c1_prefix_cache, moments._c1_value_cache, moments._c1_inner_cache,
-                  moments._c1_factor_cache)
+        caches = (moments._c1_prefix_cache, moments._c1_inner_cache, moments._c1_factor_cache)
         return [len(c) for c in caches] + [len(inner_sums) / repeat]
 
     for suite, state, cold in (

@@ -15,7 +15,7 @@ from qlcm.arith import build_tables
 from qlcm.errors import ResourceLimitError
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo, sample_set
 from qlcm.qpoly import lcm_degree_oracle
-from reference import draw_by_generator, plane_rows
+from reference import draw_by_generator, enumerate_exact_fraction, plane_rows
 
 
 def bits_of(members, n):
@@ -406,6 +406,19 @@ def test_enumerate_exact_result_does_not_alias_the_cache(tables_small):
     first.pmf.clear()
     first.pmf[-1] = Fraction(1)
     assert enumerate_exact(n, alpha, tables_small).pmf == want
+
+
+def test_enumerate_exact_matches_fraction_oracle(tables_small):
+    # integer numerators over q^n against the same walk weighed in Fractions:
+    # the pmf (order included), mean and variance are the same Fractions
+    for n in range(1, 15):
+        for alpha in (0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+                      Fraction(7, 10), 1):
+            dist = enumerate_exact(n, alpha, tables_small)
+            ref = enumerate_exact_fraction(n, alpha, tables_small)
+            assert list(dist.pmf.items()) == list(ref.pmf.items()), (n, alpha)
+            assert (dist.mean, dist.variance) == (ref.mean, ref.variance), (n, alpha)
+            assert all(type(x) is Fraction for x in (*dist.pmf.values(), dist.mean, dist.variance))
 
 
 def test_enumerate_exact_validation(tables_small):

@@ -55,7 +55,7 @@ def hexes(values):
 @pytest.fixture
 def cold_c1(monkeypatch):
     # empty C1 caches, whatever ran before in this process
-    for name in ("_c1_prefix_cache", "_c1_value_cache", "_c1_inner_cache", "_c1_factor_cache"):
+    for name in ("_c1_prefix_cache", "_c1_inner_cache", "_c1_factor_cache"):
         monkeypatch.setattr(moments, name, {})
 
 
@@ -165,6 +165,17 @@ def test_rational_moments_match_reference_sums(tables_small):
             assert v == dense_variance_rational(n, alpha, tables_small), (n, alpha)
 
 
+def test_rational_moments_at_a_large_denominator(tables_small):
+    # alpha = p/q with both primes near 10^9: the numerators over q^30 run to
+    # about 270 digits, against the Fraction sums
+    alpha = Fraction(999999937, 1000000007)
+    e = expectation_exact(30, alpha, tables_small, exact=True)
+    v = variance_exact(30, alpha, tables_small, exact=True)
+    assert e == expectation_per_d_rational(30, alpha, tables_small)
+    assert v == dense_variance_rational(30, alpha, tables_small)
+    assert v.denominator > 10**200
+
+
 def test_grouped_equals_direct(tables_mid):
     assert rel_close(expectation_grouped(2, 0.5, tables_mid), 0.5)
     for n in (10, 100, 1000, 10000):
@@ -234,11 +245,10 @@ def test_variance_validation(tables_small):
 
 def test_variance_matches_dense_oracle(tables_mid):
     # the lcm <= n pair walk against the dense double sum over all n^2 pairs
+    alphas = [tenth / 10 for tenth in range(11)]
     for n in (2, 3, 10, 100, 500, 1000, 2000):
-        for tenth in range(11):
-            alpha = tenth / 10
+        for alpha, ref in zip(alphas, dense_variance(n, alphas, tables_mid)):
             v = variance_exact(n, alpha, tables_mid)
-            ref = dense_variance(n, alpha, tables_mid)
             assert rel_close(v, ref), f"n={n} alpha={alpha}: {v!r} vs dense {ref!r}"
 
 
@@ -320,21 +330,21 @@ def test_pair_primes_merge_the_factorizations():
 
 def test_v_alpha_fills_the_inner_cache_the_walk_needs(cold_c1):
     # the sweep before the walk evaluates the prime sets of exactly the pairs
-    # whose C1 is not cached yet, to the values one set at a time gives
+    # whose inner sum is not cached yet, to the values one set at a time gives
     est = v_alpha(0.3)
-    swept = dict(moments._c1_inner_cache)
+    swept = {k: v.hex() for k, v in moments._c1_inner_cache.items()}
     assert est.c1_inner_evals == len(swept) == 327
     assert est.triples - est.c1_inner_evals == 2777
     moments._c1_inner_cache.clear()
-    moments._c1_value_cache.clear()
     ref = v_alpha_per_triple(0.3)  # one c1_constant, one set, at a time
     assert ref.c1_inner_evals == est.c1_inner_evals
-    assert {k: v.hex() for k, v in moments._c1_inner_cache.items()} == {
-        k: v.hex() for k, v in swept.items()
-    }
-    # C1 values cached, inner sums not: the walk would evaluate none
-    moments._c1_inner_cache.clear()
-    assert v_alpha(0.3).c1_inner_evals == 0 and not moments._c1_inner_cache
+    assert {k: v.hex() for k, v in moments._c1_inner_cache.items()} == swept
+    # all but ten inner sums cached: the walk evaluates those ten, then none
+    for key in list(swept)[:10]:
+        del moments._c1_inner_cache[key]
+    assert v_alpha(0.3).c1_inner_evals == 10
+    assert {k: v.hex() for k, v in moments._c1_inner_cache.items()} == swept
+    assert v_alpha(0.3).c1_inner_evals == 0
 
 
 def test_v_alpha_memory_at_alpha_0_1(cold_c1):
@@ -478,14 +488,47 @@ def test_v_alpha_matches_per_term_sum(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8])
-def test_v_alpha_matches_per_triple_sum(alpha):
-    # one numpy pass per (s, j3) against one triple at a time: the row sums
+def test_v_alpha_matches_per_triple_sum(cold_c1, alpha):
+    # one numpy pass per (s, j3) and one C1 vector pass against one triple
+    # and one c1_constant at a time, each from cold inner sums: the row sums
     # are the same pairwise sums, so every field is bit-identical
     est = v_alpha(alpha)
+    moments._c1_inner_cache.clear()
     ref = v_alpha_per_triple(alpha)
     assert est.value == ref.value
     assert est.truncation_error == ref.truncation_error
     assert (est.terms, est.triples) == (ref.terms, ref.triples)
+    assert est.c1_inner_evals == ref.c1_inner_evals > 0
+
+
+@pytest.mark.parametrize("cutoff", [1000, 300000])
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.8])
+def test_c1_pairs_match_c1_constant(alpha, cutoff):
+    # the vector pass against the scalar path, bit for bit, at every pair
+    # v_alpha takes C1 of
+    config = TruncationConfig(c1_cutoff=cutoff)
+    _, a1, a2 = moments._coprime_pairs(moments._enumeration_depth(alpha, config))
+    assert len(a1) > 100 and all(math.gcd(x, y) == 1 for x, y in zip(a1.tolist(), a2.tolist()))
+    value, tail, _ = moments._c1_pairs(a1, a2, cutoff)
+    scalar = [c1_constant(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
+    assert hexes(value) == [est.value.hex() for est in scalar]
+    assert hexes(tail) == [est.tail_error.hex() for est in scalar]
+
+
+def test_radical_sigma_matches_divisors():
+    # the multiplicative sieve against every divisor d added into sigma and
+    # every prime d multiplied into rad at its multiples, prime powers up to
+    # 2^11 and primes past the square root included
+    limit = 3000
+    rad, sigma = moments._radical_sigma(limit)
+    want_rad = np.ones(limit + 1, dtype=np.int64)
+    want_sigma = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        want_sigma[d::d] += d
+        if d > 1 and all(d % q for q in range(2, math.isqrt(d) + 1)):
+            want_rad[d::d] *= d
+    assert np.array_equal(rad[1:], want_rad[1:])
+    assert np.array_equal(sigma[1:], want_sigma[1:])
 
 
 def test_s_infinity_rejects_endpoints():
@@ -511,6 +554,16 @@ def test_v_alpha_endpoints_rejected():
         v_alpha(0.0)
     with pytest.raises(ValueError):
         v_alpha(1.0)
+
+
+def test_v_alpha_with_no_members():
+    # beta below the tail tolerance keeps no exponent: no pair, no member,
+    # only the dropped-range bounds
+    alpha = 1.0 - 1e-13
+    assert moments._enumeration_depth(alpha, TruncationConfig()) == 0
+    est = v_alpha(alpha)
+    assert (est.value, est.terms, est.triples, est.c1_inner_evals) == (0.0, 0, 0, 0)
+    assert 0.0 < est.truncation_error < 1e-12
 
 
 def test_v_alpha_deepening_consistency():
