@@ -460,20 +460,27 @@ def _report(spec: ExperimentSpec, body: dict, **head) -> dict:
     }
 
 
-def _grid(point):
+def _grid(point, row=None):
     """Records of a walk over the (n, alpha) grid: tables built once, n outer,
     alpha inner.  point(spec, tables, n, a, af, timer) returns a record's
-    body and times its core work under ``timer``."""
+    body and times its core work under ``timer``.  With a row step,
+    row(spec, tables, n, phases) first does and times the work of the whole
+    n row, returning one value per alpha, and point gets its alpha's value
+    in place of a timer."""
 
     def records(spec: ExperimentSpec, phases):
         with _timed(phases, "tables") as counters:
             tables = arith.build_tables(max(spec.n_values))
             counters["table_bytes"] = tables.nbytes
         for n in spec.n_values:
-            for a in spec.alphas:
+            if row is None:
+                per_alpha = [_timed(phases, f"{spec.command} n={n} alpha={float(a):g}")
+                             for a in spec.alphas]
+            else:
+                per_alpha = row(spec, tables, n, phases)
+            for a, x in zip(spec.alphas, per_alpha):
                 af = float(a)
-                timer = _timed(phases, f"{spec.command} n={n} alpha={af:g}")
-                yield _report(spec, point(spec, tables, n, a, af, timer), n=n, alpha=af)
+                yield _report(spec, point(spec, tables, n, a, af, x), n=n, alpha=af)
 
     return records
 
@@ -506,9 +513,33 @@ def _expect_point(spec, tables, n, a, af, timer):
     return body
 
 
-def _variance_point(spec, tables, n, a, af, timer):
-    with timer as counters:
-        v_exact = moments.variance_exact(n, af, tables, counters=counters)
+def _alpha_groups(n: int, alphas: tuple) -> list[tuple]:
+    """alphas split, in order, into groups whose float V[X] at n fits
+    VARIANCE_BYTES in one variance_exact call: each alpha past a group's
+    first adds a beta^k table of 8 (n + 1) bytes to _variance_bytes(n)."""
+    spare = max(VARIANCE_BYTES - moments._variance_bytes(n), 0)
+    size = 1 + spare // (8 * (n + 1))
+    return [alphas[i : i + size] for i in range(0, len(alphas), size)]
+
+
+def _variance_row(spec, tables, n, phases):
+    """(v_exact, v_rational) at each alpha of the n row: the float V[X] of
+    every alpha from one timed pair walk per group of alphas, and under
+    --exact the rational ones from one more walk (None without it)."""
+    afs = tuple(float(a) for a in spec.alphas)
+    name = f"variance n={n} alpha=" + ",".join(f"{af:g}" for af in afs)
+    with _timed(phases, name) as counters:
+        v_exact = []
+        for group in _alpha_groups(n, afs):
+            v_exact += moments.variance_exact(n, group, tables, counters=counters)
+    v_rat = [None] * len(afs)
+    if spec.exact:
+        v_rat = moments.variance_exact(n, tuple(spec.alphas), tables, exact=True)
+    return list(zip(v_exact, v_rat))
+
+
+def _variance_point(spec, tables, n, a, af, row_value):
+    v_exact, v_rat = row_value
     v_upper = moments.variance_upper_envelope(n, af)
     body = {
         "v_exact": v_exact,
@@ -516,7 +547,6 @@ def _variance_point(spec, tables, n, a, af, timer):
         "envelope_ratio": (v_exact / v_upper) if v_upper > 0 else 0.0,
     }
     if spec.exact:
-        v_rat = moments.variance_exact(n, a, tables, exact=True)
         _enumeration_check(body, "v_exact", v_rat, "variance", n, a, tables)
     return body
 
@@ -587,7 +617,7 @@ def _vfun_records(spec: ExperimentSpec, phases):
                 triples=est.triples,
                 members=est.terms,
                 c1_inner_evals=est.c1_inner_evals,
-                c1_cache_hits=est.triples - est.c1_inner_evals,
+                c1_cache_hits=est.c1_prime_sets - est.c1_inner_evals,
             )
         body = {
             "v_alpha": est.value,
@@ -705,7 +735,7 @@ COMMANDS = {
         "exact V[X] and the alpha*n^3 envelope",
         ("n", "exact", "alpha", *_OUTPUT),
         _check_variance,
-        _grid(_variance_point),
+        _grid(_variance_point, _variance_row),
     ),
     "simulate": Command(
         "Monte Carlo degree statistics",

@@ -263,35 +263,40 @@ def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> M
 
 @functools.lru_cache(maxsize=ENUMERATION_LIMIT)
 def _subset_counts(n: int, phi: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(x, size, count) over all 2^n subsets of 1..n: count sets of that size
-    have degree x.  Walks the subset lattice once, carrying the
-    covered-divisor mask; phi holds phi(0..n).  The counts do not depend on
-    alpha, so each n is walked once per process (n <= ENUMERATION_LIMIT
-    keeps the cache to that many entries)."""
-    divs = [[] for _ in range(n + 1)]
-    divmask = [0] * (n + 1)
+    """(x, size, count) over all 2^n subsets of 1..n, ascending in (x, size):
+    count sets of that size have degree x; phi holds phi(0..n).
+
+    The subsets of 1..k-1 are arrays of their covered-divisor mask (bit
+    d - 2 for divisor d, uint32 up to n = 33) and of the int32 key
+    x (n + 1) + size; adding k doubles them, the second half gaining the
+    phi of each divisor of k its mask does not cover yet.  The sets with
+    n are counted from the last halves without building them, so the
+    arrays hold at most 2^(n-1) sets: 8 bytes each, 16 MiB at n = 22.  The
+    counts do not depend on alpha, so each n is counted once per process
+    (n <= ENUMERATION_LIMIT keeps the cache to that many entries)."""
+    mask = np.zeros(1, dtype=np.uint32)
+    key = np.zeros(1, dtype=np.int32)
     for k in range(1, n + 1):
-        for d in range(2, k + 1):
-            if k % d == 0:
-                divs[k].append(d)
-                divmask[k] |= 1 << (d - 2)
-
-    counts: dict[tuple[int, int], int] = {}
-
-    def walk(k: int, cov: int, x: int, size: int):
-        if k > n:
-            key = (x, size)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        walk(k + 1, cov, x, size)
-        gain = 0
-        for d in divs[k]:
-            if not (cov >> (d - 2)) & 1:
-                gain += phi[d]
-        walk(k + 1, cov | divmask[k], x + gain, size + 1)
-
-    walk(1, 0, 0, 0)
-    return tuple((x, size, c) for (x, size), c in counts.items())
+        divisors = [d for d in range(2, k + 1) if k % d == 0]
+        gain = np.zeros(len(key), dtype=np.int32)
+        for d in divisors:
+            uncovered = (mask & np.uint32(1 << (d - 2))) == 0
+            np.add(gain, phi[d], out=gain, where=uncovered)
+        # the key of each set with k added: x + gain and size + 1
+        gain *= n + 1
+        gain += key
+        gain += 1
+        if k == n:
+            break
+        covers = np.uint32(sum(1 << (d - 2) for d in divisors))
+        mask = np.concatenate((mask, mask | covers))
+        key = np.concatenate((key, gain))
+    # x is at most the sum of phi(2..n), so every key is below top
+    top = (sum(phi[2:]) + 1) * (n + 1)
+    counts = np.bincount(key, minlength=top) + np.bincount(gain, minlength=top)
+    keys = np.flatnonzero(counts)
+    x, size = divmod(keys, n + 1)
+    return tuple(zip(x.tolist(), size.tolist(), counts[keys].tolist()))
 
 
 def enumerate_exact(n: int, alpha, tables: ArithTables) -> ExactDistribution:

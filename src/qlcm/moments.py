@@ -84,17 +84,18 @@ class VAlphaEstimate:
 
     truncation_error adds the C1 tails of every summed term to the bounds on
     the dropped (j1, j2) range and the dropped j3 > j3_max range.  terms
-    counts the members summed, triples the (j3, a1, a2) groups they came in
-    and c1_inner_evals the C1 inner sums evaluated for them: the distinct
-    prime sets of the pairs whose inner sum was not cached, all swept by
-    one _inner_sums call before the walk (the other triples' C1 came from
-    cached inner sums).
+    counts the members summed, triples the (j3, a1, a2) groups they came in,
+    c1_prime_sets the distinct prime sets (radicals a1 a2) of their pairs,
+    each with one C1 inner sum, and c1_inner_evals the inner sums evaluated
+    for them: those of the prime sets not cached yet, all swept by one
+    _inner_sums call before the walk (the others came from the cache).
     """
 
     value: float
     truncation_error: float
     terms: int
     triples: int
+    c1_prime_sets: int
     c1_inner_evals: int
 
 
@@ -277,38 +278,56 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     exact=True runs the same chunks over Python ints (object arrays): with
     e = j1 + j2 - j3, beta^e (1 - beta^j3) is (u[e] - u[e + j3]) / q^n in
     the numerators of _beta_numerators, since e + j3 = j1 + j2 <= n; the
-    integer total over q^n is returned as a Fraction.  A counters dict, when
-    given, receives "pairs", the ordered pairs (d1, d2) the sum visited.
+    integer total over q^n is returned as a Fraction.
+
+    alpha may be a tuple, for which a list of V in its order is returned:
+    the pairs, e and phi(d1) phi(d2) depend on n alone, so each chunk is
+    walked once for every alpha, and each alpha's value is bit for bit the
+    one of its own call.  A counters dict, when given, receives "pairs",
+    the ordered pairs (d1, d2) the walk visited.
     """
-    check_point(n, alpha, tables)
+    alphas = alpha if isinstance(alpha, tuple) else (alpha,)
+    for a in alphas:
+        check_point(n, a, tables)
     if exact:
-        u = np.array(_beta_numerators(n, alpha, "variance"), dtype=object)
+        # beta^k as the numerators u[k] over u[0] = q^n, one row per alpha
+        powers = [np.array(_beta_numerators(n, a, "variance"), dtype=object) for a in alphas]
         phi = tables.phi[: n + 1].astype(object)
     else:
         # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
-        pb = np.power(1.0 - float(alpha), np.arange(n + 1, dtype=np.float64))
+        powers = [np.power(1.0 - float(a), np.arange(n + 1, dtype=np.float64)) for a in alphas]
         phi = tables.phi[: n + 1].astype(np.float64)
-    terms = []
+    terms = [[] for _ in alphas]
     pairs = 0
     for d1, d2, j3, factor in _variance_pairs(n):
         e = n // d1 + n // d2 - j3
-        if exact:
-            w = phi[d1] * phi[d2] * (u[e] - u[e + j3])
-        else:
-            w = phi[d1] * phi[d2] * pb[e] * (1 - pb[j3])
-        terms.append(factor * w.sum())
+        w0 = phi[d1] * phi[d2]
+        # no product outlives its sum, and w0 is freed before the next chunk
+        # is built: a one-alpha call holds no more arrays than one product
+        for pw, t in zip(powers, terms):
+            if exact:
+                t.append(factor * (w0 * (pw[e] - pw[e + j3])).sum())
+            else:
+                t.append(factor * (w0 * pw[e] * (1 - pw[j3])).sum())
+        del w0
         pairs += factor * len(d1)
     if counters is not None:
         counters["pairs"] = pairs
-    return Fraction(sum(terms), u[0]) if exact else math.fsum(terms)
+    if exact:
+        out = [Fraction(sum(t), pw[0]) for pw, t in zip(powers, terms)]
+    else:
+        out = [math.fsum(t) for t in terms]
+    return out if isinstance(alpha, tuple) else out[0]
 
 
 def _variance_bytes(n: int) -> int:
     """An upper estimate of the bytes the float variance_exact allocates at
-    n beside the tables: 56 a unit of n (beta^k and phi as float64, the
-    arange np.power reads, and the arrays of the a = 1 run of the pair walk)
-    plus about ten chunk arrays of 8-byte elements.  Its tracemalloc peak
-    is 5.7 MB at n = 20000, 54 MB at 10^6 and 105 MB at 2*10^6."""
+    n beside the tables for one alpha: 56 a unit of n (beta^k and phi as
+    float64, the arange np.power reads, and the arrays of the a = 1 run of
+    the pair walk) plus about ten chunk arrays of 8-byte elements.  Its
+    tracemalloc peak is 5.7 MB at n = 20000, 54 MB at 10^6 and 105 MB at
+    2*10^6.  Each further alpha of one call adds its beta^k table,
+    8 (n + 1) bytes."""
     return 56 * (n + 1) + 80 * VARIANCE_CHUNK
 
 
@@ -589,10 +608,13 @@ def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1E
     return C1Estimate(value=value, tail_error=tail, cutoff=t)
 
 
-def _c1_pairs(a1: np.ndarray, a2: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(value, tail, evals): c1_constant's value and tail error at cutoff t
-    for every coprime pair of the int64 arrays a1, a2, bit for bit, and the
-    number of inner sums evaluated.
+def _c1_pairs(
+    a1: np.ndarray, a2: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(value, tail, sets, evals): c1_constant's value and tail error at
+    cutoff t for every coprime pair of the int64 arrays a1, a2, bit for bit,
+    the number of distinct radicals (prime sets) of the pairs and the number
+    of their inner sums evaluated, the rest being cached.
 
     phi(m), m = a1 a2, comes from build_tables and the radical and sigma(m)
     from _radical_sigma, both up to the largest m; the inner sum of each
@@ -616,7 +638,7 @@ def _c1_pairs(a1: np.ndarray, a2: np.ndarray, t: int) -> tuple[np.ndarray, np.nd
     inner = np.array([_c1_inner_cache[(t, r)] for r in rads.tolist()])[which]
     value = (phi / 3.0) * inner
     tail = (m / 3.0) * (sigma / m) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
-    return value, tail, len(missing)
+    return value, tail, len(rads), len(missing)
 
 
 def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
@@ -771,7 +793,7 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
     beta = 1.0 - alpha
     pb = _powers(beta, emax + 1)
     cofactors, a1, a2 = _coprime_pairs(emax)
-    c1_values, c1_tails, evals = _c1_pairs(a1, a2, config.c1_cutoff)
+    c1_values, c1_tails, sets, evals = _c1_pairs(a1, a2, config.c1_cutoff)
     values, tails = [], []
     n_terms = 0
     start = 0
@@ -798,5 +820,6 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
         truncation_error=math.fsum(tails) + err_j + err_j3,
         terms=n_terms,
         triples=len(values),
+        c1_prime_sets=sets,
         c1_inner_evals=evals,
     )

@@ -8,7 +8,7 @@ import numpy as np
 
 from qlcm import moments
 from qlcm.arith import check_point, primes_up_to
-from qlcm.model import ExactDistribution, _subset_counts
+from qlcm.model import ExactDistribution
 from qlcm.moments import (
     TruncationConfig,
     VAlphaEstimate,
@@ -63,12 +63,43 @@ def dense_variance(n: int, alphas, tables, block_rows: int = 96) -> list[float]:
     return [total for total, _ in totals]
 
 
+def subset_counts_walk(n: int, phi: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(x, size, count) over all 2^n subsets of 1..n, in walk order: count
+    sets of that size have degree x.  Walks the subset lattice once by
+    recursion, carrying the covered-divisor mask; phi holds phi(0..n)."""
+    divs = [[] for _ in range(n + 1)]
+    divmask = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for d in range(2, k + 1):
+            if k % d == 0:
+                divs[k].append(d)
+                divmask[k] |= 1 << (d - 2)
+
+    counts: dict[tuple[int, int], int] = {}
+
+    def walk(k: int, cov: int, x: int, size: int):
+        if k > n:
+            key = (x, size)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        walk(k + 1, cov, x, size)
+        gain = 0
+        for d in divs[k]:
+            if not (cov >> (d - 2)) & 1:
+                gain += phi[d]
+        walk(k + 1, cov | divmask[k], x + gain, size + 1)
+
+    walk(1, 0, 0, 0)
+    return tuple((x, size, c) for (x, size), c in counts.items())
+
+
 def enumerate_exact_fraction(n: int, alpha, tables) -> ExactDistribution:
-    """The exact distribution over all 2^n sets in Fractions: each walk
-    count of (degree, set size s) weighted by alpha^s (1 - alpha)^(n - s),
-    the pmf, mean and variance summed as Fractions."""
+    """The exact distribution over all 2^n sets in Fractions: each count of
+    subset_counts_walk's (degree, set size s) weighted by
+    alpha^s (1 - alpha)^(n - s), the pmf, mean and variance summed as
+    Fractions."""
     a = Fraction(alpha)
-    counts = _subset_counts(n, tuple(int(x) for x in tables.phi[: n + 1]))
+    counts = subset_counts_walk(n, tuple(int(x) for x in tables.phi[: n + 1]))
     b = 1 - a
     wt = [a**s * b ** (n - s) for s in range(n + 1)]
     pmf: dict[int, Fraction] = {}
@@ -376,6 +407,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
     pb = np.array([_powi(beta, k) for k in range(emax + 1)])
     values, tails = [], []
     n_terms = 0
+    radicals = set()
     evals_before = len(moments._c1_inner_cache)
     for a1 in range(1, emax + 1):
         for a2 in range(1, emax - a1 + 2):
@@ -383,6 +415,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
                 continue
             s = a1 + a2 - 1
             m = a1 * a2
+            radicals.add(math.prod(moments._pair_primes(a1, a2)))
             points = np.sort(np.concatenate(([0, m], np.arange(a1, m, a1), np.arange(a2, m, a2))))
             for j3 in range(1, min(config.j3_max, emax // s) + 1):
                 k = min(s, emax - s * j3 + 1)
@@ -401,6 +434,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
         truncation_error=math.fsum(tails) + err_j + err_j3,
         terms=n_terms,
         triples=len(values),
+        c1_prime_sets=len(radicals),
         c1_inner_evals=len(moments._c1_inner_cache) - evals_before,
     )
 

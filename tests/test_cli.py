@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qlcm import model, moments, qpoly
+from qlcm import cli, model, moments, qpoly
 from qlcm.arith import TABLE_LIMIT
 from qlcm.errors import ResourceLimitError
 from qlcm.cli import (
@@ -102,6 +102,73 @@ def test_timing_records_carry_peak_rss_and_variance_pairs(capsys):
     assert not any({"pairs", "peak_rss_kib"} & set(r) for r in reports)
     _, quiet, _ = run_cli(capsys, argv + ["--no-timings"])
     assert quiet == out[:2]
+
+
+@pytest.fixture
+def variance_calls(monkeypatch):
+    """The (n, alpha) of every moments.variance_exact call, in order."""
+    calls = []
+    real = moments.variance_exact
+
+    def spy(n, alpha, *args, **kwargs):
+        calls.append((n, alpha))
+        return real(n, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "variance_exact", spy)
+    return calls
+
+
+def test_variance_row_walks_once_per_n(capsys, variance_calls):
+    # every alpha of an n row comes from one variance_exact call, timed as
+    # one record whose phase lists the row's alphas
+    code, out, _ = run_cli(capsys, ["variance", "--n", "10,30", "--alpha", "0.25,0.5"])
+    assert code == 0
+    assert variance_calls == [(10, (0.25, 0.5)), (30, (0.25, 0.5))]
+    recs = [json.loads(ln) for ln in out]
+    assert [r["alpha"] for r in recs if r["type"] == "report"] == [0.25, 0.5] * 2
+    timings = [r for r in recs if r["type"] == "timing"]
+    assert [tm["phase"] for tm in timings] == [
+        "tables", "variance n=10 alpha=0.25,0.5", "variance n=30 alpha=0.25,0.5"]
+    for n, tm in zip((10, 30), timings[1:]):
+        want = sum(1 for d1 in range(2, n + 1) for d2 in range(2, n + 1) if math.lcm(d1, d2) <= n)
+        assert tm["pairs"] == want
+
+
+def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls):
+    # a budget that leaves room for two beta^k tables at n = 2000 splits the
+    # five alphas into groups of three and two, and changes no record but
+    # the times
+    argv = ["variance", "--n", "10,2000", "--alpha", "0.1,0.3,0.5,0.7,0.9"]
+    _, whole, _ = run_cli(capsys, argv)
+    assert variance_calls == [(10, (0.1, 0.3, 0.5, 0.7, 0.9)), (2000, (0.1, 0.3, 0.5, 0.7, 0.9))]
+    variance_calls.clear()
+    monkeypatch.setattr(cli, "VARIANCE_BYTES", moments._variance_bytes(2000) + 2 * 8 * 2001)
+    code, split, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert variance_calls[1:] == [(2000, (0.1, 0.3, 0.5)), (2000, (0.7, 0.9))]
+    assert len(variance_calls[0][1]) == 5  # n = 10: room for every alpha
+
+    def timeless(lines):
+        recs = [json.loads(ln) for ln in lines]
+        for r in recs:
+            r.pop("seconds", None)
+            r.pop("peak_rss_kib", None)
+        return recs
+
+    assert timeless(split) == timeless(whole)
+
+
+def test_variance_exact_row_matches_per_alpha_runs(capsys):
+    # the rational row of each n against a run per alpha
+    alphas = ["1/4", "1/3", "7/10"]
+    _, row, _ = run_cli(
+        capsys, ["variance", "--exact", "--n", "1:12", "--alpha", ",".join(alphas), "--no-timings"])
+    single = []
+    for a in alphas:
+        _, out, _ = run_cli(
+            capsys, ["variance", "--exact", "--n", "1:12", "--alpha", a, "--no-timings"])
+        single.append(out)
+    assert row == [ln for lines in zip(*single) for ln in lines]
 
 
 def test_grid_order_n_outer_alpha_inner(capsys):
@@ -726,14 +793,13 @@ def test_vfun_timing_counters(capsys, monkeypatch):
     assert not {"triples", "members", "c1_inner_evals", "c1_cache_hits"} & set(rec)
     assert tm["type"] == "timing" and tm["phase"] == "vfun alpha=0.5"
     assert tm["members"] == rec["v_alpha_terms"] == 6939 and tm["triples"] == 835
-    # one C1 lookup per triple; cold, one inner sum per distinct prime set
-    assert tm["c1_inner_evals"] + tm["c1_cache_hits"] == tm["triples"]
-    assert tm["c1_inner_evals"] == 94
+    # one inner sum per distinct prime set of the pairs; cold, none cached
+    assert (tm["c1_inner_evals"], tm["c1_cache_hits"]) == (94, 0)
     # a second run in the same process finds every inner sum cached
     code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5"])
     again = json.loads(out[1])
-    assert code == 0 and again["c1_inner_evals"] == 0
-    assert again["c1_cache_hits"] == again["triples"] == 835
+    assert code == 0 and (again["c1_inner_evals"], again["c1_cache_hits"]) == (0, 94)
+    assert again["triples"] == 835
 
 
 def test_vfun_c1_pair_above_one(capsys):

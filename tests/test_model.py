@@ -15,7 +15,7 @@ from qlcm.arith import build_tables
 from qlcm.errors import ResourceLimitError
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo, sample_set
 from qlcm.qpoly import lcm_degree_oracle
-from reference import draw_by_generator, enumerate_exact_fraction, plane_rows
+from reference import draw_by_generator, enumerate_exact_fraction, plane_rows, subset_counts_walk
 
 
 def bits_of(members, n):
@@ -419,6 +419,30 @@ def test_enumerate_exact_matches_fraction_oracle(tables_small):
             assert list(dist.pmf.items()) == list(ref.pmf.items()), (n, alpha)
             assert (dist.mean, dist.variance) == (ref.mean, ref.variance), (n, alpha)
             assert all(type(x) is Fraction for x in (*dist.pmf.values(), dist.mean, dist.variance))
+
+
+def test_subset_counts_match_recursive_walk(tables_small):
+    # the doubling arrays against the recursion over the subset lattice:
+    # the same (x, size, count) triples, sorted
+    for n in range(1, 17):
+        phi = tuple(int(x) for x in tables_small.phi[: n + 1])
+        counts = model._subset_counts.__wrapped__(n, phi)
+        assert list(counts) == sorted(subset_counts_walk(n, phi)), n
+        assert all(type(v) is int for row in counts for v in row)
+
+
+def test_subset_counts_memory_at_the_enumeration_limit(tables_small):
+    # 2^22 sets: the arrays hold at most 2^21 of them at 8 bytes each
+    n = model.ENUMERATION_LIMIT
+    phi = tuple(int(x) for x in tables_small.phi[: n + 1])
+    tracemalloc.start()
+    try:
+        counts = model._subset_counts.__wrapped__(n, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c for _, _, c in counts) == 2**n
+    assert peak < 64 << 20, peak
 
 
 def test_enumerate_exact_validation(tables_small):

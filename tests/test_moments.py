@@ -252,6 +252,32 @@ def test_variance_matches_dense_oracle(tables_mid):
             assert rel_close(v, ref), f"n={n} alpha={alpha}: {v!r} vs dense {ref!r}"
 
 
+def test_variance_row_matches_per_alpha_calls(tables_mid):
+    # one pair walk for a tuple of alphas against one call per alpha, bit
+    # for bit, with the same pairs count; at n = 20000 the a = 1 run of the
+    # walk alone spans several chunks
+    alphas = (0.0, 0.05, 0.1, 0.5, 0.9, 1.0)
+    for n in (1, 2, 10, 100, 2000, 20000):
+        row_counters = {}
+        row = variance_exact(n, alphas, tables_mid, counters=row_counters)
+        assert isinstance(row, list) and len(row) == len(alphas)
+        for alpha, v in zip(alphas, row):
+            counters = {}
+            assert v.hex() == variance_exact(n, alpha, tables_mid, counters=counters).hex()
+            assert counters == row_counters, (n, alpha)
+
+
+def test_variance_row_matches_per_alpha_calls_exact(tables_small):
+    alphas = (0, Fraction(1, 4), Fraction(1, 3), Fraction(7, 10), 1)
+    for n in range(1, 31):
+        row_counters, counters = {}, {}
+        row = variance_exact(n, alphas, tables_small, exact=True, counters=row_counters)
+        want = [variance_exact(n, a, tables_small, exact=True, counters=counters) for a in alphas]
+        assert row == want and all(type(v) is Fraction for v in row), n
+        assert row_counters == counters, n
+    assert variance_exact(5, (), tables_small) == []
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_variance_chunk_invariance(tables_small, monkeypatch, chunk):
     # at n = 1000 the a = 1 cofactor group alone has ~6000 (b, g) elements
@@ -333,7 +359,7 @@ def test_v_alpha_fills_the_inner_cache_the_walk_needs(cold_c1):
     # whose inner sum is not cached yet, to the values one set at a time gives
     est = v_alpha(0.3)
     swept = {k: v.hex() for k, v in moments._c1_inner_cache.items()}
-    assert est.c1_inner_evals == len(swept) == 327
+    assert est.c1_inner_evals == est.c1_prime_sets == len(swept) == 327
     assert est.triples - est.c1_inner_evals == 2777
     moments._c1_inner_cache.clear()
     ref = v_alpha_per_triple(0.3)  # one c1_constant, one set, at a time
@@ -342,7 +368,8 @@ def test_v_alpha_fills_the_inner_cache_the_walk_needs(cold_c1):
     # all but ten inner sums cached: the walk evaluates those ten, then none
     for key in list(swept)[:10]:
         del moments._c1_inner_cache[key]
-    assert v_alpha(0.3).c1_inner_evals == 10
+    again = v_alpha(0.3)
+    assert (again.c1_prime_sets, again.c1_inner_evals) == (327, 10)
     assert {k: v.hex() for k, v in moments._c1_inner_cache.items()} == swept
     assert v_alpha(0.3).c1_inner_evals == 0
 
@@ -499,6 +526,7 @@ def test_v_alpha_matches_per_triple_sum(cold_c1, alpha):
     assert est.truncation_error == ref.truncation_error
     assert (est.terms, est.triples) == (ref.terms, ref.triples)
     assert est.c1_inner_evals == ref.c1_inner_evals > 0
+    assert est.c1_prime_sets == ref.c1_prime_sets == est.c1_inner_evals
 
 
 @pytest.mark.parametrize("cutoff", [1000, 300000])
@@ -509,7 +537,7 @@ def test_c1_pairs_match_c1_constant(alpha, cutoff):
     config = TruncationConfig(c1_cutoff=cutoff)
     _, a1, a2 = moments._coprime_pairs(moments._enumeration_depth(alpha, config))
     assert len(a1) > 100 and all(math.gcd(x, y) == 1 for x, y in zip(a1.tolist(), a2.tolist()))
-    value, tail, _ = moments._c1_pairs(a1, a2, cutoff)
+    value, tail, _, _ = moments._c1_pairs(a1, a2, cutoff)
     scalar = [c1_constant(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
     assert hexes(value) == [est.value.hex() for est in scalar]
     assert hexes(tail) == [est.tail_error.hex() for est in scalar]
@@ -562,7 +590,8 @@ def test_v_alpha_with_no_members():
     alpha = 1.0 - 1e-13
     assert moments._enumeration_depth(alpha, TruncationConfig()) == 0
     est = v_alpha(alpha)
-    assert (est.value, est.terms, est.triples, est.c1_inner_evals) == (0.0, 0, 0, 0)
+    assert (est.value, est.terms, est.triples) == (0.0, 0, 0)
+    assert (est.c1_prime_sets, est.c1_inner_evals) == (0, 0)
     assert 0.0 < est.truncation_error < 1e-12
 
 
