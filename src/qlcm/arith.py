@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# largest table limit build_tables accepts: its one int64 array then takes
-# about 80 MB
+# largest table limit build_tables accepts: its one int32 array then takes
+# about 40 MB
 TABLE_LIMIT = 10**7
 # elements of one int64 chunk in phi_pair_summatory
-PAIR_CHUNK = 1 << 16
+PAIR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,9 @@ class ArithTables:
 
     Attributes:
         limit: largest argument covered.
-        phi: int64, phi[m] = Euler totient of m.
+        phi: int32, phi[m] = Euler totient of m; exact, since
+            phi(m) <= m <= TABLE_LIMIT < 2^31.  A reader whose sums or
+            products can pass 2^31 casts first.
     """
 
     limit: int
@@ -81,22 +83,28 @@ def build_tables(limit: int) -> ArithTables:
     of p by (1 - 1/p), in place: p divides every partial product at its
     multiples, so dividing by p first is exact and needs no temporary.  The
     large primes follow in one pass per batch of ``split_primes``, about
-    sqrt(limit) passes in all.  The divisions are exact in any order.
-    Raises ResourceLimitError above TABLE_LIMIT, before allocating anything.
+    sqrt(limit) passes in all.  The divisions are exact in any order.  The
+    table is int32: every entry starts at m <= TABLE_LIMIT < 2^31 and the
+    sieve only lowers it.  Raises ResourceLimitError above TABLE_LIMIT,
+    before allocating anything.
     """
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
     if limit > TABLE_LIMIT:
         raise ResourceLimitError(f"table limit {limit} exceeds the cap {TABLE_LIMIT}")
     n = int(limit)
-    phi = np.arange(n + 1, dtype=np.int64)
+    # the prime sieve is freed before the table exists; int32 primes keep
+    # the batch division in int32, and their int64 multiples index phi as
+    # numpy indexes, with no conversion
     small, large, counts = split_primes(n)
-    for p in small:
+    large = large.astype(np.int32)
+    phi = np.arange(n + 1, dtype=np.int32)
+    for p in small.tolist():
         v = phi[p::p]
         v //= p
         v *= p - 1
     for j, k in enumerate(counts, 1):
-        idx = j * large[:k]
+        idx = np.multiply(large[:k], j, dtype=np.int64)
         phi[idx] -= phi[idx] // large[:k]
     phi.setflags(write=False)
     return ArithTables(limit=n, phi=phi)
@@ -127,9 +135,10 @@ def phi_pair_summatory(tables: ArithTables, a1: int, a2: int, x: float) -> int:
     """Exact sum_{m <= floor(x)} phi(a1*m) * phi(a2*m).
 
     Requires a1*floor(x) and a2*floor(x) within the table.  Sums int64
-    products PAIR_CHUNK at a time and adds each chunk's sum as a Python int.
-    Each chunk is exact: a product is at most TABLE_LIMIT^2 < 2^47, so
-    PAIR_CHUNK = 2^16 of them stay below 2^63.
+    products PAIR_CHUNK at a time, each chunk's int32 gathers cast before
+    the product, and adds each chunk's sum as a Python int.  Each chunk is
+    exact: a product is at most TABLE_LIMIT^2 < 2^47, so PAIR_CHUNK = 2^14
+    of them stay below 2^63, and the chunk size cannot change the total.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError("strides a1, a2 must be positive")
@@ -143,5 +152,5 @@ def phi_pair_summatory(tables: ArithTables, a1: int, a2: int, x: float) -> int:
     total = 0
     for s in range(1, m + 1, PAIR_CHUNK):
         idx = np.arange(s, min(s + PAIR_CHUNK, m + 1), dtype=np.int64)
-        total += int((tables.phi[a1 * idx] * tables.phi[a2 * idx]).sum())
+        total += int((tables.phi[a1 * idx].astype(np.int64) * tables.phi[a2 * idx]).sum())
     return total

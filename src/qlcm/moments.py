@@ -185,6 +185,13 @@ def _beta_numerators(n: int, alpha, what: str) -> list[int]:
     return [r**k * q ** (n - k) for k in range(n + 1)]
 
 
+def _phi_prefix(n: int, tables: ArithTables) -> np.ndarray:
+    """Phi(0..n) as int64: the int32 table cast once, then summed in place
+    (a cumsum that casts as it goes takes three times as long)."""
+    prefix = tables.phi[: n + 1].astype(np.int64)
+    return np.cumsum(prefix, out=prefix)
+
+
 def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     """E[X] = sum over 1 < d <= n of phi(d) (1 - beta^floor(n/d)).
 
@@ -197,7 +204,7 @@ def expectation_exact(n: int, alpha, tables: ArithTables, exact: bool = False):
     if exact:
         u = _beta_numerators(n, alpha, "expectation")
     beta = 1.0 - float(alpha)
-    prefix = np.cumsum(tables.phi[: n + 1])
+    prefix = _phi_prefix(n, tables)
     terms = []
     d = 2
     while d <= n:
@@ -215,7 +222,7 @@ def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
     check_point(n, alpha, tables)
     alpha = float(alpha)
     beta = 1.0 - alpha
-    prefix = np.cumsum(tables.phi[: n + 1])
+    prefix = _phi_prefix(n, tables)
     # beta^(j-1) for j <= n up to the first power that is 0.0: 1024 powers
     # first, four times as many while none of them is
     pb = _powers(beta, min(n, 1024))
@@ -241,30 +248,51 @@ def _variance_pairs(n: int):
     d1 = g a, d2 = g b with gcd(a, b) = 1 has lcm g a b <= n, so each
     cofactor pair a <= b contributes its (b, g) elements, g <= n // (a b).
     factor is 2 for a < b, counting the mirrored pair (d2, d1) too, and 1
-    for the diagonal a = b = 1.
+    for the diagonal a = b = 1.  The a = 1 runs need no gcd mask, and the
+    off-diagonal one stops at b = n // 2: g = 1 would make d1 = 1, and a
+    larger b has no g >= 2.  Each chunk's arrays are its own, so the caller
+    may overwrite them.
     """
     diagonal = [(1, np.ones(1, dtype=np.int64), 1)]
     rest = (
-        (a, np.arange(a + 1, n // a + 1, dtype=np.int64), 2) for a in range(1, math.isqrt(n) + 1)
+        (a, np.arange(a + 1, (n // 2 if a == 1 else n // a) + 1, dtype=np.int64), 2)
+        for a in range(1, math.isqrt(n) + 1)
     )
     for a, b, factor in itertools.chain(diagonal, rest):
-        b = b[np.gcd(b, a) == 1]
+        if a > 1:
+            b = b[np.gcd(b, a) == 1]
         g0 = 2 if a == 1 else 1  # g = 1 would make d1 = a = 1
-        counts = n // (a * b) - (g0 - 1)
+        counts = b * a
+        np.floor_divide(n, counts, out=counts)
+        counts -= g0 - 1
         ends = np.cumsum(counts)
-        starts = ends - counts
         size = int(counts.sum())
         for s in range(0, size, VARIANCE_CHUNK):
             e = min(s + VARIANCE_CHUNK, size)
             # the runs of b[i0:i1] that overlap the elements [s, e)
             i0 = int(np.searchsorted(ends, s, side="right"))
             i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
-            reps = np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s)
+            starts = ends[i0:i1] - counts[i0:i1]
+            reps = np.minimum(ends[i0:i1], e) - np.maximum(starts, s)
             d2 = np.repeat(b[i0:i1], reps)
-            g = np.arange(s + g0, e + g0, dtype=np.int64) - np.repeat(starts[i0:i1], reps)
-            d1 = g * a
-            d2 *= g
-            yield d1, d2, n // (d2 * a), factor
+            d1 = np.arange(s + g0, e + g0, dtype=np.int64)
+            d1 -= np.repeat(starts, reps)  # g
+            d2 *= d1
+            d1 *= a
+            j3 = d2 * a
+            np.floor_divide(n, j3, out=j3)
+            yield d1, d2, j3, factor
+
+
+def _weighted_beta_sum(w0: np.ndarray, pw: np.ndarray, e: np.ndarray, j3: np.ndarray) -> float:
+    """(w0 * pw[e] * (1 - pw[j3])).sum() in that order of operations, bit
+    for bit, with two chunk-long temporaries."""
+    w = pw[e]
+    w *= w0
+    v = pw[j3]
+    np.subtract(1.0, v, out=v)
+    w *= v
+    return w.sum()
 
 
 def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, counters=None):
@@ -292,25 +320,28 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     if exact:
         # beta^k as the numerators u[k] over u[0] = q^n, one row per alpha
         powers = [np.array(_beta_numerators(n, a, "variance"), dtype=object) for a in alphas]
-        phi = tables.phi[: n + 1].astype(object)
     else:
         # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
         powers = [np.power(1.0 - float(a), np.arange(n + 1, dtype=np.float64)) for a in alphas]
-        phi = tables.phi[: n + 1].astype(np.float64)
+    # the int32 phi gathers cast to the product's type before multiplying
+    dtype = object if exact else np.float64
     terms = [[] for _ in alphas]
     pairs = 0
+    # a chunk's arrays live until the next chunk's replace them: freeing them
+    # all first hands the heap top back to the OS, to be faulted in again on
+    # every chunk (three times the page faults at n = 10^5)
     for d1, d2, j3, factor in _variance_pairs(n):
-        e = n // d1 + n // d2 - j3
-        w0 = phi[d1] * phi[d2]
-        # no product outlives its sum, and w0 is freed before the next chunk
-        # is built: a one-alpha call holds no more arrays than one product
+        pairs += factor * len(d1)
+        w0 = np.multiply(tables.phi[d1], tables.phi[d2], dtype=dtype)
+        # e = j1 + j2 - j3, built over d1 and d2
+        e = np.floor_divide(n, d1, out=d1)
+        e += np.floor_divide(n, d2, out=d2)
+        e -= j3
         for pw, t in zip(powers, terms):
             if exact:
                 t.append(factor * (w0 * (pw[e] - pw[e + j3])).sum())
             else:
-                t.append(factor * (w0 * pw[e] * (1 - pw[j3])).sum())
-        del w0
-        pairs += factor * len(d1)
+                t.append(factor * _weighted_beta_sum(w0, pw, e, j3))
     if counters is not None:
         counters["pairs"] = pairs
     if exact:
@@ -322,12 +353,14 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
 
 def _variance_bytes(n: int) -> int:
     """An upper estimate of the bytes the float variance_exact allocates at
-    n beside the tables for one alpha: 56 a unit of n (beta^k and phi as
-    float64, the arange np.power reads, and the arrays of the a = 1 run of
-    the pair walk) plus about ten chunk arrays of 8-byte elements.  Its
-    tracemalloc peak is 5.7 MB at n = 20000, 54 MB at 10^6 and 105 MB at
-    2*10^6.  Each further alpha of one call adds its beta^k table,
-    8 (n + 1) bytes."""
+    n beside the tables for one alpha: 56 a unit of n plus about ten chunk
+    arrays of 8-byte elements.  The sum holds about 24 a unit of n (beta^k
+    and the arange np.power reads, then beta^k and the three arrays of the
+    a = 1 run of the pair walk, n / 2 long) and about seven chunk arrays,
+    so the estimate is about twice its tracemalloc peak: 4.2 MB at
+    n = 20000 (estimate 6.4 MB), 8.2 MB at 2*10^5 (16 MB), 27 MB at 10^6
+    (61 MB) and 50 MB at 2*10^6 (117 MB).  Each further alpha of one call
+    adds its beta^k table, 8 (n + 1) bytes."""
     return 56 * (n + 1) + 80 * VARIANCE_CHUNK
 
 

@@ -1,6 +1,7 @@
 """Slow reference implementations that the fast library paths are checked
 against."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -61,6 +62,47 @@ def dense_variance(n: int, alphas, tables, block_rows: int = 96) -> list[float]:
                 acc[1] = (t - acc[0]) - y
                 acc[0] = t
     return [total for total, _ in totals]
+
+
+def variance_pairs_walk(n: int):
+    """The chunks of moments._variance_pairs built the plain way: the a = 1
+    run over every b up to n, its zero-count tail included, a gcd mask at
+    every a, an n-long starts array and fresh arrays for d1 and j3."""
+    diagonal = [(1, np.ones(1, dtype=np.int64), 1)]
+    rest = (
+        (a, np.arange(a + 1, n // a + 1, dtype=np.int64), 2) for a in range(1, math.isqrt(n) + 1)
+    )
+    for a, b, factor in itertools.chain(diagonal, rest):
+        b = b[np.gcd(b, a) == 1]
+        g0 = 2 if a == 1 else 1  # g = 1 would make d1 = a = 1
+        counts = n // (a * b) - (g0 - 1)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        size = int(counts.sum())
+        for s in range(0, size, moments.VARIANCE_CHUNK):
+            e = min(s + moments.VARIANCE_CHUNK, size)
+            # the runs of b[i0:i1] that overlap the elements [s, e)
+            i0 = int(np.searchsorted(ends, s, side="right"))
+            i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
+            reps = np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s)
+            d2 = np.repeat(b[i0:i1], reps)
+            g = np.arange(s + g0, e + g0, dtype=np.int64) - np.repeat(starts[i0:i1], reps)
+            d1 = g * a
+            d2 *= g
+            yield d1, d2, n // (d2 * a), factor
+
+
+def variance_by_plain_walk(n: int, alpha: float, tables) -> float:
+    """The float V[X] of moments.variance_exact over the chunks of
+    variance_pairs_walk, each chunk in one expression on float64 copies of
+    phi, in the library's order of operations."""
+    pw = np.power(1.0 - float(alpha), np.arange(n + 1, dtype=np.float64))
+    phi = tables.phi[: n + 1].astype(np.float64)
+    terms = []
+    for d1, d2, j3, factor in variance_pairs_walk(n):
+        e = n // d1 + n // d2 - j3
+        terms.append(factor * (phi[d1] * phi[d2] * pw[e] * (1 - pw[j3])).sum())
+    return math.fsum(terms)
 
 
 def subset_counts_walk(n: int, phi: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:

@@ -177,6 +177,22 @@ def test_phi_pair_total_past_int64():
     assert phi_pair_summatory(t, 1, 1, x) == want
 
 
+def test_phi_table_is_int32():
+    # every entry starts at m <= TABLE_LIMIT and the sieve only lowers it
+    assert arith.TABLE_LIMIT < 2**31
+    for limit in (1, 2, 1000, 10**5):
+        assert build_tables(limit).phi.dtype == np.int32
+
+
+def test_phi_pair_products_past_int32(tables_big):
+    # the products reach 10^12, far past 2^31: the int32 gathers must be
+    # cast before they are multiplied
+    phi = tables_big.phi.tolist()
+    want = sum(v * v for v in phi[1:])
+    assert max(phi) ** 2 > 2**31
+    assert phi_pair_summatory(tables_big, 1, 1, 10**6) == want
+
+
 def test_phi_pair_chunk_products_fit_int64():
     # a product is at most TABLE_LIMIT^2, so a chunk's int64 sum cannot wrap
     assert arith.PAIR_CHUNK * arith.TABLE_LIMIT**2 < 2**63

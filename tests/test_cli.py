@@ -75,8 +75,8 @@ def test_timing_records_trail_science(capsys):
     assert all(k == "timing" for k in kinds[first_timing:])
     tm = json.loads(out[first_timing])
     assert tm["seconds"] >= 0.0 and tm["command"] == "expect"
-    # phi over 0..5, int64
-    assert tm["phase"] == "tables" and tm["table_bytes"] == 6 * 8
+    # phi over 0..5, int32
+    assert tm["phase"] == "tables" and tm["table_bytes"] == 6 * 4
 
     code, out, _ = run_cli(capsys, ["expect", "--n", "5", "--alpha", "0.5", "--no-timings"])
     assert all(json.loads(ln)["type"] == "report" for ln in out)
@@ -809,7 +809,7 @@ def test_vfun_c1_pair_above_one(capsys):
     rec, _, tm = (json.loads(ln) for ln in out)
     assert rec["phi_pair_x"] == 1000
     assert math.isfinite(rec["c1_rel_diff"]) and rec["c1_rel_diff"] < 0.01
-    assert tm["phase"] == "phi_pair x=1000" and tm["table_bytes"] == 3001 * 8
+    assert tm["phase"] == "phi_pair x=1000" and tm["table_bytes"] == 3001 * 4
 
 
 @pytest.mark.parametrize("n,alpha", [(10000, "0.1"), (1000, "0.9")])

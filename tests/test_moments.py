@@ -39,6 +39,8 @@ from reference import (
     s_infinity_cells,
     v_alpha_per_term,
     v_alpha_per_triple,
+    variance_by_plain_walk,
+    variance_pairs_walk,
 )
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
@@ -285,6 +287,48 @@ def test_variance_chunk_invariance(tables_small, monkeypatch, chunk):
     monkeypatch.setattr(moments, "VARIANCE_CHUNK", chunk)
     v = variance_exact(1000, 0.3, tables_small)
     assert abs(v - base) <= 1e-15 * base, f"chunk {chunk}: {v!r} vs {base!r}"
+
+
+def _assert_same_chunks(n):
+    got, want = list(moments._variance_pairs(n)), list(variance_pairs_walk(n))
+    assert len(got) == len(want), n
+    for g, w in zip(got, want):
+        assert g[3] == w[3], n
+        for x, y in zip(g[:3], w[:3]):
+            assert x.dtype == y.dtype and np.array_equal(x, y), n
+
+
+def test_variance_pairs_match_plain_walk(monkeypatch):
+    # the lean walk (the a = 1 run cut at b = n // 2, no gcd mask at a = 1,
+    # run starts per chunk, d1 and j3 built in place) yields the plain
+    # walk's chunks array for array; 999 and 1000 put both parities around
+    # the cut, and a 7-element chunk puts many chunk edges inside the runs
+    for n in (*range(1, 65), 999, 1000, 16000):
+        _assert_same_chunks(n)
+    monkeypatch.setattr(moments, "VARIANCE_CHUNK", 7)
+    for n in (*range(1, 65), 999, 1000):
+        _assert_same_chunks(n)
+
+
+def test_variance_matches_plain_walk_bit_for_bit(tables_mid):
+    # the in-place chunk arithmetic rounds as the one-expression sum does
+    alphas = (0.05, 0.3, 0.5, 0.9)
+    for n in (2, 10, 1000, 16000):
+        row = variance_exact(n, alphas, tables_mid)
+        assert hexes(row) == hexes(variance_by_plain_walk(n, a, tables_mid) for a in alphas), n
+
+
+@pytest.mark.parametrize("n", [20000, 200000])
+def test_variance_memory_under_estimate(tables_big, n):
+    # the CLI refuses a variance grid by _variance_bytes before it starts,
+    # so the float sum must allocate less than the estimate
+    tracemalloc.start()
+    try:
+        variance_exact(n, 0.5, tables_big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < moments._variance_bytes(n), (n, peak)
 
 
 def test_variance_envelope(tables_small):
