@@ -345,11 +345,11 @@ def _check_vfun(spec: ExperimentSpec):
     if spec.c1_x is not None:
         if spec.c1_pair is None:
             raise SpecError("c1_x: requires c1_pair")
-        # the C1 check builds tables to max(a1, a2) * x
+        # the C1 check reads phi(a * m) up to max(a1, a2) * x
         size = max(spec.c1_pair) * spec.c1_x
         if size > arith.TABLE_LIMIT:
             raise ResourceLimitError(
-                f"--c1-x {spec.c1_x} needs tables to {size}, past the cap {arith.TABLE_LIMIT}"
+                f"--c1-x {spec.c1_x} reads phi up to {size}, past the cap {arith.TABLE_LIMIT}"
             )
 
 
@@ -641,9 +641,8 @@ def _vfun_records(spec: ExperimentSpec, phases):
         if spec.c1_x is not None:
             x = spec.c1_x
             with _timed(phases, f"phi_pair x={x}") as counters:
-                tables = arith.build_tables(max(a1, a2) * x)
-                brute = arith.phi_pair_summatory(tables, a1, a2, x)
-                counters["table_bytes"] = tables.nbytes
+                brute = arith.phi_pair_summatory(a1, a2, x)
+                counters["segment_bytes"] = arith.segment_bytes(x)
             ratio = brute / float(x) ** 3
             body["phi_pair_x"] = x
             body["phi_pair_ratio"] = ratio

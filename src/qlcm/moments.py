@@ -22,7 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import TABLE_LIMIT, ArithTables, as_fraction, build_tables, check_point, split_primes
+from .arith import (
+    TABLE_LIMIT,
+    ArithTables,
+    as_fraction,
+    build_tables,
+    check_point,
+    prime_factors,
+    split_primes,
+)
 from .errors import ResourceLimitError
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -407,21 +415,10 @@ _c1_factor_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _prime_factors(a: int) -> tuple[int, ...]:
-    """The primes of a, ascending, by trial division once per integer."""
+    """The primes of a, ascending, factored once per integer."""
     hit = _c1_factor_cache.get(a)
     if hit is None:
-        ps = []
-        m = a
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                ps.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            ps.append(m)
-        hit = _c1_factor_cache[a] = tuple(ps)
+        hit = _c1_factor_cache[a] = prime_factors(a)
     return hit
 
 
@@ -470,8 +467,9 @@ def _radical_sigma(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _c1_weight_prefix(limit: int) -> np.ndarray:
     """Prefix sums of the multiplicative weight prod (1-2p)/p^3 over
-    squarefree m (zero elsewhere); refused above the table cap, whose
-    17 bytes per unit it would take."""
+    squarefree m (zero elsewhere), summed in place over the weights;
+    refused above the table cap, whose 9 bytes per unit (the weights and the
+    prime sieve) it would take."""
     if limit > TABLE_LIMIT:
         raise ResourceLimitError(
             f"c1_cutoff {limit} exceeds the table cap {TABLE_LIMIT}; lower --c1-cutoff"
@@ -491,7 +489,7 @@ def _c1_weight_prefix(limit: int) -> np.ndarray:
     large_w = (1.0 - 2.0 * pf) / (pf * pf * pf)
     for j, k in enumerate(counts, 1):
         w[j * large[:k]] *= large_w[:k]
-    prefix = np.cumsum(w)
+    prefix = np.cumsum(w, out=w)
     prefix.setflags(write=False)
     _c1_prefix_cache[limit] = prefix
     return prefix

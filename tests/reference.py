@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from qlcm import moments
-from qlcm.arith import check_point, primes_up_to
+from qlcm.arith import ArithTables, check_point, primes_up_to, split_primes
 from qlcm.model import ExactDistribution
 from qlcm.moments import (
     TruncationConfig,
@@ -251,6 +251,36 @@ def phi_per_prime(limit: int) -> np.ndarray:
     for p in primes_up_to(limit):
         phi[p::p] -= phi[p::p] // p
     return phi
+
+
+def build_tables_monolithic(limit: int) -> ArithTables:
+    """The totient table up to limit in one piece: one slice pass per prime
+    p <= isqrt(limit) over the whole table, then the large primes in one
+    gather and scatter per multiple index j, phi[j P] -= phi[j P] // P."""
+    small, large, counts = split_primes(limit)
+    large = large.astype(np.int32)
+    phi = np.arange(limit + 1, dtype=np.int32)
+    for p in small.tolist():
+        v = phi[p::p]
+        v //= p
+        v *= p - 1
+    for j, k in enumerate(counts, 1):
+        idx = np.multiply(large[:k], j, dtype=np.int64)
+        phi[idx] -= phi[idx] // large[:k]
+    phi.setflags(write=False)
+    return ArithTables(limit=limit, phi=phi)
+
+
+def phi_pair_from_table(tables, a1: int, a2: int, x: float) -> int:
+    """sum_{m <= floor(x)} phi(a1 m) phi(a2 m) read from a table that covers
+    max(a1, a2) floor(x), int64 products summed 2^14 at a time."""
+    m = math.floor(x)
+    assert max(a1, a2) * m <= tables.limit
+    total = 0
+    for s in range(1, m + 1, 1 << 14):
+        idx = np.arange(s, min(s + (1 << 14), m + 1), dtype=np.int64)
+        total += int((tables.phi[a1 * idx].astype(np.int64) * tables.phi[a2 * idx]).sum())
+    return total
 
 
 def c1_weight_prefix_per_prime(limit: int) -> np.ndarray:

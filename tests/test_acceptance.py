@@ -162,12 +162,12 @@ def test_criterion_07_concentration(tables_big):
     assert all(abs(r - 1) <= var_tol for _, _, _, _, r, _ in measured.values()), detail
 
 
-def test_criterion_08_c1_constants(tables_big):
+def test_criterion_08_c1_constants():
     # C1(1,1) from the sieve-and-recursion evaluator matches the brute cubic
     # growth of sum phi(m)^2 to three significant digits, and C1 <= a1 a2 / 3
     # on twenty coprime pairs
     x = 10**6
-    brute_ratio = phi_pair_summatory(tables_big, 1, 1, x) / x**3
+    brute_ratio = phi_pair_summatory(1, 1, x) / x**3
     est = c1_constant(1, 1)
     rel = abs(est.value - brute_ratio) / brute_ratio
     assert rel < 5e-4, f"C1(1,1) {est.value:.8f} vs brute {brute_ratio:.8f}"

@@ -16,7 +16,8 @@ from calibration import PHI_SUMMATORY_K
 from qlcm.arith import build_tables, phi_pair_summatory, primes_up_to, split_primes
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo
 from qlcm.moments import expectation_exact, expectation_grouped, variance_exact
-from reference import phi_per_prime
+from qlcm.errors import ResourceLimitError
+from reference import build_tables_monolithic, phi_pair_from_table, phi_per_prime
 
 PI2_OVER_3 = math.pi**2 / 3
 
@@ -87,6 +88,30 @@ def test_build_tables_matches_per_prime_sieve(tables_big):
     assert np.array_equal(tables_big.phi, phi_per_prime(10**6))
 
 
+# limits just below, at and just above one and two segments
+SEGMENT_EDGES = tuple(k * arith.SIEVE_SEGMENT + d for k in (1, 2) for d in (-1, 0, 1))
+
+
+def test_build_tables_matches_monolithic_sieve(tables_big):
+    for limit in (*range(1, 201), *SEGMENT_EDGES, 10**5):
+        t = build_tables(limit)
+        ref = build_tables_monolithic(limit)
+        assert t.phi.dtype == ref.phi.dtype and np.array_equal(t.phi, ref.phi), limit
+    assert np.array_equal(tables_big.phi, build_tables_monolithic(10**6).phi)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 97])
+def test_tiny_segments_match_monolithic_sieve(monkeypatch, segment):
+    # segments shorter than the small primes, and runs of large primes cut
+    # at every few entries
+    ref = build_tables_monolithic(3000)
+    monkeypatch.setattr(arith, "SIEVE_SEGMENT", segment)
+    for limit in (1, 2, 3, 1000, 2310, 3000):
+        assert np.array_equal(build_tables(limit).phi, ref.phi[: limit + 1]), limit
+    for a1, a2 in ((1, 1), (6, 35)):
+        assert phi_pair_summatory(a1, a2, 85) == phi_pair_from_table(ref, a1, a2, 85)
+
+
 def test_totient_divisor_sum_identity():
     # sum_{d | m} phi(d) = m, aggregated over all m at once
     limit = 10**5
@@ -104,16 +129,20 @@ def test_phi_summatory_examples(tables_small):
     assert prefix[0] == 0 and prefix[1] == 1 and prefix[10] == 32
 
 
-def test_summatory_rejects_out_of_range(tables_small):
-    limit = tables_small.limit
-    with pytest.raises(ValueError):
-        phi_pair_summatory(tables_small, 1, 1, limit + 1)
-    # fractional overshoot floors back into range
-    assert phi_pair_summatory(tables_small, 1, 1, limit + 0.5) == phi_pair_summatory(
-        tables_small, 1, 1, limit
-    )
-    with pytest.raises(ValueError):
-        phi_pair_summatory(tables_small, 2, 1, limit)
+def test_summatory_rejects_out_of_range(monkeypatch):
+    # the cap bounds max(a1, a2) * floor(x); refused before any sieving
+    with pytest.raises(ResourceLimitError):
+        phi_pair_summatory(1, 1, arith.TABLE_LIMIT + 1)
+    with pytest.raises(ResourceLimitError):
+        phi_pair_summatory(2, 1, arith.TABLE_LIMIT // 2 + 1)
+    monkeypatch.setattr(arith, "TABLE_LIMIT", 1000)
+    with pytest.raises(ResourceLimitError):
+        phi_pair_summatory(1, 1, 1001)
+    with pytest.raises(ResourceLimitError):
+        phi_pair_summatory(2, 1, 501)
+    # fractional overshoot floors back under the cap
+    assert phi_pair_summatory(1, 1, 1000.5) == phi_pair_summatory(1, 1, 1000)
+    assert phi_pair_summatory(1, 2, 500.9) == phi_pair_summatory(1, 2, 500)
 
 
 def test_phi_summatory_monotone(tables_big):
@@ -130,27 +159,49 @@ def test_phi_summatory_quadratic_envelope(tables_big):
     assert float(ratio.max()) <= PHI_SUMMATORY_K, f"worst ratio {ratio.max():.4f}"
 
 
-def test_phi_pair_examples(tables_small):
+def test_phi_pair_examples():
     # sum phi(m)^2 for m <= 3: 1 + 1 + 4
-    assert phi_pair_summatory(tables_small, 1, 1, 3) == 6
+    assert phi_pair_summatory(1, 1, 3) == 6
     # m=1: phi(2)phi(3)=2; m=2: phi(4)phi(6)=4
-    assert phi_pair_summatory(tables_small, 2, 3, 2) == 6
-    assert phi_pair_summatory(tables_small, 2, 3, 2.9) == 6
-    assert phi_pair_summatory(tables_small, 5, 7, 0.4) == 0
+    assert phi_pair_summatory(2, 3, 2) == 6
+    assert phi_pair_summatory(2, 3, 2.9) == 6
+    assert phi_pair_summatory(5, 7, 0.4) == 0
 
 
-def test_phi_pair_rejects_bad_strides(tables_small):
+def test_phi_pair_rejects_bad_strides():
     with pytest.raises(ValueError):
-        phi_pair_summatory(tables_small, 0, 1, 10)
+        phi_pair_summatory(0, 1, 10)
     with pytest.raises(ValueError):
-        phi_pair_summatory(tables_small, 1, -2, 10)
+        phi_pair_summatory(1, -2, 10)
 
 
 @pytest.mark.parametrize("a1,a2", [(1, 1), (2, 3), (4, 9), (1, 12)])
 def test_phi_pair_matches_naive(tables_big, a1, a2):
     x = 997
     expect = sum(int(tables_big.phi[a1 * k]) * int(tables_big.phi[a2 * k]) for k in range(1, x + 1))
-    assert phi_pair_summatory(tables_big, a1, a2, x) == expect
+    assert phi_pair_summatory(a1, a2, x) == expect
+
+
+@pytest.fixture(scope="module")
+def tables_9e6():
+    # covers a * 10^6 for every stride a <= 9
+    return build_tables_monolithic(9 * 10**6)
+
+
+# x just below, at and above the first PAIR_CHUNK multiples and one and two
+# segments, where the stream's chunks and segments end
+STREAM_EDGES = tuple(
+    k * size + d for size, ks in ((arith.PAIR_CHUNK, (1, 2)), (arith.SIEVE_SEGMENT, (1, 2)))
+    for k in ks for d in (-1, 0, 1)
+)
+
+
+@pytest.mark.parametrize("a1,a2", [(1, 1), (2, 3), (4, 9), (1, 12), (6, 35), (5, 7)])
+def test_phi_pair_stream_matches_table_sum(tables_9e6, a1, a2):
+    for x in (1, 2, 3, *STREAM_EDGES, 10**6):
+        if max(a1, a2) * x <= tables_9e6.limit:
+            want = phi_pair_from_table(tables_9e6, a1, a2, x)
+            assert phi_pair_summatory(a1, a2, x) == want, (a1, a2, x)
 
 
 def test_phi_pair_chunk_edges_match_python_sum(tables_big, monkeypatch):
@@ -163,7 +214,7 @@ def test_phi_pair_chunk_edges_match_python_sum(tables_big, monkeypatch):
             for k in ks:
                 for x in (k * chunk - 1, k * chunk, k * chunk + 1):
                     want = sum(phi[a1 * k] * phi[a2 * k] for k in range(1, x + 1))
-                    assert phi_pair_summatory(tables_big, a1, a2, x) == want, (chunk, a1, a2, x)
+                    assert phi_pair_summatory(a1, a2, x) == want, (chunk, a1, a2, x)
 
 
 def test_phi_pair_total_past_int64():
@@ -174,7 +225,7 @@ def test_phi_pair_total_past_int64():
     chunks = (c.astype(object) for c in np.array_split(t.phi[1:], 9))
     want = sum(int(np.dot(c, c)) for c in chunks)
     assert want > 2**63
-    assert phi_pair_summatory(t, 1, 1, x) == want
+    assert phi_pair_summatory(1, 1, x) == want
 
 
 def test_phi_table_is_int32():
@@ -190,7 +241,7 @@ def test_phi_pair_products_past_int32(tables_big):
     phi = tables_big.phi.tolist()
     want = sum(v * v for v in phi[1:])
     assert max(phi) ** 2 > 2**31
-    assert phi_pair_summatory(tables_big, 1, 1, 10**6) == want
+    assert phi_pair_summatory(1, 1, 10**6) == want
 
 
 def test_phi_pair_chunk_products_fit_int64():
@@ -198,10 +249,11 @@ def test_phi_pair_chunk_products_fit_int64():
     assert arith.PAIR_CHUNK * arith.TABLE_LIMIT**2 < 2**63
 
 
-def test_phi_pair_memory_is_one_chunk(tables_big):
+def test_phi_pair_memory_is_one_chunk():
+    # the prime sieve, one segment and one chunk's int64 arrays: no table
     tracemalloc.start()
     try:
-        phi_pair_summatory(tables_big, 1, 1, 10**6)
+        phi_pair_summatory(1, 1, 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

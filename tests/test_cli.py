@@ -278,8 +278,8 @@ def test_exit_code_spec_error(capsys):
 
 
 def test_exit_code_resource_limit(capsys):
-    # the first five requests exceed the table cap (--c1-x x needs tables up
-    # to max(a1, a2) * x, --c1-cutoff T a C1 weight prefix up to T, and an
+    # the first five requests exceed the table cap (--c1-x x reads phi up to
+    # max(a1, a2) * x, --c1-cutoff T a C1 weight prefix up to T, and an
     # --n range is refused by its end before it is expanded), the two small
     # alphas the S_inf member bound.  The refusal comes before any table is
     # allocated or any member enumerated, and names the option to change
@@ -424,8 +424,8 @@ def test_oracle_check_counts_a_cost_per_set():
     ],
 )
 def test_vfun_c1_x_refused_before_v_alpha(capsys, monkeypatch, argv):
-    # the C1 check's table size is a pre-flight refusal: no v(alpha) record
-    # is computed before it
+    # the C1 check's reach, max(a1, a2) * x, is a pre-flight refusal: no
+    # v(alpha) record is computed before it
     calls = []
     monkeypatch.setattr(moments, "v_alpha", lambda *a, **k: calls.append(a))
     tracemalloc.start()
@@ -809,7 +809,7 @@ def test_vfun_c1_pair_above_one(capsys):
     rec, _, tm = (json.loads(ln) for ln in out)
     assert rec["phi_pair_x"] == 1000
     assert math.isfinite(rec["c1_rel_diff"]) and rec["c1_rel_diff"] < 0.01
-    assert tm["phase"] == "phi_pair x=1000" and tm["table_bytes"] == 3001 * 4
+    assert tm["phase"] == "phi_pair x=1000" and tm["segment_bytes"] == 1001 * 4
 
 
 @pytest.mark.parametrize("n,alpha", [(10000, "0.1"), (1000, "0.9")])

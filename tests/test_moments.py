@@ -436,6 +436,20 @@ def test_c1_weight_prefix_matches_per_prime_sieve():
         assert fast.tobytes() == c1_weight_prefix_per_prime(limit).tobytes(), limit
 
 
+def test_c1_weight_prefix_sums_in_place(monkeypatch):
+    # the prefix overwrites its weights: one float64 array of limit + 1, not
+    # two, beside the prime sieve's byte per unit
+    monkeypatch.setattr(moments, "_c1_prefix_cache", {})
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        moments._c1_weight_prefix(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * (limit + 1), peak
+
+
 def test_c1_sieve_approaches_euler_product():
     # K against mpmath's 30-digit prime-zeta evaluation, computed once outside
     # the suite; the sieved C1 then closes in on the closed form as the
@@ -459,12 +473,12 @@ def test_c1_validation():
         c1_constant_direct(2, 4, 100)
 
 
-def test_c1_matches_phi_pair_growth(tables_small):
+def test_c1_matches_phi_pair_growth():
     # sum_{m<=x} phi(m)^2 ~ C1(1,1) x^3
     from qlcm.arith import phi_pair_summatory
 
     x = 1000
-    ratio = 3 * phi_pair_summatory(tables_small, 1, 1, x) / x**3
+    ratio = 3 * phi_pair_summatory(1, 1, x) / x**3
     est = c1_constant(1, 1)
     assert abs(ratio / (3 * est.value) - 1) < 0.02
 
