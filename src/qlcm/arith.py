@@ -59,7 +59,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.nonzero(sieve)[0].astype(np.int64, copy=False)
 
 
 def prime_factors(a: int) -> tuple[int, ...]:

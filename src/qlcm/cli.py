@@ -337,6 +337,11 @@ def _check_vfun(spec: ExperimentSpec):
         raise SpecError("alpha: required for this command")
     if spec.c1_pair is not None and spec.format == "csv":
         raise SpecError("format: csv has no columns for the C1 record of c1_pair")
+    if spec.c1_pair is not None and max(spec.c1_pair) > arith.TABLE_LIMIT:
+        # C1 factors a1 and a2 by trial division
+        raise ResourceLimitError(
+            f"--c1-pair {max(spec.c1_pair)} exceeds the cap {arith.TABLE_LIMIT}"
+        )
     for a in spec.alphas:
         if not 0 < a < 1:
             raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")

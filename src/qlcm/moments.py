@@ -26,7 +26,6 @@ from .arith import (
     TABLE_LIMIT,
     ArithTables,
     as_fraction,
-    build_tables,
     check_point,
     prime_factors,
     split_primes,
@@ -402,9 +401,9 @@ def variance_upper_envelope(n: int, alpha: float) -> float:
 # suffixes S of the prime sets.  _inner_sums fills one table of U over every
 # suffix of a batch of prime sets and every such cap, a column range per
 # depth at a time, so a (cap, suffix) node that many sets or many terms
-# share is evaluated once.  v_alpha takes C1 of all its pairs from one
-# vector pass, _c1_pairs, which sweeps every prime set not cached yet;
-# c1_constant is the scalar path, sweeping a single set on a cache miss.
+# share is evaluated once.  C1 has one path, the vector pass _c1_pairs,
+# which sweeps every prime set not cached yet: v_alpha runs it on all its
+# pairs and c1_constant on its one pair.
 # ---------------------------------------------------------------------------
 
 _c1_prefix_cache: dict[int, np.ndarray] = {}
@@ -428,41 +427,24 @@ def _pair_primes(a1: int, a2: int) -> tuple[int, ...]:
     return tuple(sorted(_prime_factors(a1) + _prime_factors(a2)))
 
 
-def _sigma_over_m(m: int, primes: tuple[int, ...]) -> float:
-    total = 1
-    for p in primes:
-        pk = p
-        while m % (pk * p) == 0:
-            pk *= p
-        total *= (pk * p - 1) // (p - 1)
-    return total / m
-
-
-def _radical_sigma(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rad, sigma): the radical and the divisor sum of every m <= limit, as
-    int64, from one multiplicative sieve.  A small prime p multiplies rad by
-    p and sigma by sigma(p^k) over its multiples, k the exact power of p in
-    each; a large prime, one vector op per batch of split_primes, divides
-    each of its multiples once."""
-    rad = np.ones(limit + 1, dtype=np.int64)
-    sigma = np.ones(limit + 1, dtype=np.int64)
-    small, large, counts = split_primes(limit)
-    for p in small.tolist():
-        rad[p::p] *= p
-        # sigma(p^k) for the multiples m = (i + 1) p: the multiples of p^k
-        # overwrite those of p^(k - 1)
-        f = np.full(limit // p, 1 + p, dtype=np.int64)
-        pk, sk = p, 1 + p
-        while pk * p <= limit:
-            sk = sk * p + 1
-            f[pk - 1 :: pk] = sk
-            pk *= p
-        sigma[p::p] *= f
-    for j, k in enumerate(counts, 1):
-        idx = j * large[:k]
-        rad[idx] *= large[:k]
-        sigma[idx] *= 1 + large[:k]
-    return rad, sigma
+def _phi_sigma_rad(a: np.ndarray) -> np.ndarray:
+    """The (3, len(a)) int64 matrix of phi, sigma and the radical of each
+    entry of the int64 array a (entries >= 1).  Each distinct entry is
+    factored once by _prime_factors, the exact power p^k of each prime found
+    by division; sigma(p^k) = (p^(k+1) - 1)/(p - 1)."""
+    values, which = np.unique(a, return_inverse=True)
+    out = np.empty((3, len(values)), dtype=np.int64)
+    for i, x in enumerate(values.tolist()):
+        phi, sigma, rad = x, 1, 1
+        for p in _prime_factors(x):
+            pk = p
+            while x % (pk * p) == 0:
+                pk *= p
+            phi -= phi // p
+            sigma *= (pk * p - 1) // (p - 1)
+            rad *= p
+        out[:, i] = phi, sigma, rad
+    return np.take(out, which, axis=1)
 
 
 def _c1_weight_prefix(limit: int) -> np.ndarray:
@@ -616,49 +598,42 @@ def _batches(prime_sets: list, rows: int):
 
 def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1Estimate:
     """Truncated C1(a1, a2) for coprime a1, a2, with a tail-error estimate
-    proportional to (sigma(a1 a2)/(a1 a2)) * log(T)/T."""
+    proportional to (sigma(a1 a2)/(a1 a2)) * log(T)/T: _c1_pairs on the one
+    pair.  Refuses max(a1, a2) past TABLE_LIMIT, which keeps its trial
+    division short and a1 a2 <= 10^14 < 2^53."""
     if config is None:
         config = TruncationConfig()
     if a1 < 1 or a2 < 1:
         raise ValueError(f"a1, a2 must be positive, got ({a1}, {a2})")
     if math.gcd(a1, a2) != 1:
         raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
+    if max(a1, a2) > TABLE_LIMIT:
+        raise ResourceLimitError(f"C1({a1}, {a2}): max(a1, a2) exceeds the cap {TABLE_LIMIT}")
     t = config.c1_cutoff
-    m = a1 * a2
-    primes = _pair_primes(a1, a2)
-    key = (t, math.prod(primes))
-    inner = _c1_inner_cache.get(key)
-    if inner is None:
-        (inner,) = _inner_sums(t, [primes])
-        _c1_inner_cache[key] = inner
-    phi_m = m  # phi(a1) phi(a2) = phi(a1 a2) for coprime a1, a2
-    for p in primes:
-        phi_m -= phi_m // p
-    value = (phi_m / 3.0) * inner
-    tail = (m / 3.0) * _sigma_over_m(m, primes) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
-    return C1Estimate(value=value, tail_error=tail, cutoff=t)
+    value, tail, _, _ = _c1_pairs(np.array([a1]), np.array([a2]), t)
+    return C1Estimate(value=float(value[0]), tail_error=float(tail[0]), cutoff=t)
 
 
 def _c1_pairs(
     a1: np.ndarray, a2: np.ndarray, t: int
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(value, tail, sets, evals): c1_constant's value and tail error at
-    cutoff t for every coprime pair of the int64 arrays a1, a2, bit for bit,
-    the number of distinct radicals (prime sets) of the pairs and the number
-    of their inner sums evaluated, the rest being cached.
+    """(value, tail, sets, evals): C1 and its tail error at cutoff t for
+    every coprime pair of the int64 arrays a1, a2, the number of distinct
+    radicals (prime sets) of the pairs and the number of their inner sums
+    evaluated, the rest being cached.
 
-    phi(m), m = a1 a2, comes from build_tables and the radical and sigma(m)
-    from _radical_sigma, both up to the largest m; the inner sum of each
-    distinct radical not cached yet is swept by one _inner_sums call, its
-    prime set read from a pair that has it.  Each value and tail is then one
-    elementwise expression, in c1_constant's order of operations.
+    phi, sigma and the radical are multiplicative, so for coprime a1, a2
+    each of m = a1 a2 is the product of its values at a1 and a2, which
+    _phi_sigma_rad takes from one factorization of each distinct cofactor.
+    Every integer is exact in float64: m <= TABLE_LIMIT^2 < 2^53 and
+    sigma(m) < 7 m.  The inner sum of each distinct radical not cached yet
+    is swept by one _inner_sums call, its prime set read from a pair that
+    has it.  Each value and tail is then one elementwise expression.
     """
     m = a1 * a2
-    limit = int(m.max(initial=1))
-    phi = build_tables(limit).phi[m]
-    rad, sigma = _radical_sigma(limit)
-    sigma = sigma[m]
-    rads, first, which = np.unique(rad[m], return_index=True, return_inverse=True)
+    f = _phi_sigma_rad(np.concatenate((a1, a2)))
+    phi, sigma, rad = f[:, : len(a1)] * f[:, len(a1) :]
+    rads, first, which = np.unique(rad, return_index=True, return_inverse=True)
     missing = [
         (r, i) for r, i in zip(rads.tolist(), first.tolist()) if (t, r) not in _c1_inner_cache
     ]

@@ -11,13 +11,14 @@ from qlcm import moments
 from qlcm.arith import ArithTables, check_point, primes_up_to, split_primes
 from qlcm.model import ExactDistribution
 from qlcm.moments import (
+    _C1_TAIL_COEFF,
+    C1Estimate,
     TruncationConfig,
     VAlphaEstimate,
     _c1_weight_prefix,
     _dropped_bounds,
     _enumeration_depth,
     _powi,
-    c1_constant,
 )
 from qlcm.qpoly import ONE, ZERO, IntPoly, _primitive, poly_divexact, poly_gcd, poly_mul, q_analog
 
@@ -345,6 +346,43 @@ def c1_constant_direct(a1: int, a2: int, cutoff: int) -> float:
     return (a1 * a2 / 3.0) * math.fsum(terms)
 
 
+def _sigma_over_m(m: int, primes: tuple[int, ...]) -> float:
+    total = 1
+    for p in primes:
+        pk = p
+        while m % (pk * p) == 0:
+            pk *= p
+        total *= (pk * p - 1) // (p - 1)
+    return total / m
+
+
+def c1_constant_scalar(a1: int, a2: int, config: TruncationConfig | None = None):
+    """C1(a1, a2) and its tail error one pair at a time in Python ints, phi
+    and sigma of a1 a2 from its primes: the scalar path the vector pass
+    moments._c1_pairs replaced.  The inner sum goes through the library's
+    cache, evaluated on a miss by _inner_sums on the one prime set."""
+    if config is None:
+        config = TruncationConfig()
+    if a1 < 1 or a2 < 1:
+        raise ValueError(f"a1, a2 must be positive, got ({a1}, {a2})")
+    if math.gcd(a1, a2) != 1:
+        raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
+    t = config.c1_cutoff
+    m = a1 * a2
+    primes = moments._pair_primes(a1, a2)
+    key = (t, math.prod(primes))
+    inner = moments._c1_inner_cache.get(key)
+    if inner is None:
+        (inner,) = moments._inner_sums(t, [primes])
+        moments._c1_inner_cache[key] = inner
+    phi_m = m  # phi(a1) phi(a2) = phi(a1 a2) for coprime a1, a2
+    for p in primes:
+        phi_m -= phi_m // p
+    value = (phi_m / 3.0) * inner
+    tail = (m / 3.0) * _sigma_over_m(m, primes) * _C1_TAIL_COEFF * math.log(max(t, 2)) / t
+    return C1Estimate(value=value, tail_error=tail, cutoff=t)
+
+
 def _primes_below(limit: int) -> list[int]:
     return [p for p in range(2, limit) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
@@ -444,7 +482,7 @@ def s_infinity_cells(alpha: float, config: TruncationConfig | None = None):
 def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tuple[float, int]:
     """(v(alpha), member count) summed one S_infinity member at a time over
     s_infinity_cells through a Kahan accumulator, C1 evaluated once per
-    pair."""
+    pair by c1_constant_scalar."""
     if config is None:
         config = TruncationConfig()
     beta = 1.0 - alpha
@@ -458,7 +496,7 @@ def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tu
         w = pb[j1 + j2 - j3] * (1.0 - pb[j3])
         drho = 1.0 / (m2 * m2 * m2) - 1.0 / (m1 * m1 * m1)
         if (a1, a2) not in c1:
-            c1[a1, a2] = c1_constant(a1, a2, config).value
+            c1[a1, a2] = c1_constant_scalar(a1, a2, config).value
         y = w * c1[a1, a2] * drho - comp
         t = total + y
         comp = (t - total) - y
@@ -469,9 +507,9 @@ def v_alpha_per_term(alpha: float, config: TruncationConfig | None = None) -> tu
 
 def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstimate:
     """v(alpha) summed one coprime triple (j3, a1, a2) at a time, a1 major,
-    each triple's points sorted on their own and C1 looked up per triple;
-    math.fsum combines the per-triple products, the dropped-range bounds are
-    the library's."""
+    each triple's points sorted on their own and C1 looked up per triple by
+    c1_constant_scalar; math.fsum combines the per-triple products, the
+    dropped-range bounds are the library's."""
     if config is None:
         config = TruncationConfig()
     emax = _enumeration_depth(alpha, config)
@@ -496,7 +534,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
                 e0 = s * j3
                 drho = inv_cube[:-1] - inv_cube[1:]
                 part = (1.0 - pb[j3]) * float(np.sum(pb[e0 : e0 + k] * drho))
-                est = c1_constant(a1, a2, config)
+                est = c1_constant_scalar(a1, a2, config)
                 values.append(est.value * part)
                 tails.append(est.tail_error * part)
                 n_terms += k

@@ -2,7 +2,10 @@
 totient sum, and the shared point validation."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -61,6 +64,18 @@ def test_primes_up_to_matches_trial_division():
         got = primes_up_to(limit)
         assert got.dtype == np.int64
         assert got.tolist() == [p for p in expect if p <= limit], limit
+
+
+def test_primes_up_to_holds_the_sieve_and_the_primes_only():
+    # nonzero's indices are int64 already: no copy beside the byte sieve
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        primes = primes_up_to(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit + 1 + 8 * len(primes) + 2**16, peak
 
 
 # limits just below, at and above a prime square, where the split moves
@@ -311,3 +326,29 @@ def test_package_exports_are_used():
         ):
             unused.append(name)
     assert not unused
+
+
+def test_tracer_installs_and_wraps_c1_constant():
+    # the benchmark tracer looks up every function it wraps by name, and keys
+    # c1_constant by (a1, a2, config): a rename or a new signature fails here,
+    # in a fresh interpreter whose modules the wrappers may replace
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "from tracing import Tracer\n"
+        "from qlcm import moments\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "est = moments.c1_constant(6, 35)\n"
+        "assert moments.c1_constant(6, 35, moments.TruncationConfig(c1_cutoff=7)) != est\n"
+        "trace = tracer.export()\n"
+        "assert [leaf[1:3] for leaf in trace['leaves']] == [['moments.c1_constant', 2]], trace\n"
+        "assert trace['distinct'] == {'moments.c1_constant': 2}, trace\n"
+        "print(est.value.hex())\n"
+    )
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == qlcm.c1_constant(6, 35).value.hex()

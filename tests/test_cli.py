@@ -439,6 +439,33 @@ def test_vfun_c1_x_refused_before_v_alpha(capsys, monkeypatch, argv):
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
 
 
+@pytest.mark.parametrize("pair", ["1000000000000000003,1", f"1,{TABLE_LIMIT + 1}"])
+def test_vfun_c1_pair_past_the_cap_refused_at_once(capsys, monkeypatch, pair):
+    # C1 factors a1 and a2 by trial division, which takes minutes on a prime
+    # near 10^18: a pair past the table cap is a pre-flight refusal,
+    # before any v(alpha) or C1 runs
+    calls = []
+    monkeypatch.setattr(moments, "v_alpha", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(moments, "c1_constant", lambda *a, **k: calls.append(a))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["vfun", "--alpha", "0.5", "--c1-pair", pair])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and err.startswith("resource limit:") and "--c1-pair" in err, err
+    assert not out and not calls
+
+
+def test_vfun_c1_pair_under_the_cap_keeps_its_record(capsys):
+    # two primes just under the cap, a1 a2 near 10^14: the record of the
+    # scalar C1 path, byte for byte
+    code, out, _ = run_cli(capsys, ["vfun", "--c1-pair", "9999991,9999973", "--no-timings"])
+    assert code == 0 and len(out) == 1
+    assert out[0].startswith(
+        '{"type": "report", "command": "vfun", "seed": 0, "c1_a1": 9999991, "c1_a2": 9999973, '
+        '"c1_value": 14274928054054.334, "c1_tail_error": 191881438.68412662, '
+        '"c1_cutoff": 100000, '
+    ), out[0]
+
+
 def test_vfun_small_alpha_refused_before_v_alpha(capsys, monkeypatch):
     # the S_inf member bound of every alpha is a pre-flight refusal: v(0.1)
     # is not computed before 0.01 is refused

@@ -29,6 +29,7 @@ from qlcm.moments import (
 from reference import (
     c1_closed_form,
     c1_constant_direct,
+    c1_constant_scalar,
     c1_weight_prefix_per_prime,
     dense_variance,
     dense_variance_rational,
@@ -406,7 +407,7 @@ def test_v_alpha_fills_the_inner_cache_the_walk_needs(cold_c1):
     assert est.c1_inner_evals == est.c1_prime_sets == len(swept) == 327
     assert est.triples - est.c1_inner_evals == 2777
     moments._c1_inner_cache.clear()
-    ref = v_alpha_per_triple(0.3)  # one c1_constant, one set, at a time
+    ref = v_alpha_per_triple(0.3)  # one scalar C1, one set, at a time
     assert ref.c1_inner_evals == est.c1_inner_evals
     assert {k: v.hex() for k, v in moments._c1_inner_cache.items()} == swept
     # all but ten inner sums cached: the walk evaluates those ten, then none
@@ -469,6 +470,12 @@ def test_c1_validation():
         c1_constant(2, 4)
     with pytest.raises(ValueError):
         c1_constant(0, 1)
+    # trial division of a cofactor past the table cap could take minutes
+    with pytest.raises(ResourceLimitError):
+        c1_constant(TABLE_LIMIT + 1, 1)
+    with pytest.raises(ResourceLimitError):
+        c1_constant(1, 10**18 + 3)
+    assert c1_constant(TABLE_LIMIT, 1, TruncationConfig(c1_cutoff=7)).value > 0.0
     with pytest.raises(ValueError):
         c1_constant_direct(2, 4, 100)
 
@@ -575,7 +582,7 @@ def test_v_alpha_matches_per_term_sum(alpha):
 @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8])
 def test_v_alpha_matches_per_triple_sum(cold_c1, alpha):
     # one numpy pass per (s, j3) and one C1 vector pass against one triple
-    # and one c1_constant at a time, each from cold inner sums: the row sums
+    # and one scalar C1 at a time, each from cold inner sums: the row sums
     # are the same pairwise sums, so every field is bit-identical
     est = v_alpha(alpha)
     moments._c1_inner_cache.clear()
@@ -588,33 +595,45 @@ def test_v_alpha_matches_per_triple_sum(cold_c1, alpha):
 
 
 @pytest.mark.parametrize("cutoff", [1000, 300000])
-@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.8, None])
 def test_c1_pairs_match_c1_constant(alpha, cutoff):
-    # the vector pass against the scalar path, bit for bit, at every pair
-    # v_alpha takes C1 of
+    # the vector pass against the scalar path it replaced, bit for bit, at
+    # every pair v_alpha takes C1 of, and (alpha None) at prime powers and
+    # primes near the cap, a1 a2 up to 10^14
     config = TruncationConfig(c1_cutoff=cutoff)
-    _, a1, a2 = moments._coprime_pairs(moments._enumeration_depth(alpha, config))
-    assert len(a1) > 100 and all(math.gcd(x, y) == 1 for x, y in zip(a1.tolist(), a2.tolist()))
+    if alpha is None:
+        a1, a2 = np.array([64, 2**23, 9999991]), np.array([81, 3**14, 9999973])
+    else:
+        _, a1, a2 = moments._coprime_pairs(moments._enumeration_depth(alpha, config))
+        assert len(a1) > 100
+    assert all(math.gcd(x, y) == 1 for x, y in zip(a1.tolist(), a2.tolist()))
     value, tail, _, _ = moments._c1_pairs(a1, a2, cutoff)
-    scalar = [c1_constant(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
+    scalar = [c1_constant_scalar(x, y, config) for x, y in zip(a1.tolist(), a2.tolist())]
     assert hexes(value) == [est.value.hex() for est in scalar]
     assert hexes(tail) == [est.tail_error.hex() for est in scalar]
 
 
-def test_radical_sigma_matches_divisors():
-    # the multiplicative sieve against every divisor d added into sigma and
+def test_phi_sigma_rad_matches_divisors():
+    # the per-cofactor factorization against every divisor d added into
+    # sigma and subtracted out of phi (sum of phi(d) over d | m is m), and
     # every prime d multiplied into rad at its multiples, prime powers up to
-    # 2^11 and primes past the square root included
+    # 2^11 and primes past the square root included; entries given in
+    # descending order with repeats
     limit = 3000
-    rad, sigma = moments._radical_sigma(limit)
+    want_phi = np.arange(limit + 1, dtype=np.int64)
     want_rad = np.ones(limit + 1, dtype=np.int64)
     want_sigma = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, limit + 1):
+        want_phi[2 * d :: d] -= want_phi[d]
         want_sigma[d::d] += d
         if d > 1 and all(d % q for q in range(2, math.isqrt(d) + 1)):
             want_rad[d::d] *= d
-    assert np.array_equal(rad[1:], want_rad[1:])
-    assert np.array_equal(sigma[1:], want_sigma[1:])
+    a = np.concatenate((np.arange(limit, 0, -1), [2048, 2999, 1, 2048]))
+    phi, sigma, rad = moments._phi_sigma_rad(a)
+    assert np.array_equal(phi, want_phi[a])
+    assert np.array_equal(sigma, want_sigma[a])
+    assert np.array_equal(rad, want_rad[a])
+    assert moments._phi_sigma_rad(np.zeros(0, dtype=np.int64)).shape == (3, 0)
 
 
 def test_s_infinity_rejects_endpoints():
