@@ -13,7 +13,6 @@ validation of an (n, alpha, tables) point and the exact-rational alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -30,7 +29,6 @@ PAIR_CHUNK = 1 << 14
 SIEVE_SEGMENT = 1 << 16
 
 
-@dataclass(frozen=True)
 class ArithTables:
     """The totient table up to ``limit``, 1-indexed (index 0 unused).
 
@@ -39,10 +37,14 @@ class ArithTables:
         phi: int32, phi[m] = Euler totient of m; exact, since
             phi(m) <= m <= TABLE_LIMIT < 2^31.  A reader whose sums or
             products can pass 2^31 casts first.
+
+    A plain class, not a named tuple, so that vars() lists its arrays, as
+    perfbench's tracer reads them.
     """
 
-    limit: int
-    phi: np.ndarray
+    def __init__(self, limit: int, phi: np.ndarray):
+        self.limit = limit
+        self.phi = phi
 
     @property
     def nbytes(self) -> int:

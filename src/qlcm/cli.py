@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import resource
-import statistics
 import sys
 import time
 import types
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +63,7 @@ SIMULATE_TRIAL_WORK = 1024
 SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
 # bytes the float V[X] at the largest n of variance or simulate may
 # allocate beside the tables (moments._variance_bytes): 256 MiB admits n up
-# to about 4.7 * 10^6
+# to 9,747,872
 VARIANCE_BYTES = 1 << 28
 
 
@@ -187,8 +185,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return pair
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     flag: str
     parse: object  # text -> value; raises ValueError on an invalid one
     default: object
@@ -196,7 +193,7 @@ class Option:
     const: str | None = None  # the text a flag that takes no value stands for
 
 
-_TRUNC = moments.TruncationConfig
+_TRUNC = moments.TruncationConfig()
 
 # name -> option, in resolution order: exact comes before alpha, whose
 # parse depends on it
@@ -461,7 +458,7 @@ def _report(spec: ExperimentSpec, body: dict, **head) -> dict:
         **head,
         "seed": spec.seed,
         **body,
-        "truncation": dataclasses.asdict(spec.truncation),
+        "truncation": spec.truncation._asdict(),
     }
 
 
@@ -696,6 +693,14 @@ def _bench_cases(spec: ExperimentSpec):
         yield "oracle n=40 x20 both paths", 40, run_sets
 
 
+def _median(xs: list) -> float:
+    """The median of a nonempty list: its middle value, or the mean of the
+    middle two."""
+    s = sorted(xs)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def _bench_records(spec: ExperimentSpec, phases):
     # cold caches would double-count sieve work; each case runs repeat times
     # and reports the median
@@ -711,18 +716,18 @@ def _bench_records(spec: ExperimentSpec, phases):
             "case": case,
             "size": size,
             "runs": spec.repeat,
-            "median_s": statistics.median(times),
+            "median_s": _median(times),
             "times_s": times,
         }
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # the options it reads, and so its flags
     preflight: object  # spec -> None; raises SpecError or ResourceLimitError
     records: object  # (spec, phases) -> records
-    defaults: dict = field(default_factory=dict)  # texts, parsed as an env value is
+    # texts, parsed as an env value is; read-only, as the default is shared
+    defaults: types.MappingProxyType = types.MappingProxyType({})
 
 
 _OUTPUT = ("format", "timings")
@@ -758,7 +763,7 @@ COMMANDS = {
         ("n", "alpha", "trials", "seed", "timings"),
         _check_oracle,
         _grid(_oracle_point),
-        defaults={"alpha": "0.5"},
+        defaults=types.MappingProxyType({"alpha": "0.5"}),
     ),
     # the valpha suite reads the truncation, the oracle suite the seed
     "bench": Command(

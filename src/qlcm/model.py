@@ -37,9 +37,8 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,25 +54,29 @@ BLOCK_BYTES = 1 << 22
 DRAW_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Parameters of one simulation run."""
-
+class _Params(NamedTuple):
     n: int
     alpha: float
     seed: int
     trials: int
 
-    def __post_init__(self):
+
+class ModelParams(_Params):
+    """Parameters of one simulation run, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_point(self.n, self.alpha)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        return self
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     trials: int
     mean: float
     variance: float
@@ -81,8 +84,7 @@ class MonteCarloSummary:
     degrees: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+class ExactDistribution(NamedTuple):
     """Exact pmf of the degree statistic, all quantities rational."""
 
     pmf: dict
@@ -214,6 +216,36 @@ def sets_and_degrees(params: ModelParams, tables: ArithTables):
         yield from zip(sets, _block_degrees(planes, stop - start, tables).tolist())
 
 
+def _run_threads(fn, items: list, threads: int) -> list:
+    """[fn(x) for x in items], on that many threads that take the next item
+    from one locked iterator.  The first exception a thread raises stops
+    every thread after its current item and is raised here."""
+    out = [None] * len(items)
+    errors: list[BaseException] = []
+    todo = enumerate(items)
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i, x = next(todo, (-1, None))
+            if i < 0:
+                return
+            try:
+                out[i] = fn(x)
+            except BaseException as exc:
+                errors.append(exc)
+
+    pool = [threading.Thread(target=work) for _ in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
 def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> MonteCarloSummary:
     """Simulate the degree statistic over keyed trials.
 
@@ -240,8 +272,7 @@ def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> M
     if pool_size == 1:
         parts = [block(span) for span in spans]
     else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(block, spans))
+        parts = _run_threads(block, spans, pool_size)
     degrees = np.concatenate(parts)
     t = params.trials
     s1 = int(degrees.sum())

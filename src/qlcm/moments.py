@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,21 +51,25 @@ VARIANCE_CHUNK = 1 << 16
 C1_SWEEP_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Truncation levels for the series evaluations.
+class _Truncation(NamedTuple):
+    c1_cutoff: int = 100000
+    j3_max: int = 40
+    beta_tail_tol: float = 1e-12
+    dilog_tol: float = 1e-12
+
+
+class TruncationConfig(_Truncation):
+    """Truncation levels for the series evaluations, checked on construction.
 
     c1_cutoff bounds [d1', d2'] in the C1 double sum; j3_max and
     beta_tail_tol bound the S_infinity enumeration; dilog_tol drives the
     dilogarithm series.
     """
 
-    c1_cutoff: int = 100000
-    j3_max: int = 40
-    beta_tail_tol: float = 1e-12
-    dilog_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.c1_cutoff < 1:
             raise ValueError(f"c1_cutoff must be positive, got {self.c1_cutoff}")
         if self.j3_max < 1:
@@ -74,10 +78,10 @@ class TruncationConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1e-3:
                 raise ValueError(f"{name} must lie in (0, 1e-3], got {v}")
+        return self
 
 
-@dataclass(frozen=True)
-class C1Estimate:
+class C1Estimate(NamedTuple):
     """Truncated value of C1(a1, a2) plus a tail-error estimate."""
 
     value: float
@@ -85,8 +89,7 @@ class C1Estimate:
     cutoff: int
 
 
-@dataclass(frozen=True)
-class VAlphaEstimate:
+class VAlphaEstimate(NamedTuple):
     """Truncated v(alpha) with the accounted truncation error.
 
     truncation_error adds the C1 tails of every summed term to the bounds on
@@ -360,15 +363,17 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
 
 def _variance_bytes(n: int) -> int:
     """An upper estimate of the bytes the float variance_exact allocates at
-    n beside the tables for one alpha: 56 a unit of n plus about ten chunk
-    arrays of 8-byte elements.  The sum holds about 24 a unit of n (beta^k
-    and the arange np.power reads, then beta^k and the three arrays of the
-    a = 1 run of the pair walk, n / 2 long) and about seven chunk arrays,
-    so the estimate is about twice its tracemalloc peak: 4.2 MB at
-    n = 20000 (estimate 6.4 MB), 8.2 MB at 2*10^5 (16 MB), 27 MB at 10^6
-    (61 MB) and 50 MB at 2*10^6 (117 MB).  Each further alpha of one call
-    adds its beta^k table, 8 (n + 1) bytes."""
-    return 56 * (n + 1) + 80 * VARIANCE_CHUNK
+    n beside the tables for one alpha: 27 a unit of n plus ten chunk arrays
+    of 8-byte elements.  The sum holds about 24 a unit of n (beta^k and the
+    arange np.power reads, then beta^k and the three arrays of the a = 1
+    run of the pair walk, n / 2 long) and up to about eight chunk arrays.
+    Its tracemalloc peak is 4.2 MB at n = 20000 (estimate 5.8 MB), 8.2 MB
+    at 2*10^5 (10.6 MB), 26.5 MB at 10^6 (32.2 MB), 50.4 MB at 2*10^6
+    (59.2 MB), the points the fit rests on: 23.9 bytes a unit of n between
+    10^6 and 2*10^6, which 27 exceeds by 13%.  At 5*10^6 the peak is
+    122.6 MB (140.2 MB), 24.1 bytes a unit from 10^6.  Each further alpha
+    of one call adds its beta^k table, 8 (n + 1) bytes."""
+    return 27 * (n + 1) + 80 * VARIANCE_CHUNK
 
 
 def variance_upper_envelope(n: int, alpha: float) -> float:
@@ -427,12 +432,31 @@ def _pair_primes(a1: int, a2: int) -> tuple[int, ...]:
     return tuple(sorted(_prime_factors(a1) + _prime_factors(a2)))
 
 
+def _unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, return_inverse=True) for a 1-d int64 array: its distinct
+    values, ascending, and the index of each entry among them.  One sort
+    and a mask of adjacent differences give the values; the inverse is a
+    gather from a table over their span when that is at most 8 len(a), else
+    a binary search.  np.unique's argsort takes three to six times as long
+    on the C1 pass's arrays, whose spans are small."""
+    s = np.sort(a)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    values = s[keep]
+    if len(values) and values[-1] - values[0] <= 8 * len(a):
+        lookup = np.empty(int(values[-1] - values[0]) + 1, dtype=np.intp)
+        lookup[values - values[0]] = np.arange(len(values))
+        return values, lookup[a - values[0]]
+    return values, np.searchsorted(values, a)
+
+
 def _phi_sigma_rad(a: np.ndarray) -> np.ndarray:
     """The (3, len(a)) int64 matrix of phi, sigma and the radical of each
     entry of the int64 array a (entries >= 1).  Each distinct entry is
     factored once by _prime_factors, the exact power p^k of each prime found
     by division; sigma(p^k) = (p^(k+1) - 1)/(p - 1)."""
-    values, which = np.unique(a, return_inverse=True)
+    values, which = _unique_inverse(a)
     out = np.empty((3, len(values)), dtype=np.int64)
     for i, x in enumerate(values.tolist()):
         phi, sigma, rad = x, 1, 1
@@ -633,9 +657,12 @@ def _c1_pairs(
     m = a1 * a2
     f = _phi_sigma_rad(np.concatenate((a1, a2)))
     phi, sigma, rad = f[:, : len(a1)] * f[:, len(a1) :]
-    rads, first, which = np.unique(rad, return_index=True, return_inverse=True)
+    rads, which = _unique_inverse(rad)
+    # a pair of each radical, whose primes are the radical's
+    some = np.empty(len(rads), dtype=np.intp)
+    some[which] = np.arange(len(rad))
     missing = [
-        (r, i) for r, i in zip(rads.tolist(), first.tolist()) if (t, r) not in _c1_inner_cache
+        (r, i) for r, i in zip(rads.tolist(), some.tolist()) if (t, r) not in _c1_inner_cache
     ]
     if missing:
         sets = [_pair_primes(int(a1[i]), int(a2[i])) for _, i in missing]

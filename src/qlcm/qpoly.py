@@ -248,8 +248,8 @@ def lcm_degree_oracle(elements, method: str = "cyclotomic") -> int:
     Phi_d are monic and distinct, so this is the degree of their product.
     method="gcd": for each k, largest first, add k - 1 - deg g_k, where g_k
     is the lcm of gcd([k]_q, [m]_q) over the elements m already folded, each
-    gcd found by Euclid and cached by (k, m); the loop over m stops once
-    g_k = [k]_q.  The second path shares no code with the first beyond base
+    gcd found by Euclid and cached by (k, m); a gcd of 1 leaves g_k as it
+    is, and the loop over m stops once g_k = [k]_q.  The second path shares no code with the first beyond base
     polynomial arithmetic.  The empty set has lcm 1, hence degree 0.
     """
     items = _validated_elements(elements)
@@ -264,7 +264,10 @@ def lcm_degree_oracle(elements, method: str = "cyclotomic") -> int:
                 continue
             g = ONE
             for m in folded:
-                g = _divisor_lcm(g, _q_gcd(k, m))
+                h = _q_gcd(k, m)
+                if h.degree == 0:
+                    continue  # lcm(g, 1) = g
+                g = _divisor_lcm(g, h)
                 if g.degree == k - 1:
                     break
             degree += k - 1 - g.degree

@@ -352,3 +352,23 @@ def test_tracer_installs_and_wraps_c1_constant():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == qlcm.c1_constant(6, 35).value.hex()
+
+
+def test_traced_build_tables_reports_table_bytes():
+    # perfbench's tracer sums the arrays that vars() finds on a table set
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "from tracing import Tracer\n"
+        "from qlcm import arith\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tables = arith.build_tables(1000)\n"
+        "print(tracer.export()['spans'][0][4]['bytes'], tables.nbytes)\n"
+    )
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["4004", "4004"]

@@ -356,7 +356,7 @@ def test_simulate_preflight_refuses(capsys, argv):
 
 def test_simulate_preflight_refuses_variance_memory(capsys):
     # one trial is little work, but V[X] at n = 10^7 would hold about
-    # 539 MiB beside the tables: refused before the tables are built
+    # 262 MiB beside the tables: refused before the tables are built
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, ["simulate", "--n", "10000000", "--alpha", "0.5",
@@ -370,7 +370,7 @@ def test_simulate_preflight_refuses_variance_memory(capsys):
 
 
 def test_variance_preflight_refuses_memory(capsys):
-    # the float V[X] at n = 10^7 would hold about 539 MiB beside the
+    # the float V[X] at n = 10^7 would hold about 262 MiB beside the
     # tables: refused before the tables are built, as simulate refuses it
     tracemalloc.start()
     try:
@@ -381,7 +381,7 @@ def test_variance_preflight_refuses_memory(capsys):
     assert code == 3 and err.startswith("resource limit:") and not out, err
     assert "--n 10000000" in err and "MiB" in err, err
     assert peak < 2**24, f"peak {peak} bytes"
-    # about 54 MiB at n = 10^6: the pre-flight passes (nothing is run)
+    # about 31 MiB at n = 10^6: the pre-flight passes (nothing is run)
     spec_for(["variance", "--n", "1000000", "--alpha", "0.5"])
 
 

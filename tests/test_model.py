@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -295,14 +298,14 @@ def test_block_degrees_match_per_d_oracle(tables_small, n, monkeypatch):
 
 def test_monte_carlo_threads_capped(tables_small, monkeypatch):
     # the pool never gets more threads than workers, blocks or cores
-    sizes = []
+    started = []
 
-    class Recorder(model.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class Recorder(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(model, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(model.threading, "Thread", Recorder)
     p = ModelParams(n=30, alpha=0.5, seed=1, trials=40)
     base = monte_carlo(p, tables_small).degrees
     for cores, workers, block, want in [
@@ -311,12 +314,79 @@ def test_monte_carlo_threads_capped(tables_small, monkeypatch):
         (4, 10**4, 20, 2),  # blocks bind
         (None, 10**4, 4, None),  # unknown core count: no pool
     ]:
-        sizes.clear()
+        started.clear()
         monkeypatch.setattr(model.os, "cpu_count", lambda cores=cores: cores)
         monkeypatch.setattr(model, "BLOCK_SIZE", block)
         got = monte_carlo(p, tables_small, workers=workers).degrees
+        # the size of the one pool a call starts, if it starts one
+        sizes = [len(started)] if started else []
         assert sizes == ([] if want is None else [want])
         assert np.array_equal(got, base)
+
+
+def test_monte_carlo_reraises_a_worker_exception(tables_small, monkeypatch):
+    # a block that fails on a worker thread fails the call, as on one thread
+    draw_block = model._draw_block
+
+    def failing(params, start, stop):
+        if start == 8:
+            raise ZeroDivisionError("block at 8")
+        return draw_block(params, start, stop)
+
+    monkeypatch.setattr(model, "_draw_block", failing)
+    monkeypatch.setattr(model, "BLOCK_SIZE", 4)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)
+    p = ModelParams(n=30, alpha=0.5, seed=1, trials=40)
+    for workers in (1, 2):
+        with pytest.raises(ZeroDivisionError, match="block at 8"):
+            monte_carlo(p, tables_small, workers=workers)
+
+
+def test_run_threads_takes_each_item_once():
+    # eight threads on the cores there are, switching as often as the
+    # interpreter allows: every item is taken exactly once and its result
+    # lands in its own slot
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * x
+
+    items = list(range(2000))
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(model._run_threads(fn, items, 8)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [[x * x for x in items]]
+    assert sorted(calls) == items
+
+
+def test_threaded_simulate_loads_no_pool_modules():
+    # worker threads come from threading alone, and the records are named
+    # tuples: a --workers 2 run in a fresh interpreter loads neither
+    # concurrent.futures nor what it imports, nor dataclasses
+    code = (
+        "import sys\n"
+        "import qlcm.cli, qlcm.model\n"
+        "qlcm.model.os.cpu_count = lambda: 2\n"
+        "argv = ['simulate', '--n', '300', '--alpha', '0.5', '--trials', '600',\n"
+        "        '--seed', '1', '--workers', '2', '--no-timings']\n"
+        "assert qlcm.cli.main(argv) == 0\n"
+        "unused = ('concurrent.futures', 'logging', 'statistics', 'dataclasses')\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.splitlines()[-1] == "[]", out
 
 
 def test_monte_carlo_mean_near_exact_expectation(tables_mid):

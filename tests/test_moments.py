@@ -319,13 +319,19 @@ def test_variance_matches_plain_walk_bit_for_bit(tables_mid):
         assert hexes(row) == hexes(variance_by_plain_walk(n, a, tables_mid) for a in alphas), n
 
 
-@pytest.mark.parametrize("n", [20000, 200000])
-def test_variance_memory_under_estimate(tables_big, n):
+@pytest.fixture(scope="module")
+def tables_2e6():
+    return build_tables(2 * 10**6)
+
+
+@pytest.mark.parametrize("n", [20000, 200000, 1000000, 2000000])
+def test_variance_memory_under_estimate(tables_2e6, n):
     # the CLI refuses a variance grid by _variance_bytes before it starts,
-    # so the float sum must allocate less than the estimate
+    # so the float sum must allocate less than the estimate, at each n its
+    # fit rests on
     tracemalloc.start()
     try:
-        variance_exact(n, 0.5, tables_big)
+        variance_exact(n, 0.5, tables_2e6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -634,6 +640,27 @@ def test_phi_sigma_rad_matches_divisors():
     assert np.array_equal(sigma, want_sigma[a])
     assert np.array_equal(rad, want_rad[a])
     assert moments._phi_sigma_rad(np.zeros(0, dtype=np.int64)).shape == (3, 0)
+
+
+def test_unique_inverse_matches_np_unique():
+    # repeats, both inverse paths (a span within 8 len(a) takes the table,
+    # a wider one the binary search), and lengths 0 and 1
+    rng = np.random.default_rng(23)
+    cases = [
+        rng.integers(1, 50, size=1000),
+        rng.integers(1, 10**14, size=300),
+        np.repeat(rng.integers(10**9, 10**12, size=40), 7),
+        np.array([5, 5, 5, 5]),
+        np.array([3, 10**13, 3, 7]),
+        np.array([42]),
+        np.zeros(0, dtype=np.int64),
+    ]
+    for a in cases:
+        a = a.astype(np.int64)
+        values, inverse = moments._unique_inverse(a)
+        want_values, want_inverse = np.unique(a, return_inverse=True)
+        assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+        assert inverse.dtype == want_inverse.dtype and np.array_equal(inverse, want_inverse)
 
 
 def test_s_infinity_rejects_endpoints():

@@ -246,6 +246,24 @@ def test_gcd_oracle_matches_lcm_fold():
         assert lcm_degree_oracle(subset, method="gcd") == lcm_degree_by_fold(subset), subset
 
 
+def test_gcd_oracle_skips_coprime_folds(monkeypatch):
+    # gcd([k]_q, [m]_q) = [gcd(k, m)]_q is 1 for coprime k, m, and lcm(g, 1)
+    # = g: a pairwise-coprime set needs no lcm, and its degree is sum(k - 1)
+    calls = []
+    divisor_lcm = qpoly._divisor_lcm
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return divisor_lcm(a, b)
+
+    monkeypatch.setattr(qpoly, "_divisor_lcm", recorded)
+    for subset in ([1, 2, 3, 5, 7], [4, 9, 25, 49], [8, 15, 77, 221], [31, 32, 33, 35, 37]):
+        assert lcm_degree_oracle(subset, method="gcd") == sum(k - 1 for k in subset), subset
+    assert calls == []
+    assert lcm_degree_oracle([4, 6], method="gcd") == 3 + 5 - 1  # gcd [2]_q: one lcm
+    assert len(calls) == 1
+
+
 def _schoolbook(fc, gc):
     out = [0] * (len(fc) + len(gc) - 1)
     for i, a in enumerate(fc):
