@@ -65,6 +65,11 @@ SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
 # allocate beside the tables (moments._variance_bytes): 256 MiB admits n up
 # to 9,747,872
 VARIANCE_BYTES = 1 << 28
+# most --n values a run may take: their tuple peaks at about 39 MiB at 10^6
+N_VALUES_LIMIT = 10**6
+# most runs of a bench case: one repeat takes 0.008 s (valpha) to 0.23 s
+# (variance-sum), so 100 of the costliest take about 23 s
+BENCH_REPEAT_LIMIT = 100
 
 
 class SpecError(ValueError):
@@ -121,8 +126,9 @@ def _split(text: str) -> list[str]:
 
 def _parse_n_values(text: str) -> tuple[int, ...]:
     """An integer, a comma list, or an inclusive range a:b[:step].  A value or
-    range end past the table limit is refused before any range is expanded."""
-    out: list[int] = []
+    range end past the table limit, or more than N_VALUES_LIMIT values in all,
+    is refused before any range is expanded."""
+    ranges = []
     for part in _split(text):
         bits = [int(b) for b in part.split(":")]
         if len(bits) > 3:
@@ -137,8 +143,11 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
             raise ValueError(f"range step must be >= 1, got {step}")
         if a > b:
             raise ValueError(f"range endpoints out of order: {part!r}")
-        out.extend(range(a, b + 1, step))
-    return tuple(out)
+        ranges.append(range(a, b + 1, step))
+    count = sum(map(len, ranges))
+    if count > N_VALUES_LIMIT:
+        raise ResourceLimitError(f"--n lists {count} values, past the limit of {N_VALUES_LIMIT}")
+    return tuple(n for r in ranges for n in r)
 
 
 # largest decimal exponent an exact alpha may carry: Fraction expands a
@@ -329,9 +338,18 @@ def _check_variance(spec: ExperimentSpec):
     _check_variance_bytes(spec)
 
 
+def _check_c1_cutoff(spec: ExperimentSpec):
+    # the C1 weight prefix is a table up to the cutoff
+    if spec.truncation.c1_cutoff > arith.TABLE_LIMIT:
+        raise ResourceLimitError(
+            f"--c1-cutoff {spec.truncation.c1_cutoff} exceeds the table cap {arith.TABLE_LIMIT}"
+        )
+
+
 def _check_vfun(spec: ExperimentSpec):
     if not spec.alphas and spec.c1_pair is None:
         raise SpecError("alpha: required for this command")
+    _check_c1_cutoff(spec)
     if spec.c1_pair is not None and spec.format == "csv":
         raise SpecError("format: csv has no columns for the C1 record of c1_pair")
     if spec.c1_pair is not None and max(spec.c1_pair) > arith.TABLE_LIMIT:
@@ -382,6 +400,11 @@ def _check_oracle(spec: ExperimentSpec):
 def _check_bench(spec: ExperimentSpec):
     if spec.suite is None:
         raise SpecError(f"suite: required, one of {', '.join(BENCH_SUITES)}")
+    if spec.repeat > BENCH_REPEAT_LIMIT:
+        raise ResourceLimitError(f"--repeat {spec.repeat} exceeds the limit {BENCH_REPEAT_LIMIT}")
+    if spec.suite == "valpha":
+        _check_c1_cutoff(spec)
+        moments._enumeration_depth(0.5, spec.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +692,7 @@ def _bench_cases(spec: ExperimentSpec):
 
         def cold_v_alpha():
             # cold C1 caches on every repeat, as in the oracle suite
-            for cache in (moments._c1_prefix_cache, moments._c1_inner_cache,
-                          moments._c1_factor_cache):
+            for cache in (moments._c1_prefix_cache, moments._c1_inner_cache):
                 cache.clear()
             moments.v_alpha(0.5, spec.truncation)
 
@@ -781,18 +803,17 @@ def run(spec: ExperimentSpec):
             yield {"type": "timing", "command": spec.command, **phase}
 
 
-def render(spec: ExperimentSpec, records) -> list[str]:
-    """Serialize a record stream per the spec's output format."""
-    lines: list[str] = []
+def render(spec: ExperimentSpec, records):
+    """Yield the lines of a record stream per the spec's output format, each
+    as its record is made."""
     if spec.format == "csv":
-        lines.append(emit_csv_header())
+        yield emit_csv_header()
         for rec in records:
             if rec.get("type") == "report":
-                lines.append(emit_csv_row(rec))
+                yield emit_csv_row(rec)
     else:
         for rec in records:
-            lines.append(emit_jsonl(rec))
-    return lines
+            yield emit_jsonl(rec)
 
 
 def _make_parser() -> argparse.ArgumentParser:

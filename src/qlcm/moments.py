@@ -415,52 +415,21 @@ _c1_prefix_cache: dict[int, np.ndarray] = {}
 # Inner depends on (a1, a2) only through the prime set of a1 a2, which its
 # radical names: keyed by (cutoff, radical)
 _c1_inner_cache: dict[tuple[int, int], float] = {}
-_c1_factor_cache: dict[int, tuple[int, ...]] = {}
 
 
-def _prime_factors(a: int) -> tuple[int, ...]:
-    """The primes of a, ascending, factored once per integer."""
-    hit = _c1_factor_cache.get(a)
-    if hit is None:
-        hit = _c1_factor_cache[a] = prime_factors(a)
-    return hit
-
-
-def _pair_primes(a1: int, a2: int) -> tuple[int, ...]:
-    """The primes of a1 a2 for coprime a1, a2, ascending: the two disjoint
-    factorizations merged."""
-    return tuple(sorted(_prime_factors(a1) + _prime_factors(a2)))
-
-
-def _unique_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(a, return_inverse=True) for a 1-d int64 array: its distinct
-    values, ascending, and the index of each entry among them.  One sort
-    and a mask of adjacent differences give the values; the inverse is a
-    gather from a table over their span when that is at most 8 len(a), else
-    a binary search.  np.unique's argsort takes three to six times as long
-    on the C1 pass's arrays, whose spans are small."""
-    s = np.sort(a)
-    keep = np.empty(len(s), dtype=bool)
-    keep[:1] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    values = s[keep]
-    if len(values) and values[-1] - values[0] <= 8 * len(a):
-        lookup = np.empty(int(values[-1] - values[0]) + 1, dtype=np.intp)
-        lookup[values - values[0]] = np.arange(len(values))
-        return values, lookup[a - values[0]]
-    return values, np.searchsorted(values, a)
-
-
-def _phi_sigma_rad(a: np.ndarray) -> np.ndarray:
+def _phi_sigma_rad(a: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
     """The (3, len(a)) int64 matrix of phi, sigma and the radical of each
-    entry of the int64 array a (entries >= 1).  Each distinct entry is
-    factored once by _prime_factors, the exact power p^k of each prime found
-    by division; sigma(p^k) = (p^(k+1) - 1)/(p - 1)."""
-    values, which = _unique_inverse(a)
+    entry of the int64 array a (entries >= 1), and the primes of each
+    distinct entry, ascending.  Each distinct entry is factored once by
+    prime_factors, the exact power p^k of each prime found by division;
+    sigma(p^k) = (p^(k+1) - 1)/(p - 1)."""
+    values, which = np.unique(a, return_inverse=True)
     out = np.empty((3, len(values)), dtype=np.int64)
+    primes = {}
     for i, x in enumerate(values.tolist()):
         phi, sigma, rad = x, 1, 1
-        for p in _prime_factors(x):
+        primes[x] = prime_factors(x)
+        for p in primes[x]:
             pk = p
             while x % (pk * p) == 0:
                 pk *= p
@@ -468,7 +437,7 @@ def _phi_sigma_rad(a: np.ndarray) -> np.ndarray:
             sigma *= (pk * p - 1) // (p - 1)
             rad *= p
         out[:, i] = phi, sigma, rad
-    return np.take(out, which, axis=1)
+    return np.take(out, which, axis=1), primes
 
 
 def _c1_weight_prefix(limit: int) -> np.ndarray:
@@ -648,24 +617,22 @@ def _c1_pairs(
 
     phi, sigma and the radical are multiplicative, so for coprime a1, a2
     each of m = a1 a2 is the product of its values at a1 and a2, which
-    _phi_sigma_rad takes from one factorization of each distinct cofactor.
-    Every integer is exact in float64: m <= TABLE_LIMIT^2 < 2^53 and
-    sigma(m) < 7 m.  The inner sum of each distinct radical not cached yet
-    is swept by one _inner_sums call, its prime set read from a pair that
-    has it.  Each value and tail is then one elementwise expression.
+    _phi_sigma_rad takes from one factorization of each distinct cofactor
+    per call.  Every integer is exact in float64: m <= TABLE_LIMIT^2 < 2^53
+    and sigma(m) < 7 m.  The inner sum of each distinct radical not cached
+    yet is swept by one _inner_sums call, its prime set the sorted merge of
+    the two factorizations of a pair that has it.  Each value and tail is
+    then one elementwise expression.
     """
     m = a1 * a2
-    f = _phi_sigma_rad(np.concatenate((a1, a2)))
+    f, primes = _phi_sigma_rad(np.concatenate((a1, a2)))
     phi, sigma, rad = f[:, : len(a1)] * f[:, len(a1) :]
-    rads, which = _unique_inverse(rad)
-    # a pair of each radical, whose primes are the radical's
-    some = np.empty(len(rads), dtype=np.intp)
-    some[which] = np.arange(len(rad))
+    rads, some, which = np.unique(rad, return_index=True, return_inverse=True)
     missing = [
         (r, i) for r, i in zip(rads.tolist(), some.tolist()) if (t, r) not in _c1_inner_cache
     ]
     if missing:
-        sets = [_pair_primes(int(a1[i]), int(a2[i])) for _, i in missing]
+        sets = [tuple(sorted(primes[int(a1[i])] + primes[int(a2[i])])) for _, i in missing]
         for (r, _), inner in zip(missing, _inner_sums(t, sets)):
             _c1_inner_cache[(t, r)] = inner
     inner = np.array([_c1_inner_cache[(t, r)] for r in rads.tolist()])[which]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from qlcm import moments
-from qlcm.arith import ArithTables, check_point, primes_up_to, split_primes
+from qlcm.arith import ArithTables, check_point, prime_factors, primes_up_to, split_primes
 from qlcm.model import ExactDistribution
 from qlcm.moments import (
     _C1_TAIL_COEFF,
@@ -356,6 +356,12 @@ def _sigma_over_m(m: int, primes: tuple[int, ...]) -> float:
     return total / m
 
 
+def _pair_primes(a1: int, a2: int) -> tuple[int, ...]:
+    """The primes of a1 a2 for coprime a1, a2, ascending: the two disjoint
+    factorizations merged."""
+    return tuple(sorted(prime_factors(a1) + prime_factors(a2)))
+
+
 def c1_constant_scalar(a1: int, a2: int, config: TruncationConfig | None = None):
     """C1(a1, a2) and its tail error one pair at a time in Python ints, phi
     and sigma of a1 a2 from its primes: the scalar path the vector pass
@@ -369,7 +375,7 @@ def c1_constant_scalar(a1: int, a2: int, config: TruncationConfig | None = None)
         raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
     t = config.c1_cutoff
     m = a1 * a2
-    primes = moments._pair_primes(a1, a2)
+    primes = _pair_primes(a1, a2)
     key = (t, math.prod(primes))
     inner = moments._c1_inner_cache.get(key)
     if inner is None:
@@ -525,7 +531,7 @@ def v_alpha_per_triple(alpha: float, config: TruncationConfig | None = None) -> 
                 continue
             s = a1 + a2 - 1
             m = a1 * a2
-            radicals.add(math.prod(moments._pair_primes(a1, a2)))
+            radicals.add(math.prod(_pair_primes(a1, a2)))
             points = np.sort(np.concatenate(([0, m], np.arange(a1, m, a1), np.arange(a2, m, a2))))
             for j3 in range(1, min(config.j3_max, emax // s) + 1):
                 k = min(s, emax - s * j3 + 1)

@@ -10,6 +10,7 @@ as 0.05 holds there.  Its assertion message reports the figures per point.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -180,7 +181,7 @@ def test_criterion_08_c1_constants():
 
 
 def test_criterion_09_worker_count_invisible_in_output():
-    # identical bytes from the installed CLI for 1 and 8 workers
+    # identical bytes from the CLI of the checkout's src for 1 and 8 workers
     argv = [
         sys.executable,
         "-m",
@@ -196,8 +197,10 @@ def test_criterion_09_worker_count_invisible_in_output():
         str(SEED),
         "--no-timings",
     ]
-    one = subprocess.run(argv + ["--workers", "1"], capture_output=True, timeout=120)
-    eight = subprocess.run(argv + ["--workers", "8"], capture_output=True, timeout=120)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    one = subprocess.run(argv + ["--workers", "1"], capture_output=True, timeout=120, env=env)
+    eight = subprocess.run(argv + ["--workers", "8"], capture_output=True, timeout=120, env=env)
     assert one.returncode == 0 and eight.returncode == 0, (one.stderr, eight.stderr)
     assert one.stdout == eight.stdout
     assert one.stdout.strip()

@@ -218,7 +218,28 @@ def test_csv_schema(capsys):
 
 def test_csv_empty_stream_is_header_only():
     spec = spec_for(["expect", "--n", "5", "--alpha", "0.5", "--format", "csv"])
-    assert render(spec, []) == [emit_csv_header()]
+    assert list(render(spec, [])) == [emit_csv_header()]
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+def test_render_yields_each_line_as_its_record_is_made(fmt):
+    # a record stream that fails after its first record has that record's
+    # line out first: the output is not held back until the stream ends
+    spec = spec_for(["expect", "--n", "5", "--alpha", "0.5", "--format", fmt])
+    first = {"type": "report", "command": "expect", "n": 5, "alpha": 0.5, "seed": 0}
+
+    def records():
+        yield first
+        raise RuntimeError("after the first record")
+
+    lines = render(spec, records())
+    if fmt == "csv":
+        assert next(lines) == emit_csv_header()
+        assert next(lines) == emit_csv_row(first)
+    else:
+        assert next(lines) == emit_jsonl(first)
+    with pytest.raises(RuntimeError, match="after the first record"):
+        next(lines)
 
 
 def test_emit_jsonl_values():
@@ -452,6 +473,65 @@ def test_vfun_c1_pair_past_the_cap_refused_at_once(capsys, monkeypatch, pair):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and err.startswith("resource limit:") and "--c1-pair" in err, err
     assert not out and not calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vfun", "--format", "csv", "--alpha", "0.5", "--c1-cutoff", str(TABLE_LIMIT + 1)],
+        ["vfun", "--c1-pair", "6,35", "--c1-cutoff", str(TABLE_LIMIT + 1)],
+        ["bench", "--suite", "valpha", "--c1-cutoff", str(TABLE_LIMIT + 1)],
+        ["bench", "--suite", "valpha", "--tail-tol", "1e-300"],
+    ],
+)
+def test_truncation_refused_in_preflight(capsys, monkeypatch, argv):
+    # a C1 cutoff past the table cap, or a bench v(0.5) past the S_inf
+    # member bound, is refused before the csv header or any v(alpha) or C1
+    def called(*args, **kwargs):
+        raise AssertionError("ran past the pre-flight")
+
+    monkeypatch.setattr(moments, "v_alpha", called)
+    monkeypatch.setattr(moments, "c1_constant", called)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and err.startswith("resource limit:") and not out, err
+    assert ("--c1-cutoff" if "--c1-cutoff" in argv else "--tail-tol") in err, err
+
+
+def test_n_values_counted_before_expansion(capsys, monkeypatch):
+    # the values of every part are counted from the range lengths: the cap
+    # itself is accepted, one more refused, through the flag and QLCM_N
+    monkeypatch.setattr(cli, "N_VALUES_LIMIT", 10)
+    assert cli._parse_n_values("1:10") == tuple(range(1, 11))
+    assert cli._parse_n_values("1:5,6:18:3") == (1, 2, 3, 4, 5, 6, 9, 12, 15, 18)
+    for text in ("1:11", "1:5,6:18:3,7", "1:21:2"):
+        with pytest.raises(ResourceLimitError, match="--n"):
+            cli._parse_n_values(text)
+    code, out, err = run_cli(capsys, ["expect", "--n", "1:11", "--alpha", "0.5"])
+    assert code == 3 and "--n" in err and not out, err
+    monkeypatch.setenv("QLCM_N", "1:5,1:6")
+    code, out, err = run_cli(capsys, ["expect", "--alpha", "0.5"])
+    assert code == 3 and "--n" in err and not out, err
+    # at the real cap, ten ranges of 10^7 values are refused with no list made
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="--n"):
+            cli._parse_n_values(",".join(["1:10000000"] * 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak} bytes"
+
+
+def test_bench_repeat_capped(capsys, monkeypatch):
+    # refused before any case is set up
+    monkeypatch.setattr(cli, "_bench_cases", lambda spec: pytest.fail("a case ran"))
+    assert spec_for(["bench", "--suite", "variance-sum", "--repeat", str(cli.BENCH_REPEAT_LIMIT)])
+    for repeat in (cli.BENCH_REPEAT_LIMIT + 1, 10**9):
+        code, out, err = run_cli(capsys, ["bench", "--suite", "variance-sum", "--repeat",
+                                          str(repeat)])
+        assert code == 3 and err.startswith("resource limit:") and "--repeat" in err, err
+        assert not out
 
 
 def test_vfun_c1_pair_under_the_cap_keeps_its_record(capsys):
@@ -907,7 +987,7 @@ def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
         return [f.cache_info() for f in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic)]
 
     def c1_caches(repeat):
-        caches = (moments._c1_prefix_cache, moments._c1_inner_cache, moments._c1_factor_cache)
+        caches = (moments._c1_prefix_cache, moments._c1_inner_cache)
         return [len(c) for c in caches] + [len(inner_sums) / repeat]
 
     for suite, state, cold in (

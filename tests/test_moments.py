@@ -9,7 +9,7 @@ import pytest
 
 from calibration import C1_TAIL_RATIO_MAX, EXPECTATION_ENVELOPE_K, V_ALPHA_0_1_PEAK_MIB
 from qlcm import moments
-from qlcm.arith import TABLE_LIMIT, build_tables
+from qlcm.arith import TABLE_LIMIT, build_tables, prime_factors
 from qlcm.errors import ResourceLimitError
 from qlcm.model import enumerate_exact
 from qlcm.moments import (
@@ -58,7 +58,7 @@ def hexes(values):
 @pytest.fixture
 def cold_c1(monkeypatch):
     # empty C1 caches, whatever ran before in this process
-    for name in ("_c1_prefix_cache", "_c1_inner_cache", "_c1_factor_cache"):
+    for name in ("_c1_prefix_cache", "_c1_inner_cache"):
         monkeypatch.setattr(moments, name, {})
 
 
@@ -366,7 +366,7 @@ def test_c1_fast_path_matches_direct_sum(a1, a2):
 def v_alpha_prime_sets(alpha):
     emax = moments._enumeration_depth(alpha, TruncationConfig())
     return sorted(
-        {moments._pair_primes(x, s + 1 - x)
+        {prime_factors(x * (s + 1 - x))
          for s in range(1, emax + 1) for x in moments._coprime_cofactors(s)}
     )
 
@@ -396,13 +396,6 @@ def test_inner_sums_primes_above_limit():
         for limit in (1, 2, 10, 1000):
             (fast,) = moments._inner_sums(limit, [primes])
             assert fast.hex() == inner_sum_recursive(limit, primes).hex(), (primes, limit)
-
-
-def test_pair_primes_merge_the_factorizations():
-    for a1, a2 in [(1, 1), (1, 12), (12, 35), (35, 12), (64, 81), (97, 2 * 3 * 5 * 7)]:
-        want = tuple(p for p in range(2, a1 * a2 + 1)
-                     if (a1 * a2) % p == 0 and all(p % q for q in range(2, p)))
-        assert moments._pair_primes(a1, a2) == want, (a1, a2)
 
 
 def test_v_alpha_fills_the_inner_cache_the_walk_needs(cold_c1):
@@ -619,48 +612,49 @@ def test_c1_pairs_match_c1_constant(alpha, cutoff):
     assert hexes(tail) == [est.tail_error.hex() for est in scalar]
 
 
-def test_phi_sigma_rad_matches_divisors():
+def test_phi_sigma_rad_matches_divisors(cold_c1, monkeypatch):
     # the per-cofactor factorization against every divisor d added into
     # sigma and subtracted out of phi (sum of phi(d) over d | m is m), and
-    # every prime d multiplied into rad at its multiples, prime powers up to
-    # 2^11 and primes past the square root included; entries given in
-    # descending order with repeats
+    # every prime d multiplied into rad and listed among the primes of its
+    # multiples, prime powers up to 2^11 and primes past the square root
+    # included; entries given in descending order with repeats, then
+    # entries near the cap whose span is wide, then none
     limit = 3000
     want_phi = np.arange(limit + 1, dtype=np.int64)
     want_rad = np.ones(limit + 1, dtype=np.int64)
     want_sigma = np.zeros(limit + 1, dtype=np.int64)
+    want_primes = [[] for _ in range(limit + 1)]
     for d in range(1, limit + 1):
         want_phi[2 * d :: d] -= want_phi[d]
         want_sigma[d::d] += d
         if d > 1 and all(d % q for q in range(2, math.isqrt(d) + 1)):
             want_rad[d::d] *= d
+            for m in range(d, limit + 1, d):
+                want_primes[m].append(d)
     a = np.concatenate((np.arange(limit, 0, -1), [2048, 2999, 1, 2048]))
-    phi, sigma, rad = moments._phi_sigma_rad(a)
+    (phi, sigma, rad), primes = moments._phi_sigma_rad(a)
     assert np.array_equal(phi, want_phi[a])
     assert np.array_equal(sigma, want_sigma[a])
     assert np.array_equal(rad, want_rad[a])
-    assert moments._phi_sigma_rad(np.zeros(0, dtype=np.int64)).shape == (3, 0)
-
-
-def test_unique_inverse_matches_np_unique():
-    # repeats, both inverse paths (a span within 8 len(a) takes the table,
-    # a wider one the binary search), and lengths 0 and 1
-    rng = np.random.default_rng(23)
-    cases = [
-        rng.integers(1, 50, size=1000),
-        rng.integers(1, 10**14, size=300),
-        np.repeat(rng.integers(10**9, 10**12, size=40), 7),
-        np.array([5, 5, 5, 5]),
-        np.array([3, 10**13, 3, 7]),
-        np.array([42]),
-        np.zeros(0, dtype=np.int64),
+    assert primes == {x: tuple(want_primes[x]) for x in range(1, limit + 1)}
+    a = np.array([9999991, 2**23, 9999991, 3**14, 9999973])
+    f, primes = moments._phi_sigma_rad(a)
+    assert f.tolist() == [
+        [9999990, 2**22, 9999990, 2 * 3**13, 9999972],
+        [9999992, 2**24 - 1, 9999992, (3**15 - 1) // 2, 9999974],
+        [9999991, 2, 9999991, 3, 9999973],
     ]
-    for a in cases:
-        a = a.astype(np.int64)
-        values, inverse = moments._unique_inverse(a)
-        want_values, want_inverse = np.unique(a, return_inverse=True)
-        assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
-        assert inverse.dtype == want_inverse.dtype and np.array_equal(inverse, want_inverse)
+    assert primes == {9999991: (9999991,), 2**23: (2,), 3**14: (3,), 9999973: (9999973,)}
+    f, primes = moments._phi_sigma_rad(np.zeros(0, dtype=np.int64))
+    assert f.shape == (3, 0) and primes == {}
+    # _c1_pairs sweeps each new radical's primes, the two factorizations of a
+    # pair merged: the radicals 1, 6, 210 and 97 * 210 of these pairs
+    swept = []
+    sweep = moments._inner_sums
+    monkeypatch.setattr(moments, "_inner_sums", lambda t, sets: swept.extend(sets) or sweep(t, sets))
+    pairs = [(1, 1), (1, 12), (12, 35), (35, 12), (64, 81), (97, 2 * 3 * 5 * 7)]
+    moments._c1_pairs(*np.array(pairs).T, 1000)
+    assert swept == [(), (2, 3), (2, 3, 5, 7), (2, 3, 5, 7, 97)]
 
 
 def test_s_infinity_rejects_endpoints():
