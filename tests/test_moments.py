@@ -612,7 +612,7 @@ def test_c1_pairs_match_c1_constant(alpha, cutoff):
     assert hexes(tail) == [est.tail_error.hex() for est in scalar]
 
 
-def test_phi_sigma_rad_matches_divisors(cold_c1, monkeypatch):
+def test_phi_sigma_rad_matches_divisors():
     # the per-cofactor factorization against every divisor d added into
     # sigma and subtracted out of phi (sum of phi(d) over d | m is m), and
     # every prime d multiplied into rad and listed among the primes of its
@@ -647,14 +647,50 @@ def test_phi_sigma_rad_matches_divisors(cold_c1, monkeypatch):
     assert primes == {9999991: (9999991,), 2**23: (2,), 3**14: (3,), 9999973: (9999973,)}
     f, primes = moments._phi_sigma_rad(np.zeros(0, dtype=np.int64))
     assert f.shape == (3, 0) and primes == {}
+
+
+def test_pair_primes_merge_the_factorizations(cold_c1, monkeypatch):
     # _c1_pairs sweeps each new radical's primes, the two factorizations of a
-    # pair merged: the radicals 1, 6, 210 and 97 * 210 of these pairs
+    # pair merged: the radicals 1, 6, 210 and 97 * 210 of these pairs, each
+    # against the primes of a1 a2 found by trial
     swept = []
     sweep = moments._inner_sums
     monkeypatch.setattr(moments, "_inner_sums", lambda t, sets: swept.extend(sets) or sweep(t, sets))
     pairs = [(1, 1), (1, 12), (12, 35), (35, 12), (64, 81), (97, 2 * 3 * 5 * 7)]
     moments._c1_pairs(*np.array(pairs).T, 1000)
+    want = {
+        tuple(p for p in range(2, a1 * a2 + 1)
+              if (a1 * a2) % p == 0 and all(p % q for q in range(2, p)))
+        for a1, a2 in pairs
+    }
+    assert swept == sorted(want, key=math.prod)
     assert swept == [(), (2, 3), (2, 3, 5, 7), (2, 3, 5, 7, 97)]
+
+
+def test_unique_inverse_matches_np_unique():
+    # _phi_sigma_rad factors each distinct entry once and scatters its row
+    # back through np.unique's inverse: every entry's column equals that of
+    # the entry alone, and the primes are keyed by np.unique's values, on
+    # repeats, a narrow and a wide span, and lengths 0 and 1
+    rng = np.random.default_rng(23)
+    cases = [
+        rng.integers(1, 50, size=1000),
+        rng.integers(1, 10**7, size=300),
+        np.repeat(rng.integers(10**6, 10**7, size=40), 7),
+        np.array([5, 5, 5, 5]),
+        np.array([3, 9999991, 3, 7]),
+        np.array([42]),
+        np.zeros(0, dtype=np.int64),
+    ]
+    for a in cases:
+        a = a.astype(np.int64)
+        f, primes = moments._phi_sigma_rad(a)
+        values, inverse = np.unique(a, return_inverse=True)
+        assert f.dtype == np.int64 and f.shape == (3, len(a))
+        assert list(primes) == values.tolist()
+        assert primes == {x: prime_factors(x) for x in values.tolist()}
+        alone = [moments._phi_sigma_rad(np.array([x]))[0][:, 0].tolist() for x in values.tolist()]
+        assert f.T.tolist() == [alone[i] for i in inverse.tolist()]
 
 
 def test_s_infinity_rejects_endpoints():
