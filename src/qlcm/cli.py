@@ -51,8 +51,8 @@ BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 # fixed ORACLE_SET_WORK.  Fitted to one process, 2 cores, alpha = 0.5: the
 # first sets cost 0.23 ms at n = 40, 10 ms at 100, 45 ms at 200, 0.39 s at
 # 300 and 2.5 s at 512 (0.6-1.0 ns per n^3.5), later sets less as the gcd
-# cache fills; 23-27 us a set at n <= 8.  The cap is about 20 s of oracle
-# work: 92 times the README run, 176 sets at n = 200 and 6 at n = 512
+# cache fills; 17-26 us a set (drawn twice) at n <= 8.  The cap is about 20 s
+# of oracle work: 92 times the README run, 176 sets at n = 200, 6 at n = 512
 ORACLE_SET_WORK = 30_000
 ORACLE_WORK_LIMIT = 2 * 10**10
 # simulate work in units of one bit draw: a trial costs n draws plus a fixed
@@ -404,7 +404,7 @@ def _check_bench(spec: ExperimentSpec):
         raise ResourceLimitError(f"--repeat {spec.repeat} exceeds the limit {BENCH_REPEAT_LIMIT}")
     if spec.suite == "valpha":
         _check_c1_cutoff(spec)
-        moments._enumeration_depth(0.5, spec.truncation)
+        moments._enumeration_depth(0.5, spec.truncation, raise_flags="--tail-tol")
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +606,16 @@ def _simulate_point(spec, tables, n, a, af, timer):
 
 
 def _oracle_point(spec, tables, n, a, af, timer):
-    # X of each set is its Monte Carlo degree: the coverage transform that
-    # simulate runs, on the same keyed trials
+    # X of each set is the degree simulate reports, from monte_carlo's bit
+    # planes; the oracles read the set sample_set redraws from its key, so
+    # a fault in the planes or in the transform disagrees
     params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
     agree = elements = 0
     gcd_before = qpoly._q_gcd.cache_info()
     with timer as counters:
-        for members, x in model.sets_and_degrees(params, tables):
+        degrees = model.monte_carlo(params, tables).degrees.tolist()
+        for t, x in enumerate(degrees):
+            members = np.flatnonzero(model.sample_set(params, t)).tolist()
             elements += len(members)
             d_cyc = qpoly.lcm_degree_oracle(members, method="cyclotomic")
             d_gcd = qpoly.lcm_degree_oracle(members, method="gcd")

@@ -202,20 +202,6 @@ def _block_degrees(planes: np.ndarray, rows: int, tables: ArithTables) -> np.nda
     return (hist @ _bit_table()).astype(np.int64).reshape(-1)[:rows]
 
 
-def sets_and_degrees(params: ModelParams, tables: ArithTables):
-    """Yield (members, degree) for each keyed trial in trial order: the
-    sorted elements of its set and its degree by the coverage transform.
-    Each block is drawn once, and its members are read from the planes
-    before the transform overwrites them."""
-    rows = _block_rows(params.n)
-    for start in range(0, params.trials, rows):
-        stop = min(start + rows, params.trials)
-        planes = _draw_block(params, start, stop)
-        sets = [np.nonzero((planes[r >> 3] >> (r & 7)) & 1)[0].tolist()
-                for r in range(stop - start)]
-        yield from zip(sets, _block_degrees(planes, stop - start, tables).tolist())
-
-
 def _run_threads(fn, items: list, threads: int) -> list:
     """[fn(x) for x in items], on that many threads that take the next item
     from one locked iterator.  The first exception a thread raises stops

@@ -44,7 +44,8 @@ EXACT_RATIONAL_LIMIT = 30
 # most S_inf members a v(alpha) request may enumerate, by the pre-flight
 # bound; alpha = 0.05 at the default tail tolerance bounds 6.3e7 (it has 1.6e7)
 V_ALPHA_MEMBER_LIMIT = 10**8
-# elements per chunk of the variance pair walk; bounds its working set
+# elements per chunk of the variance pair walk and of the grouped E[X]
+# terms; bounds their working sets
 VARIANCE_CHUNK = 1 << 16
 # cells (suffixes x caps) of one table of the C1 inner-sum sweep, 2 MiB of
 # float64; bounds its working set
@@ -240,9 +241,13 @@ def expectation_grouped(n: int, alpha: float, tables: ArithTables) -> float:
         pb = _powers(beta, min(n, 4 * len(pb)))
     zero = np.flatnonzero(pb == 0.0)
     stop = int(zero[0]) if len(zero) else n
-    j = np.arange(1, stop + 1, dtype=np.int64)
-    terms = pb[:stop] * prefix[n // j]  # each int64 Phi rounded to float64 first
-    return alpha * math.fsum(terms.tolist()) - (1.0 - _powi(beta, n))
+    # fsum rounds the exact sum, so taking the terms a chunk at a time, with
+    # no n-long list, changes no bit; each int64 Phi is rounded to float64
+    chunks = (
+        (pb[s:e] * prefix[n // np.arange(s + 1, e + 1)]).tolist()
+        for s, e in itertools.pairwise([*range(0, stop, VARIANCE_CHUNK), stop])
+    )
+    return alpha * math.fsum(itertools.chain.from_iterable(chunks)) - (1.0 - _powi(beta, n))
 
 
 def expectation_asymptotic(n: int, alpha: float) -> float:
@@ -442,9 +447,9 @@ def _phi_sigma_rad(a: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, ...]
 
 def _c1_weight_prefix(limit: int) -> np.ndarray:
     """Prefix sums of the multiplicative weight prod (1-2p)/p^3 over
-    squarefree m (zero elsewhere), summed in place over the weights;
-    refused above the table cap, whose 9 bytes per unit (the weights and the
-    prime sieve) it would take."""
+    squarefree m (zero elsewhere) at the caps of _cap_columns(limit), the
+    only ones the sweep reads; built in place over the weights, refused
+    above the table cap, whose 9 bytes per unit (weights and sieve) it takes."""
     if limit > TABLE_LIMIT:
         raise ResourceLimitError(
             f"c1_cutoff {limit} exceeds the table cap {TABLE_LIMIT}; lower --c1-cutoff"
@@ -464,7 +469,7 @@ def _c1_weight_prefix(limit: int) -> np.ndarray:
     large_w = (1.0 - 2.0 * pf) / (pf * pf * pf)
     for j, k in enumerate(counts, 1):
         w[j * large[:k]] *= large_w[:k]
-    prefix = np.cumsum(w, out=w)
+    prefix = np.cumsum(w, out=w)[_cap_columns(limit)]
     prefix.setflags(write=False)
     _c1_prefix_cache[limit] = prefix
     return prefix
@@ -489,10 +494,10 @@ def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -
     over every suffix S = (p, R...) of the batch's sets and every cap.
 
     Rows run by first prime descending, so that R's row is filled before
-    S's; the last row is the empty suffix, prefix[cap].  A row's caps below
-    p are prefix[cap]; above, one column range per depth (the caps in
-    [p^d, p^(d+1))) takes U(cap, R) - w0(p) U(cap // p, S) from the range
-    below it, for all rows of one p at once.  That is the one float
+    S's; the last row is the empty suffix, the weight prefix at each cap.
+    A row's caps below p are that prefix; above, one column range per depth
+    (the caps in [p^d, p^(d+1))) takes U(cap, R) - w0(p) U(cap // p, S) from
+    the range below it, for all rows of one p at once.  That is the one float
     operation the recursive expansion does per (cap, S), so each value is
     the recursion's, bit for bit.
     """
@@ -500,7 +505,7 @@ def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -
     row = {s: i for i, s in enumerate(suffixes)}
     tail = np.array([row.get(s[1:], -1) for s in suffixes], dtype=np.int64)
     table = np.empty((len(suffixes) + 1, len(caps)))
-    table[-1] = prefix[caps]
+    table[-1] = prefix
     # a prime past limit divides no cap: limit + 1 stands for it
     first = [min(s[0], limit + 1) for s in suffixes]
     starts = [i for i, p in enumerate(first) if i == 0 or p != first[i - 1]]
@@ -627,7 +632,10 @@ def _c1_pairs(
     m = a1 * a2
     f, primes = _phi_sigma_rad(np.concatenate((a1, a2)))
     phi, sigma, rad = f[:, : len(a1)] * f[:, len(a1) :]
-    rads, some, which = np.unique(rad, return_index=True, return_inverse=True)
+    rads, which = np.unique(rad, return_inverse=True)
+    # any pair of a radical gives its prime set: a scatter, no stable sort
+    some = np.empty(len(rads), dtype=np.int64)
+    some[which] = np.arange(len(which))
     missing = [
         (r, i) for r, i in zip(rads.tolist(), some.tolist()) if (t, r) not in _c1_inner_cache
     ]
@@ -641,7 +649,9 @@ def _c1_pairs(
     return value, tail, len(rads), len(missing)
 
 
-def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
+def _enumeration_depth(
+    alpha: float, config: TruncationConfig, raise_flags: str = "--alpha or --tail-tol"
+) -> int:
     """emax, the largest e with beta^e >= beta_tail_tol, i.e. the largest
     exponent j1 + j2 - j3 that v(alpha) keeps, after a pre-flight refusal.
 
@@ -650,7 +660,7 @@ def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
     s = emax // j3 + 1.  The bound sums that over j3 <= min(j3_max, emax) at
     top = (log estimate of emax) + 1 >= emax, in O(min(j3_max, emax)) steps;
     for alpha near 0, where beta^e decays too slowly to resolve, it refuses
-    before any power is taken.
+    before any power is taken, naming raise_flags as the remedy.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"v(alpha) is defined on open (0, 1), got {alpha}")
@@ -665,7 +675,7 @@ def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
     if bound > V_ALPHA_MEMBER_LIMIT:
         raise ResourceLimitError(
             f"v({alpha:g}) at tail tolerance {tol:g}: the S_inf member bound is at least "
-            f"{bound:.3g}, above the limit of {V_ALPHA_MEMBER_LIMIT:.0e}; raise --alpha or --tail-tol"
+            f"{bound:.3g}, above the limit of {V_ALPHA_MEMBER_LIMIT:.0e}; raise {raise_flags}"
         )
     beta = 1.0 - alpha
     e = int(top)

@@ -28,3 +28,9 @@ C1_TAIL_RATIO_MAX = 1.0
 # 10.02 with the recursive C1 inner sum and 10.02 with the batched sweep
 # (C1_SWEEP_CELLS = 2^18); the bound is the former plus 10%
 V_ALPHA_0_1_PEAK_MIB = 11.0
+
+# tracemalloc peak of expectation_grouped(10^6, 10^-4), in MiB: measured
+# 18.13 with the terms summed a chunk at a time (61.40 with one n-long
+# list); 16 of it are the Phi prefix and the beta powers.  The bound is the
+# measurement plus 10%
+EXPECT_GROUPED_PEAK_MIB = 20.0

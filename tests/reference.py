@@ -1,6 +1,7 @@
 """Slow reference implementations that the fast library paths are checked
 against."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -15,7 +16,6 @@ from qlcm.moments import (
     C1Estimate,
     TruncationConfig,
     VAlphaEstimate,
-    _c1_weight_prefix,
     _dropped_bounds,
     _enumeration_depth,
     _powi,
@@ -228,7 +228,7 @@ def inner_sum_recursive(limit: int, primes: tuple) -> float:
     """The C1 inner sum of one prime set: coef * U(limit // prod, primes)
     over every subset of primes with prod <= limit, in ascending mask order,
     through the memoized recursion."""
-    prefix = _c1_weight_prefix(limit)
+    prefix = c1_weight_prefix_per_prime(limit)
     k = len(primes)
     memo: dict = {}
     total = 0.0
@@ -284,9 +284,11 @@ def phi_pair_from_table(tables, a1: int, a2: int, x: float) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=4)
 def c1_weight_prefix_per_prime(limit: int) -> np.ndarray:
     """Prefix sums of prod (1-2p)/p^3 over squarefree m <= limit, one slice
-    pass per prime in ascending order, squares zeroed at their prime."""
+    pass per prime in ascending order, squares zeroed at their prime;
+    read-only, and cached for the recursion's many sets at one limit."""
     w = np.ones(limit + 1, dtype=np.float64)
     w[0] = 0.0
     for p in primes_up_to(limit):
@@ -294,7 +296,9 @@ def c1_weight_prefix_per_prime(limit: int) -> np.ndarray:
         w[p::p] *= (1.0 - 2.0 * p) / (p * p * p)
         if p * p <= limit:
             w[p * p :: p * p] = 0.0
-    return np.cumsum(w)
+    prefix = np.cumsum(w)
+    prefix.setflags(write=False)
+    return prefix
 
 
 def draw_by_generator(seed: int, trial_index: int, n: int, alpha) -> np.ndarray:

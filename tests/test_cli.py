@@ -497,6 +497,14 @@ def test_truncation_refused_in_preflight(capsys, monkeypatch, argv):
     assert ("--c1-cutoff" if "--c1-cutoff" in argv else "--tail-tol") in err, err
 
 
+def test_tail_refusal_names_only_flags_the_command_has(capsys):
+    # bench fixes alpha = 0.5, so its refusal names --tail-tol alone
+    code, out, err = run_cli(capsys, ["bench", "--suite", "valpha", "--tail-tol", "1e-300"])
+    assert code == 3 and not out and err.rstrip().endswith("; raise --tail-tol"), err
+    code, out, err = run_cli(capsys, ["vfun", "--alpha", "0.01"])
+    assert code == 3 and not out and err.rstrip().endswith("; raise --alpha or --tail-tol"), err
+
+
 def test_n_values_counted_before_expansion(capsys, monkeypatch):
     # the values of every part are counted from the range lengths: the cap
     # itself is accepted, one more refused, through the flag and QLCM_N
@@ -592,6 +600,24 @@ def test_oracle_check_takes_x_from_monte_carlo(capsys, monkeypatch):
     monkeypatch.setattr(model, "_block_degrees", lambda *a: block_degrees(*a) + 1)
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and json.loads(out[0])["disagree_count"] == 25
+
+
+def test_oracle_check_sees_a_fault_in_the_planes(capsys, monkeypatch):
+    # the oracles read each set as sample_set draws it, not from the planes
+    # the degrees come from: toggling element n of trial 0 in its block's
+    # planes moves that trial's degree by at least phi(n), and no other
+    argv = ["oracle-check", "--n", "30", "--trials", "25", "--seed", "3", "--no-timings"]
+    draw_block = model._draw_block
+
+    def toggled(params, start, stop):
+        planes = draw_block(params, start, stop)
+        if start == 0:
+            planes[0, params.n] ^= 1
+        return planes
+
+    monkeypatch.setattr(model, "_draw_block", toggled)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out[0])["disagree_count"] == 1
 
 
 def test_oracle_check_timing_counters(capsys):

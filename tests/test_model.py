@@ -256,16 +256,14 @@ def test_monte_carlo_matches_stream(tables_small):
 
 
 def test_sets_and_degrees_follow_trial_order(tables_small, monkeypatch):
-    # each trial's members as sample_set draws them and its per-d degree,
-    # in trial order, across blocks and a last partial block
+    # oracle-check pairs monte_carlo's degree of trial t with the set
+    # sample_set(p, t) draws: the degree is that set's per-d degree, in
+    # trial order, across blocks and a last partial block
     p = ModelParams(n=30, alpha=0.4, seed=17, trials=45)
-    want = []
-    for t in range(p.trials):
-        bits = sample_set(p, t)
-        want.append((np.nonzero(bits)[0].tolist(), degree_statistic(bits, p.n, tables_small)))
+    want = [degree_statistic(sample_set(p, t), p.n, tables_small) for t in range(p.trials)]
     for block in (1, 8, 17, 128):
         monkeypatch.setattr(model, "BLOCK_SIZE", block)
-        assert list(model.sets_and_degrees(p, tables_small)) == want, block
+        assert monte_carlo(p, tables_small).degrees.tolist() == want, block
 
 
 def test_monte_carlo_worker_and_block_invariance(tables_small, monkeypatch):

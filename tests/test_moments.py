@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from calibration import C1_TAIL_RATIO_MAX, EXPECTATION_ENVELOPE_K, V_ALPHA_0_1_PEAK_MIB
+from calibration import (
+    C1_TAIL_RATIO_MAX,
+    EXPECT_GROUPED_PEAK_MIB,
+    EXPECTATION_ENVELOPE_K,
+    V_ALPHA_0_1_PEAK_MIB,
+)
 from qlcm import moments
 from qlcm.arith import TABLE_LIMIT, build_tables, prime_factors
 from qlcm.errors import ResourceLimitError
@@ -210,6 +215,17 @@ def test_expectation_grouped_matches_loop(tables_big):
     for n, alpha in EXPECT_POINTS + extra:
         fast = expectation_grouped(n, alpha, tables_big)
         assert fast.hex() == expectation_grouped_loop(n, alpha, tables_big).hex(), (n, alpha)
+
+
+def test_expectation_grouped_memory(tables_big):
+    # the terms reach fsum a chunk at a time: no n-long list, index or gather
+    tracemalloc.start()
+    try:
+        expectation_grouped(10**6, 1e-4, tables_big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EXPECT_GROUPED_PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_asymptotic_examples():
@@ -430,10 +446,12 @@ def test_v_alpha_memory_at_alpha_0_1(cold_c1):
 
 
 def test_c1_weight_prefix_matches_per_prime_sieve():
-    # bit for bit: each weight is multiplied in the same prime order
+    # bit for bit at every cap the sweep reads: each weight is multiplied in
+    # the same prime order
     for limit in (24, 25, 26, 120, 121, 122, 168, 169, 170, 10**5):
         fast = moments._c1_weight_prefix(limit)
-        assert fast.tobytes() == c1_weight_prefix_per_prime(limit).tobytes(), limit
+        want = c1_weight_prefix_per_prime(limit)[moments._cap_columns(limit)]
+        assert fast.tobytes() == want.tobytes(), limit
 
 
 def test_c1_weight_prefix_sums_in_place(monkeypatch):
