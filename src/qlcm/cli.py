@@ -582,8 +582,9 @@ def _simulate_point(spec, tables, n, a, af, timer):
     # before the trial blocks are allocated, not on top of them
     e_exact = moments.expectation_exact(n, af, tables)
     v_exact = moments.variance_exact(n, af, tables)
-    with timer:
+    with timer as counters:
         mc = model.monte_carlo(params, tables, workers=spec.workers)
+        counters.update(workers=mc.workers, plane_bytes=mc.plane_bytes)
     if e_exact > 0:
         dev = np.abs(mc.degrees - e_exact) > spec.dev_eps * e_exact
         dev_frac = float(Fraction(int(dev.sum()), mc.trials))
@@ -819,13 +820,18 @@ def render(spec: ExperimentSpec, records):
             yield emit_jsonl(rec)
 
 
-def _make_parser() -> argparse.ArgumentParser:
+def _make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command named: its usage
+    still lists every command, so what it prints is the same."""
     parser = argparse.ArgumentParser(
         prog="qlcm",
         description="moments and simulation of the lcm degree of q-analogs of random sets",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
+    names = COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        cmd = COMMANDS[name]
         p = sub.add_parser(name, help=cmd.help)
         for opt_name in cmd.options:
             opt = OPTIONS[opt_name]
@@ -836,7 +842,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a fresh interpreter builds one command's subparser in a third of the
+    # time it takes to build all six
+    parser = _make_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         spec = build_spec(args)

@@ -50,7 +50,8 @@ ENUMERATION_LIMIT = 22
 # n = 32767, fewer above; a block's planes take ceil(rows / 8) * (n + 1) bytes
 BLOCK_SIZE = 128
 BLOCK_BYTES = 1 << 22
-# raw Philox words one draw holds at a time (512 KiB)
+# raw Philox words one draw holds at a time (512 KiB), and elements of a
+# plane one histogram step weighs at a time
 DRAW_CHUNK = 1 << 16
 
 
@@ -77,11 +78,17 @@ class ModelParams(_Params):
 
 
 class MonteCarloSummary(NamedTuple):
+    """The statistics of a run's trials, and what ran them: workers, the
+    size of the pool that took the blocks, and plane_bytes, the bytes of
+    one block's planes."""
+
     trials: int
     mean: float
     variance: float
     stderr: float
     degrees: np.ndarray
+    workers: int
+    plane_bytes: int
 
 
 class ExactDistribution(NamedTuple):
@@ -178,12 +185,12 @@ def _bit_table() -> np.ndarray:
     return ((v[:, None] >> np.arange(8)) & 1).astype(np.float64)
 
 
-def _block_degrees(planes: np.ndarray, rows: int, tables: ArithTables) -> np.ndarray:
+def _block_degrees(planes: np.ndarray, rows: int, tables: ArithTables, primes: tuple) -> np.ndarray:
     """The degree of each of the first rows trials of a block of byte planes
-    over 0..n, by the coverage transform; it overwrites the planes with the
-    covered bits."""
+    over 0..n, by the coverage transform with primes = split_primes(n); it
+    overwrites the planes with the covered bits."""
     n = planes.shape[1] - 1
-    small, large, counts = split_primes(n)
+    small, large, counts = primes
     for p in small.tolist():
         hi = n // p
         while hi > 1:
@@ -191,21 +198,31 @@ def _block_degrees(planes: np.ndarray, rows: int, tables: ArithTables) -> np.nda
             planes[:, lo + 1 : hi + 1] |= planes[:, (lo + 1) * p : hi * p + 1 : p]
             hi = lo
     # a large prime P has one level, d < P, and its passes commute, since
-    # d * P * P' > n: one op per d covers d from every d * P at once
+    # d * P * P' > n: one op per d, per DRAW_CHUNK primes, covers d from
+    # every d * P at once
     for d, k in enumerate(counts[1:], 2):
-        planes[:, d] |= np.bitwise_or.reduce(planes[:, d * large[:k]], axis=1)
-    # phi summed per byte value, then split into the value's bits; every sum
-    # is an integer at most sum of phi(d) over d <= TABLE_LIMIT, under
-    # 3.1 * 10^13 < 2^53, so float64 holds it exactly in any order
-    phi = tables.phi[2 : n + 1].astype(np.float64)
-    hist = np.array([np.bincount(row[2:], weights=phi, minlength=256) for row in planes])
+        for j in range(0, k, DRAW_CHUNK):
+            step = large[j : min(j + DRAW_CHUNK, k)]
+            planes[:, d] |= np.bitwise_or.reduce(planes[:, d * step], axis=1)
+    # phi summed per byte value, DRAW_CHUNK elements at a time, so that
+    # bincount's float64 weights and intp copy of the plane stay one chunk
+    # long, then split into the value's bits; every sum is an integer at
+    # most sum of phi(d) over d <= TABLE_LIMIT, under 3.1 * 10^13 < 2^53,
+    # so float64 holds it exactly in any order
+    hist = np.zeros((len(planes), 256))
+    for s in range(2, n + 1, DRAW_CHUNK):
+        e = min(s + DRAW_CHUNK, n + 1)
+        weights = tables.phi[s:e]
+        for row, h in zip(planes, hist):
+            h += np.bincount(row[s:e], weights=weights, minlength=256)
     return (hist @ _bit_table()).astype(np.int64).reshape(-1)[:rows]
 
 
 def _run_threads(fn, items: list, threads: int) -> list:
-    """[fn(x) for x in items], on that many threads that take the next item
-    from one locked iterator.  The first exception a thread raises stops
-    every thread after its current item and is raised here."""
+    """[fn(x) for x in items], on that many workers that take the next item
+    from one locked iterator: the calling thread and threads - 1 started
+    ones.  The first exception a worker raises stops every worker after its
+    current item and is raised here."""
     out = [None] * len(items)
     errors: list[BaseException] = []
     todo = enumerate(items)
@@ -222,9 +239,10 @@ def _run_threads(fn, items: list, threads: int) -> list:
             except BaseException as exc:
                 errors.append(exc)
 
-    pool = [threading.Thread(target=work) for _ in range(threads)]
+    pool = [threading.Thread(target=work) for _ in range(threads - 1)]
     for t in pool:
         t.start()
+    work()
     for t in pool:
         t.join()
     if errors:
@@ -235,31 +253,30 @@ def _run_threads(fn, items: list, threads: int) -> list:
 def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> MonteCarloSummary:
     """Simulate the degree statistic over keyed trials.
 
-    Each running block holds the byte planes of BLOCK_SIZE trials,
+    Each worker holds one block: the byte planes of BLOCK_SIZE trials,
     ceil(BLOCK_SIZE / 8) * (n + 1) bytes, with fewer trials where
-    BLOCK_SIZE * (n + 1) would pass BLOCK_BYTES.
+    BLOCK_SIZE * (n + 1) would pass BLOCK_BYTES, and temporaries no longer
+    than DRAW_CHUNK elements.  The primes of the transform are split once
+    per call and shared by every block.
 
     Mean and variance come from exact integer sums of the per-trial degrees
-    (converted through Fraction), so the summary is bit-identical for any
-    worker count or block size.
+    (converted through Fraction), so the statistics are bit-identical for
+    any worker count or block size.
     """
     check_point(params.n, tables=tables)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rows = _block_rows(params.n)
     spans = [(s, min(s + rows, params.trials)) for s in range(0, params.trials, rows)]
-    # more threads than cores or blocks add no speed, only block memory
+    # more workers than cores or blocks add no speed, only block memory
     pool_size = min(workers, len(spans), os.cpu_count() or 1)
+    primes = split_primes(params.n)
 
     def block(span):
         start, stop = span
-        return _block_degrees(_draw_block(params, start, stop), stop - start, tables)
+        return _block_degrees(_draw_block(params, start, stop), stop - start, tables, primes)
 
-    if pool_size == 1:
-        parts = [block(span) for span in spans]
-    else:
-        parts = _run_threads(block, spans, pool_size)
-    degrees = np.concatenate(parts)
+    degrees = np.concatenate(_run_threads(block, spans, pool_size))
     t = params.trials
     s1 = int(degrees.sum())
     s2 = sum(int(x) * int(x) for x in degrees)
@@ -275,6 +292,8 @@ def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> M
         variance=variance,
         stderr=stderr,
         degrees=degrees,
+        workers=pool_size,
+        plane_bytes=(min(rows, t) + 7) // 8 * (params.n + 1),
     )
 
 

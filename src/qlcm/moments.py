@@ -127,18 +127,20 @@ def _powi(base, k: int):
 
 
 def _powers(beta: float, count: int) -> np.ndarray:
-    """[_powi(beta, k) for k < count] bit for bit: the same squarings of
-    beta, each multiplied into the exponents whose bit it is, in the same
-    ascending bit order."""
-    bits = max(count - 1, 0).bit_length()
-    acc = np.ones(1 << bits)
+    """[_powi(beta, k) for k < count] bit for bit, in count floats: entry
+    k + 2^j is entry k < 2^j times beta^(2^j), so each entry multiplies in
+    the squarings of beta of its exponent's bits in ascending bit order, as
+    _powi does."""
+    acc = np.empty(count)
+    acc[:1] = 1.0
     b = float(beta)
-    for bit in range(bits):
-        # the exponents with this bit set: the upper half of each block of
-        # 2^(bit + 1) consecutive exponents
-        acc.reshape(-1, 2 << bit)[:, 1 << bit :] *= b
+    size = 1
+    while size < count:
+        top = min(2 * size, count)
+        np.multiply(acc[: top - size], b, out=acc[size:top])
         b *= b
-    return acc[:count]
+        size *= 2
+    return acc
 
 
 def dilog(z: float, tol: float = 1e-12) -> float:

@@ -34,3 +34,9 @@ V_ALPHA_0_1_PEAK_MIB = 11.0
 # list); 16 of it are the Phi prefix and the beta powers.  The bound is the
 # measurement plus 10%
 EXPECT_GROUPED_PEAK_MIB = 20.0
+
+# tracemalloc peak of monte_carlo at n = 2 * 10^6 with 16 trials on two
+# workers, in MiB: measured 6.62-7.00 with one block of planes a worker and
+# chunk-long temporaries (67.2 when each block built n-long copies of phi
+# and of its planes, and its own primes).  The bound is 7.00 plus 10%
+MONTE_CARLO_2M_PEAK_MIB = 7.7

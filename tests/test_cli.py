@@ -620,6 +620,58 @@ def test_oracle_check_sees_a_fault_in_the_planes(capsys, monkeypatch):
     assert code == 0 and json.loads(out[0])["disagree_count"] == 1
 
 
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    # main builds the subparser of the command argv names alone; help, an
+    # unknown flag and a missing value print the same bytes and exit with
+    # the same code as under the parser of every command
+    def parse(argv, command):
+        try:
+            _make_parser(command).parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    for name in COMMANDS:
+        # every subparser has --config, which takes a value
+        for argv in ([name, "--help"], [name, "--bogus"], [name, "--config"]):
+            full = parse(argv, None)
+            assert full[2] == (0 if argv[1] == "--help" else 2) and full[0] + full[1]
+            assert parse(argv, name) == full, argv
+    # no command first, or an unknown one: the full parser
+    built = []
+
+    def record(command=None):
+        built.append(command)
+        raise LookupError("parser recorded")
+
+    monkeypatch.setattr(cli, "_make_parser", record)
+    for argv, want in [(["vfun", "--alpha", "0.5"], "vfun"), ([], None), (["--help"], None),
+                       (["nope"], None), (["--n", "5", "expect"], None)]:
+        with pytest.raises(LookupError, match="parser recorded"):
+            main(argv)
+        assert built.pop() == want, argv
+
+
+def test_simulate_timing_record_counts_workers_and_plane_bytes(capsys):
+    # the pool size run (capped by blocks and cores) and the bytes of one
+    # block's planes go in the timing record only: 300 trials at n = 1000
+    # are three blocks of 128 rows or fewer, 16 planes of 1001 bytes
+    argv = ["simulate", "--n", "1000", "--alpha", "0.5", "--trials", "300", "--seed", "3"]
+    records = {}
+    for workers in ("1", "2", "8"):
+        code, out, _ = run_cli(capsys, argv + ["--workers", workers])
+        assert code == 0 and len(out) == 3
+        rec, _, tm = (json.loads(ln) for ln in out)
+        assert tm["phase"] == "simulate n=1000 alpha=0.5"
+        assert tm["workers"] == min(int(workers), 3, os.cpu_count() or 1)
+        assert tm["plane_bytes"] == 16 * 1001
+        assert not {"workers", "plane_bytes"} & set(rec)
+        records[workers] = out[0]
+    assert len(set(records.values())) == 1
+
+
 def test_oracle_check_timing_counters(capsys):
     # Euclid runs once per pair (k, m) of elements, and the pairs are shared
     # by every set of the run and by later runs in the same process

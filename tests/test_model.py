@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from calibration import MONTE_CARLO_2M_PEAK_MIB
 from qlcm import model
 from qlcm.arith import build_tables
 from qlcm.errors import ResourceLimitError
@@ -159,18 +160,25 @@ def test_block_rows_fit_the_byte_budget(monkeypatch):
 
 
 def test_monte_carlo_memory_follows_the_byte_budget():
-    # 128 rows at n = 2 * 10^5 would hold 25.6 MB of bits at once
-    n = 200000
-    tables = build_tables(n)
-    p = ModelParams(n=n, alpha=0.5, seed=1, trials=128)
-    tracemalloc.start()
-    try:
-        s = monte_carlo(p, tables)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert s.trials == 128
-    assert peak < 2**23, f"peak {peak} bytes"
+    # a first draw loads numpy.random's modules outside the traced spans
+    sample_set(ModelParams(n=1, alpha=0.5, seed=1, trials=1), 0)
+    for n, trials, workers, bound in [
+        # 128 rows at n = 2 * 10^5 would hold 25.6 MB of bits at once
+        (200000, 128, 1, 2**23),
+        # two rows a block: each worker holds one 2 MB plane, and the
+        # histogram's float64 weights and intp plane are one chunk long
+        (2000000, 16, 2, MONTE_CARLO_2M_PEAK_MIB * 2**20),
+    ]:
+        tables = build_tables(n)
+        p = ModelParams(n=n, alpha=0.5, seed=1, trials=trials)
+        tracemalloc.start()
+        try:
+            s = monte_carlo(p, tables, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.trials == trials
+        assert peak < bound, f"peak {peak} bytes at n = {n}"
 
 
 def test_sample_set_trial_range():
@@ -281,21 +289,25 @@ def test_monte_carlo_worker_and_block_invariance(tables_small, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 24, 25, 26, 97, 120, 121, 122, 1000, 2310])
 def test_block_degrees_match_per_d_oracle(tables_small, n, monkeypatch):
-    # the coverage transform gives the per-d loop's degree, trial by trial
+    # the coverage transform gives the per-d loop's degree, trial by trial,
+    # at the default chunk and at a chunk of 7, whose boundaries fall inside
+    # 2..n for the histogram and the large-prime gathers
     tables = tables_small if n <= tables_small.limit else build_tables(n)
     for alpha in (0, 0.1, 0.5, 1):
         p = ModelParams(n=n, alpha=alpha, seed=20260814, trials=20)
         want = [degree_statistic(sample_set(p, t), n, tables) for t in range(p.trials)]
         if n == 1 or alpha == 0:
             assert want == [0] * p.trials
-        for block in (1, 7, 8, 9, 16, 17, 256):
+        for chunk, block in itertools.product((7, model.DRAW_CHUNK), (1, 7, 8, 9, 16, 17, 256)):
+            monkeypatch.setattr(model, "DRAW_CHUNK", chunk)
             monkeypatch.setattr(model, "BLOCK_SIZE", block)
             got = monte_carlo(p, tables).degrees
-            assert got.tolist() == want, (n, alpha, block)
+            assert got.tolist() == want, (n, alpha, chunk, block)
 
 
 def test_monte_carlo_threads_capped(tables_small, monkeypatch):
-    # the pool never gets more threads than workers, blocks or cores
+    # the pool never gets more workers than asked for, blocks or cores, and
+    # the calling thread is one of them: it starts one thread fewer
     started = []
 
     class Recorder(threading.Thread):
@@ -310,16 +322,14 @@ def test_monte_carlo_threads_capped(tables_small, monkeypatch):
         (2, 10**4, 4, 2),  # cores bind
         (4, 3, 4, 3),  # workers bind
         (4, 10**4, 20, 2),  # blocks bind
-        (None, 10**4, 4, None),  # unknown core count: no pool
+        (None, 10**4, 4, 1),  # unknown core count: the caller alone
     ]:
         started.clear()
         monkeypatch.setattr(model.os, "cpu_count", lambda cores=cores: cores)
         monkeypatch.setattr(model, "BLOCK_SIZE", block)
-        got = monte_carlo(p, tables_small, workers=workers).degrees
-        # the size of the one pool a call starts, if it starts one
-        sizes = [len(started)] if started else []
-        assert sizes == ([] if want is None else [want])
-        assert np.array_equal(got, base)
+        s = monte_carlo(p, tables_small, workers=workers)
+        assert s.workers == want == len(started) + 1
+        assert np.array_equal(s.degrees, base)
 
 
 def test_monte_carlo_reraises_a_worker_exception(tables_small, monkeypatch):

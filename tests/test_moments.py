@@ -205,6 +205,22 @@ def test_powers_match_powi(beta):
     fast = moments._powers(beta, 20001)
     assert hexes(fast) == hexes(moments._powi(beta, k) for k in range(20001))
     assert len(moments._powers(beta, 0)) == 0 and moments._powers(beta, 1).tolist() == [1.0]
+    # counts at, just below and just past powers of two
+    for count in (1, 2, 1023, 1024, 1025, 4097):
+        got = moments._powers(beta, count)
+        assert hexes(got) == hexes(fast[:count]), count
+
+
+def test_powers_allocate_count_floats():
+    # 600001 powers are 4.8 MB; the next power of two would be 8.4 MB
+    count = 600001
+    tracemalloc.start()
+    try:
+        moments._powers(1 - 1e-4, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count + 2**12, f"peak {peak} bytes"
 
 
 def test_expectation_grouped_matches_loop(tables_big):
