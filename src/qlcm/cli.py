@@ -191,6 +191,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
     pair = (int(bits[0]), int(bits[1]))
     if math.gcd(*pair) != 1 or min(pair) < 1:
         raise ValueError(f"needs coprime positive a1,a2, got {pair}")
+    if max(pair) > arith.TABLE_LIMIT:  # C1 factors a1 and a2 by trial division
+        raise ResourceLimitError(f"--c1-pair {max(pair)} exceeds the cap {arith.TABLE_LIMIT}")
     return pair
 
 
@@ -292,6 +294,8 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         )
     except ValueError as exc:
         raise SpecError(f"truncation: {exc}") from exc
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{exc}; lower --c1-cutoff") from exc
     spec = ExperimentSpec(
         command=args.command,
         n_values=values.pop("n"),
@@ -338,25 +342,11 @@ def _check_variance(spec: ExperimentSpec):
     _check_variance_bytes(spec)
 
 
-def _check_c1_cutoff(spec: ExperimentSpec):
-    # the C1 weight prefix is a table up to the cutoff
-    if spec.truncation.c1_cutoff > arith.TABLE_LIMIT:
-        raise ResourceLimitError(
-            f"--c1-cutoff {spec.truncation.c1_cutoff} exceeds the table cap {arith.TABLE_LIMIT}"
-        )
-
-
 def _check_vfun(spec: ExperimentSpec):
     if not spec.alphas and spec.c1_pair is None:
         raise SpecError("alpha: required for this command")
-    _check_c1_cutoff(spec)
     if spec.c1_pair is not None and spec.format == "csv":
         raise SpecError("format: csv has no columns for the C1 record of c1_pair")
-    if spec.c1_pair is not None and max(spec.c1_pair) > arith.TABLE_LIMIT:
-        # C1 factors a1 and a2 by trial division
-        raise ResourceLimitError(
-            f"--c1-pair {max(spec.c1_pair)} exceeds the cap {arith.TABLE_LIMIT}"
-        )
     for a in spec.alphas:
         if not 0 < a < 1:
             raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
@@ -403,7 +393,6 @@ def _check_bench(spec: ExperimentSpec):
     if spec.repeat > BENCH_REPEAT_LIMIT:
         raise ResourceLimitError(f"--repeat {spec.repeat} exceeds the limit {BENCH_REPEAT_LIMIT}")
     if spec.suite == "valpha":
-        _check_c1_cutoff(spec)
         moments._enumeration_depth(0.5, spec.truncation, raise_flags="--tail-tol")
 
 
@@ -648,12 +637,14 @@ def _vfun_records(spec: ExperimentSpec, phases):
                 c1_inner_evals=est.c1_inner_evals,
                 c1_cache_hits=est.c1_prime_sets - est.c1_inner_evals,
             )
+        # alpha_factor at the config's tolerance, as moments.alpha_factor at the default
+        dilog_beta = moments.dilog(1.0 - af, spec.truncation.dilog_tol)
         body = {
             "v_alpha": est.value,
             "v_alpha_error": est.truncation_error,
             "v_alpha_terms": est.terms,
-            "alpha_factor": moments.alpha_factor(af),
-            "dilog_beta": moments.dilog(1.0 - af, spec.truncation.dilog_tol),
+            "alpha_factor": af * dilog_beta / (1.0 - af),
+            "dilog_beta": dilog_beta,
         }
         yield _report(spec, body, alpha=af)
     if spec.c1_pair is not None:
@@ -696,8 +687,8 @@ def _bench_cases(spec: ExperimentSpec):
 
         def cold_v_alpha():
             # cold C1 caches on every repeat, as in the oracle suite
-            for cache in (moments._c1_prefix_cache, moments._c1_inner_cache):
-                cache.clear()
+            moments._c1_weight_prefix.cache_clear()
+            moments._c1_inner_cache.clear()
             moments.v_alpha(0.5, spec.truncation)
 
         yield "v_alpha 0.5", 0, cold_v_alpha

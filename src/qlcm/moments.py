@@ -15,6 +15,7 @@ covered divisors 1 < d <= n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -62,9 +63,9 @@ class _Truncation(NamedTuple):
 class TruncationConfig(_Truncation):
     """Truncation levels for the series evaluations, checked on construction.
 
-    c1_cutoff bounds [d1', d2'] in the C1 double sum; j3_max and
-    beta_tail_tol bound the S_infinity enumeration; dilog_tol drives the
-    dilogarithm series.
+    c1_cutoff bounds [d1', d2'] in the C1 double sum, whose weight prefix is
+    a table up to it, refused past TABLE_LIMIT; j3_max and beta_tail_tol
+    bound the S_infinity enumeration; dilog_tol drives the dilogarithm series.
     """
 
     __slots__ = ()
@@ -79,6 +80,10 @@ class TruncationConfig(_Truncation):
             v = getattr(self, name)
             if not 0.0 < v <= 1e-3:
                 raise ValueError(f"{name} must lie in (0, 1e-3], got {v}")
+        if self.c1_cutoff > TABLE_LIMIT:
+            raise ResourceLimitError(
+                f"c1_cutoff {self.c1_cutoff} exceeds the table cap {TABLE_LIMIT}"
+            )
         return self
 
 
@@ -328,8 +333,8 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     alpha may be a tuple, for which a list of V in its order is returned:
     the pairs, e and phi(d1) phi(d2) depend on n alone, so each chunk is
     walked once for every alpha, and each alpha's value is bit for bit the
-    one of its own call.  A counters dict, when given, receives "pairs",
-    the ordered pairs (d1, d2) the walk visited.
+    one of its own call.  A counters dict, when given, has the ordered
+    pairs (d1, d2) the walk visited added to its "pairs".
     """
     alphas = alpha if isinstance(alpha, tuple) else (alpha,)
     for a in alphas:
@@ -360,7 +365,7 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
             else:
                 t.append(factor * _weighted_beta_sum(w0, pw, e, j3))
     if counters is not None:
-        counters["pairs"] = pairs
+        counters["pairs"] = counters.get("pairs", 0) + pairs
     if exact:
         out = [Fraction(sum(t), pw[0]) for pw, t in zip(powers, terms)]
     else:
@@ -418,7 +423,6 @@ def variance_upper_envelope(n: int, alpha: float) -> float:
 # pairs and c1_constant on its one pair.
 # ---------------------------------------------------------------------------
 
-_c1_prefix_cache: dict[int, np.ndarray] = {}
 # Inner depends on (a1, a2) only through the prime set of a1 a2, which its
 # radical names: keyed by (cutoff, radical)
 _c1_inner_cache: dict[tuple[int, int], float] = {}
@@ -447,18 +451,12 @@ def _phi_sigma_rad(a: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, ...]
     return np.take(out, which, axis=1), primes
 
 
+@functools.cache
 def _c1_weight_prefix(limit: int) -> np.ndarray:
     """Prefix sums of the multiplicative weight prod (1-2p)/p^3 over
     squarefree m (zero elsewhere) at the caps of _cap_columns(limit), the
-    only ones the sweep reads; built in place over the weights, refused
-    above the table cap, whose 9 bytes per unit (weights and sieve) it takes."""
-    if limit > TABLE_LIMIT:
-        raise ResourceLimitError(
-            f"c1_cutoff {limit} exceeds the table cap {TABLE_LIMIT}; lower --c1-cutoff"
-        )
-    cached = _c1_prefix_cache.get(limit)
-    if cached is not None:
-        return cached
+    only ones the sweep reads; built in place over the weights, 9 bytes per
+    unit of limit with the sieve (TruncationConfig caps limit), and cached."""
     w = np.ones(limit + 1, dtype=np.float64)
     w[0] = 0.0
     small, large, counts = split_primes(limit)
@@ -473,22 +471,17 @@ def _c1_weight_prefix(limit: int) -> np.ndarray:
         w[j * large[:k]] *= large_w[:k]
     prefix = np.cumsum(w, out=w)[_cap_columns(limit)]
     prefix.setflags(write=False)
-    _c1_prefix_cache[limit] = prefix
     return prefix
 
 
 def _cap_columns(limit: int) -> np.ndarray:
     """The caps of the C1 inner-sum expansion, ascending: each is some
     limit // n, so they fit in 2 r + 1 columns, r = isqrt(limit), the caps
-    0..r and then limit // n for n = r down to 1."""
+    0..r and then limit // n for n = r down to 1.  The sweep finds a cap's
+    column by searchsorted: the first of the two r's when limit // r = r,
+    whose columns hold the same U."""
     r = math.isqrt(limit)
     return np.concatenate((np.arange(r + 1), limit // np.arange(r, 0, -1)))
-
-
-def _column(limit: int, cap: np.ndarray) -> np.ndarray:
-    """The column of each cap (>= 1, of the form limit // n)."""
-    r = math.isqrt(limit)
-    return np.where(cap <= r, cap, 2 * r + 1 - limit // cap)
 
 
 def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -> list[float]:
@@ -521,7 +514,7 @@ def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -
         table[lo:hi, : bounds[0]] = table[-1, : bounds[0]]
         w0 = (1.0 - 2.0 * p) / (p * p * p)
         for c0, c1 in zip(bounds[:-1], bounds[1:]):
-            child = _column(limit, caps[c0:c1] // p)
+            child = np.searchsorted(caps, caps[c0:c1] // p)
             table[lo:hi, c0:c1] = table[tail[lo:hi], c0:c1] - w0 * table[lo:hi, child]
 
     # every subset of each set's primes with product q <= limit, as
@@ -536,7 +529,6 @@ def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -
     owner = np.arange(len(prime_sets))
     q = np.ones(len(owner), dtype=np.int64)
     coef = np.ones(len(owner))
-    mask = np.zeros(len(owner), dtype=np.int64)
     for i in range(width):
         p = padded[owner, i]
         keep = q * p <= limit
@@ -544,14 +536,11 @@ def _sweep(limit: int, prime_sets: list, prefix: np.ndarray, caps: np.ndarray) -
         owner = np.concatenate((owner, owner[keep]))
         q = np.concatenate((q, q[keep] * p))
         coef = np.concatenate((coef, coef[keep] * (-1.0 / (p * p))))
-        mask = np.concatenate((mask, mask[keep] | 1 << i))
     rows = np.array([row.get(s, -1) for s in prime_sets], dtype=np.int64)
-    terms = coef * table[rows[owner], _column(limit, limit // q)]
-    # each set's terms added one mask at a time, in ascending order
+    terms = coef * table[rows[owner], np.searchsorted(caps, limit // q)]
+    # add.at adds in array order, so each set's terms in ascending mask order
     totals = np.zeros(len(prime_sets))
-    runs = np.flatnonzero(np.diff(mask)) + 1
-    for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(mask)]):
-        totals[owner[lo:hi]] += terms[lo:hi]
+    np.add.at(totals, owner, terms)
     return totals.tolist()
 
 

@@ -10,6 +10,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlcm import cli, model, moments, qpoly
@@ -137,7 +138,7 @@ def test_variance_row_walks_once_per_n(capsys, variance_calls):
 def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls):
     # a budget that leaves room for two beta^k tables at n = 2000 splits the
     # five alphas into groups of three and two, and changes no record but
-    # the times
+    # the times and the pairs of the two walks
     argv = ["variance", "--n", "10,2000", "--alpha", "0.1,0.3,0.5,0.7,0.9"]
     _, whole, _ = run_cli(capsys, argv)
     assert variance_calls == [(10, (0.1, 0.3, 0.5, 0.7, 0.9)), (2000, (0.1, 0.3, 0.5, 0.7, 0.9))]
@@ -155,7 +156,23 @@ def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls):
             r.pop("peak_rss_kib", None)
         return recs
 
-    assert timeless(split) == timeless(whole)
+    split, whole = timeless(split), timeless(whole)
+    assert split[-1].pop("pairs") == 2 * whole[-1].pop("pairs")
+    assert split == whole
+
+
+def test_variance_pairs_count_every_walk_of_a_row(capsys, monkeypatch):
+    # room for one beta^k table beside the first splits the five alphas at
+    # n = 2000 into three walks, whose pairs the row's timing adds up
+    argv = ["variance", "--n", "2000", "--alpha", "0.1,0.2,0.3,0.4,0.5"]
+    d = np.arange(2, 2001)
+    one_walk = sum(int((np.lcm(d1, d) <= 2000).sum()) for d1 in d.tolist())
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out[-1])["pairs"] == one_walk == 48691
+    monkeypatch.setattr(cli, "VARIANCE_BYTES", moments._variance_bytes(2000) + 8 * 2001)
+    assert len(cli._alpha_groups(2000, (0.1, 0.2, 0.3, 0.4, 0.5))) == 3
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out[-1])["pairs"] == 3 * one_walk
 
 
 def test_variance_exact_row_matches_per_alpha_runs(capsys):
@@ -458,6 +475,21 @@ def test_vfun_c1_x_refused_before_v_alpha(capsys, monkeypatch, argv):
     assert code == 3 and err.startswith("resource limit:") and "--c1-x" in err, err
     assert not out and not calls
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
+
+
+def test_c1_caps_refused_where_the_value_is_made(capsys, monkeypatch):
+    # the pair by its parser, the cutoff by the truncation config; either
+    # message names the flag, through the flag and the environment alike
+    assert cli._parse_pair(f"{TABLE_LIMIT},1") == (TABLE_LIMIT, 1)
+    with pytest.raises(ResourceLimitError, match="--c1-pair"):
+        cli._parse_pair(f"{TABLE_LIMIT + 1},1")
+    want = f"c1_cutoff {TABLE_LIMIT + 1} exceeds the table cap {TABLE_LIMIT}; lower --c1-cutoff"
+    argv = ["vfun", "--alpha", "0.5", "--c1-cutoff", str(TABLE_LIMIT + 1)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and not out and err.strip() == f"resource limit: {want}", err
+    monkeypatch.setenv("QLCM_C1_CUTOFF", str(TABLE_LIMIT + 1))
+    code, out, err = run_cli(capsys, ["bench", "--suite", "valpha"])
+    assert code == 3 and not out and err.strip() == f"resource limit: {want}", err
 
 
 @pytest.mark.parametrize("pair", ["1000000000000000003,1", f"1,{TABLE_LIMIT + 1}"])
@@ -968,10 +1000,27 @@ def test_vfun_records(capsys):
     assert crec["c1_rel_diff"] < 0.01
 
 
+def test_vfun_alpha_factor_follows_the_dilog_tolerance(capsys, monkeypatch):
+    # alpha_factor is alpha Li2(beta) / beta from the record's own dilog_beta:
+    # moments.alpha_factor bit for bit at the default tolerance, and at
+    # alpha = 1/2, where beta = alpha, dilog_beta itself at any tolerance
+    no_walk = moments.VAlphaEstimate(0.0, 0.0, 0, 0, 0, 0)
+    monkeypatch.setattr(moments, "v_alpha", lambda *a: no_walk)
+    alphas = [k / 20 for k in range(1, 20)]
+    argv = ["vfun", "--alpha", ",".join(map(str, alphas)), "--no-timings"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    want = [moments.alpha_factor(a) for a in alphas]
+    assert [json.loads(ln)["alpha_factor"] for ln in out] == want
+    code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5", "--dilog-tol", "1e-3"])
+    rec = json.loads(out[0])
+    assert code == 0 and rec["alpha_factor"] == rec["dilog_beta"] != moments.alpha_factor(0.5)
+
+
 def test_vfun_timing_counters(capsys, monkeypatch):
     # from empty C1 caches, whatever ran before in this process
-    for name in ("_c1_prefix_cache", "_c1_inner_cache"):
-        monkeypatch.setattr(moments, name, {})
+    moments._c1_weight_prefix.cache_clear()
+    monkeypatch.setattr(moments, "_c1_inner_cache", {})
     code, out, _ = run_cli(capsys, ["vfun", "--alpha", "0.5"])
     assert code == 0 and len(out) == 2
     rec, tm = (json.loads(ln) for ln in out)
@@ -1065,8 +1114,8 @@ def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
         return [f.cache_info() for f in (qpoly._q_gcd, qpoly._divisor_lcm, qpoly.cyclotomic)]
 
     def c1_caches(repeat):
-        caches = (moments._c1_prefix_cache, moments._c1_inner_cache)
-        return [len(c) for c in caches] + [len(inner_sums) / repeat]
+        prefixes = moments._c1_weight_prefix.cache_info().currsize
+        return [prefixes, len(moments._c1_inner_cache), len(inner_sums) / repeat]
 
     for suite, state, cold in (
         ("oracle", oracle_caches, lambda infos: all(info.misses > 0 for info in infos)),

@@ -63,8 +63,8 @@ def hexes(values):
 @pytest.fixture
 def cold_c1(monkeypatch):
     # empty C1 caches, whatever ran before in this process
-    for name in ("_c1_prefix_cache", "_c1_inner_cache"):
-        monkeypatch.setattr(moments, name, {})
+    moments._c1_weight_prefix.cache_clear()
+    monkeypatch.setattr(moments, "_c1_inner_cache", {})
 
 
 def test_truncation_config_validation():
@@ -79,6 +79,24 @@ def test_truncation_config_validation():
         TruncationConfig(beta_tail_tol=1e-2)
     with pytest.raises(ValueError):
         TruncationConfig(dilog_tol=-1e-12)
+
+
+def test_truncation_config_refuses_a_cutoff_past_the_table_cap(monkeypatch):
+    # the C1 weight prefix is a table up to the cutoff: the config is the one
+    # place that refuses it, so a library call fails before any work
+    assert TruncationConfig(c1_cutoff=TABLE_LIMIT).c1_cutoff == TABLE_LIMIT
+    with pytest.raises(ResourceLimitError, match=f"c1_cutoff {TABLE_LIMIT + 1} exceeds"):
+        TruncationConfig(c1_cutoff=TABLE_LIMIT + 1)
+
+    def called(*args, **kwargs):
+        raise AssertionError("ran past the config")
+
+    for name in ("_enumeration_depth", "_c1_pairs", "_c1_weight_prefix"):
+        monkeypatch.setattr(moments, name, called)
+    with pytest.raises(ResourceLimitError):
+        v_alpha(0.5, TruncationConfig(c1_cutoff=TABLE_LIMIT + 1))
+    with pytest.raises(ResourceLimitError):
+        c1_constant(6, 35, TruncationConfig(c1_cutoff=TABLE_LIMIT + 1))
 
 
 def test_dilog_examples():
@@ -309,7 +327,8 @@ def test_variance_row_matches_per_alpha_calls_exact(tables_small):
         row = variance_exact(n, alphas, tables_small, exact=True, counters=row_counters)
         want = [variance_exact(n, a, tables_small, exact=True, counters=counters) for a in alphas]
         assert row == want and all(type(v) is Fraction for v in row), n
-        assert row_counters == counters, n
+        # one walk for the row, one per alpha added to the shared counters
+        assert counters == {"pairs": len(alphas) * row_counters["pairs"]}, n
     assert variance_exact(5, (), tables_small) == []
 
 
@@ -470,10 +489,10 @@ def test_c1_weight_prefix_matches_per_prime_sieve():
         assert fast.tobytes() == want.tobytes(), limit
 
 
-def test_c1_weight_prefix_sums_in_place(monkeypatch):
+def test_c1_weight_prefix_sums_in_place():
     # the prefix overwrites its weights: one float64 array of limit + 1, not
     # two, beside the prime sieve's byte per unit
-    monkeypatch.setattr(moments, "_c1_prefix_cache", {})
+    moments._c1_weight_prefix.cache_clear()
     limit = 10**6
     tracemalloc.start()
     try:
