@@ -61,6 +61,24 @@ ORACLE_WORK_LIMIT = 2 * 10**10
 # run's 2000 x 10^4, about 34 s of draws
 SIMULATE_TRIAL_WORK = 1024
 SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
+# expect work in units of about 70 ns: a point costs n plus a fixed
+# EXPECT_POINT_WORK.  One point's exact, grouped and asymptotic E took (one
+# process, 2 cores, best of 3) 0.03-0.07 ms at n = 10 and, at n = 10^6,
+# 9.4 ms at alpha = 0.5 and 63-68 ms at alpha = 0.001, where the grouped
+# sum runs to min(n, Z): about 70 us plus 70 ns a unit of n at worst.  The
+# cap is about 28 s of that worst case (`--n 1:20000` at one alpha is
+# 2.2e8).  ROADMAP directions 3 and 4 change these costs; refit after them
+EXPECT_POINT_WORK = 1000
+EXPECT_WORK_LIMIT = 4 * 10**8
+# variance work in units of one pair of the float V[X] walk (19-35 ns a
+# pair at n >= 10^4): a walk at n visits about 0.4 n ln(n)^2 pairs (its
+# "pairs" counter reads 343,983 at 10^4, 5.15 million at 10^5 and 71.9
+# million at 10^6) plus a fixed VARIANCE_WALK_WORK (about 0.4 ms), and a
+# row takes one walk per group of _alpha_groups.  The cap, 21-38 s of
+# walks, admits one walk at every n the byte budget admits (1.01e9 at its
+# largest); refit with the expect cap
+VARIANCE_WALK_WORK = 15_000
+VARIANCE_WORK_LIMIT = 11 * 10**8
 # bytes the float V[X] at the largest n of variance or simulate may
 # allocate beside the tables (moments._variance_bytes): 256 MiB admits n up
 # to 9,747,872
@@ -337,9 +355,39 @@ def _check_variance_bytes(spec: ExperimentSpec):
         )
 
 
+def _check_work(spec: ExperimentSpec, work: float, model: str, limit: int, remedy: str):
+    """Refuse a spec whose work, estimated by the model described, passes limit."""
+    if work > limit:
+        raise ResourceLimitError(
+            f"{spec.command} work {work:.3g} ({model}) exceeds {limit:.2g}; lower {remedy}"
+        )
+
+
+def _check_trial_work(spec: ExperimentSpec, per_n, per_n_text: str, per_trial: int, limit: int):
+    """Refuse trials x alphas x sum over n of (per_n(n) + per_trial) past limit."""
+    work = spec.trials * len(spec.alphas) * sum(per_n(n) + per_trial for n in spec.n_values)
+    model = f"--trials x alphas x sum of {per_n_text} plus {per_trial:.3g} a trial"
+    _check_work(spec, work, model, limit, "--trials or --n")
+
+
+def _check_expect(spec: ExperimentSpec):
+    _check_exact(spec)
+    work = len(spec.alphas) * (sum(spec.n_values) + EXPECT_POINT_WORK * len(spec.n_values))
+    model = f"alphas x sum of --n plus {EXPECT_POINT_WORK:.3g} a point"
+    _check_work(spec, work, model, EXPECT_WORK_LIMIT, "--n or the number of --alpha values")
+
+
 def _check_variance(spec: ExperimentSpec):
     _check_exact(spec)
     _check_variance_bytes(spec)
+    # one walk per group of _alpha_groups
+    work = sum(
+        -(-len(spec.alphas) // _alpha_group_size(n))
+        * (0.4 * n * math.log(n) ** 2 + VARIANCE_WALK_WORK)
+        for n in spec.n_values
+    )
+    model = f"sum over --n of walks x (0.4 n ln(n)^2 plus {VARIANCE_WALK_WORK:.3g})"
+    _check_work(spec, work, model, VARIANCE_WORK_LIMIT, "--n or the number of --alpha values")
 
 
 def _check_vfun(spec: ExperimentSpec):
@@ -363,19 +411,9 @@ def _check_vfun(spec: ExperimentSpec):
             )
 
 
-def _check_work(spec: ExperimentSpec, per_n, per_n_text: str, per_trial: int, limit: int):
-    """Refuse trials x alphas x sum over n of (per_n(n) + per_trial) past limit."""
-    work = spec.trials * len(spec.alphas) * sum(per_n(n) + per_trial for n in spec.n_values)
-    if work > limit:
-        raise ResourceLimitError(
-            f"{spec.command} work {work:.3g} (--trials x alphas x sum of {per_n_text} plus "
-            f"{per_trial:.3g} a trial) exceeds {limit:.2g}; lower --trials or --n"
-        )
-
-
 def _check_simulate(spec: ExperimentSpec):
     _check_grid(spec)
-    _check_work(spec, int, "--n", SIMULATE_TRIAL_WORK, SIMULATE_WORK_LIMIT)
+    _check_trial_work(spec, int, "--n", SIMULATE_TRIAL_WORK, SIMULATE_WORK_LIMIT)
     _check_variance_bytes(spec)
 
 
@@ -384,7 +422,7 @@ def _check_oracle(spec: ExperimentSpec):
     n_max = max(spec.n_values)
     if n_max > qpoly.ORACLE_LIMIT:
         raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
-    _check_work(spec, lambda n: n**3.5, "--n^3.5", ORACLE_SET_WORK, ORACLE_WORK_LIMIT)
+    _check_trial_work(spec, lambda n: n**3.5, "--n^3.5", ORACLE_SET_WORK, ORACLE_WORK_LIMIT)
 
 
 def _check_bench(spec: ExperimentSpec):
@@ -527,12 +565,17 @@ def _expect_point(spec, tables, n, a, af, timer):
     return body
 
 
-def _alpha_groups(n: int, alphas: tuple) -> list[tuple]:
-    """alphas split, in order, into groups whose float V[X] at n fits
-    VARIANCE_BYTES in one variance_exact call: each alpha past a group's
-    first adds a beta^k table of 8 (n + 1) bytes to _variance_bytes(n)."""
+def _alpha_group_size(n: int) -> int:
+    """The most alphas whose float V[X] at n fits VARIANCE_BYTES in one
+    variance_exact call: each alpha past the first adds a beta^k table of
+    8 (n + 1) bytes to _variance_bytes(n)."""
     spare = max(VARIANCE_BYTES - moments._variance_bytes(n), 0)
-    size = 1 + spare // (8 * (n + 1))
+    return 1 + spare // (8 * (n + 1))
+
+
+def _alpha_groups(n: int, alphas: tuple) -> list[tuple]:
+    """alphas split, in order, into groups of _alpha_group_size(n)."""
+    size = _alpha_group_size(n)
     return [alphas[i : i + size] for i in range(0, len(alphas), size)]
 
 
@@ -576,7 +619,7 @@ def _simulate_point(spec, tables, n, a, af, timer):
         counters.update(workers=mc.workers, plane_bytes=mc.plane_bytes)
     if e_exact > 0:
         dev = np.abs(mc.degrees - e_exact) > spec.dev_eps * e_exact
-        dev_frac = float(Fraction(int(dev.sum()), mc.trials))
+        dev_frac = int(dev.sum()) / mc.trials
     else:
         dev_frac = 0.0
     cheb_den = (spec.dev_eps * e_exact) ** 2
@@ -754,7 +797,7 @@ COMMANDS = {
     "expect": Command(
         "exact, grouped, and asymptotic E[X]",
         ("n", "exact", "alpha", *_OUTPUT),
-        _check_exact,
+        _check_expect,
         _grid(_expect_point),
     ),
     "variance": Command(

@@ -259,9 +259,9 @@ def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> M
     than DRAW_CHUNK elements.  The primes of the transform are split once
     per call and shared by every block.
 
-    Mean and variance come from exact integer sums of the per-trial degrees
-    (converted through Fraction), so the statistics are bit-identical for
-    any worker count or block size.
+    Mean and variance are correctly rounded ratios of exact integer sums of
+    the per-trial degrees (int true division), so the statistics are
+    bit-identical for any worker count or block size.
     """
     check_point(params.n, tables=tables)
     if workers < 1:
@@ -280,9 +280,9 @@ def monte_carlo(params: ModelParams, tables: ArithTables, workers: int = 1) -> M
     t = params.trials
     s1 = int(degrees.sum())
     s2 = sum(int(x) * int(x) for x in degrees)
-    mean = float(Fraction(s1, t))
+    mean = s1 / t
     if t >= 2:
-        variance = float(Fraction(t * s2 - s1 * s1, t * (t - 1)))
+        variance = (t * s2 - s1 * s1) / (t * (t - 1))
     else:
         variance = 0.0
     stderr = float(np.sqrt(variance / t))

@@ -677,72 +677,49 @@ def _enumeration_depth(
     return e
 
 
-def _coprime_cofactors(s: int) -> list[int]:
-    """The a1 <= s with gcd(a1, s + 1) = 1, ascending: the coprime pairs
+def _coprime_cofactors(s: int) -> np.ndarray:
+    """The int64 a1 <= s with gcd(a1, s + 1) = 1, ascending: the coprime pairs
     (a1, s + 1 - a1) with a1 + a2 - 1 = s."""
-    return [a for a in range(1, s + 1) if math.gcd(a, s + 1) == 1]
+    a = np.arange(1, s + 1, dtype=np.int64)
+    return a[np.gcd(a, s + 1) == 1]
 
 
-def _coprime_pairs(emax: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """(cofactors, a1, a2) for the coprime pairs with s = a1 + a2 - 1 <= emax:
-    cofactors holds the int64 array of the a1 of each s = 1..emax, and a1,
-    a2 are the pairs of every s, s major (empty at emax = 0)."""
-    cofactors = [np.array(_coprime_cofactors(s), dtype=np.int64) for s in range(1, emax + 1)]
-    a1 = np.concatenate([np.zeros(0, dtype=np.int64), *cofactors])
-    a2 = np.repeat(np.arange(2, emax + 2), [len(x) for x in cofactors]) - a1
-    return cofactors, a1, a2
+def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
+    """Yield the truncated S_infinity one s = a1 + a2 - 1 at a time, s
+    ascending, as (s, a1, a2, blocks): the walk v_alpha sums.
 
-
-def _s_infinity_walk(emax: int, j3_max: int, cofactors: list[np.ndarray]):
-    """Yield the truncated S_infinity to depth emax one s = a1 + a2 - 1 at a
-    time, as (s, a1, a2, blocks).
-
-    a1 = cofactors[s - 1] and a2 are the arrays of every coprime pair with
-    a1 + a2 - 1 = s, the a1 <= s with gcd(a1, s + 1) = 1.  Each pair has
-    exactly s + 1 points in [0, a1 a2]: the a2 + 1 multiples of a1 and the
-    a1 - 1 inner multiples of a2 (none is both), so the pairs' points make
-    one (pairs, s + 1) matrix, sorted along its rows.  blocks holds
+    a1 = _coprime_cofactors(s) and a2 = s + 1 - a1 are the arrays of every
+    coprime pair of that s.  The members of a triple (j3, a1, a2) are the
+    gaps between consecutive points of {multiples of a1} U {multiples of a2}
+    in [a1 a2 j3, a1 a2 (j3 + 1)]; the gap [m2, m1] has j1 = m2 // a1,
+    j2 = m2 // a2, rho2 = 1/m2 and rho1 = 1/m1.  Each pair has exactly s + 1
+    points in [0, a1 a2]: the a2 + 1 multiples of a1 and the a1 - 1 inner
+    multiples of a2 (none is both), so the pairs' points make one
+    (pairs, s + 1) matrix, sorted along its rows, and each point passed
+    raises j1 or j2 by one: the k-th gap (k from 0) has exponent
+    j1 + j2 - j3 = s j3 + k.  The gaps with exponent <= emax
+    (beta^e >= beta_tail_tol) are members, so every triple of one (s, j3)
+    keeps the same kept = min(s, emax - s j3 + 1) of them.  blocks holds
     (j3, ends) for j3 up to min(j3_max, emax // s): ends is the
-    (pairs, kept + 1) matrix of a1 a2 j3 + points, whose row for a pair
-    holds the member end points of its triple (j3, a1, a2) as
-    s_infinity_members describes; every triple of one (s, j3) keeps the
-    same kept = min(s, emax - s j3 + 1) members.
+    (pairs, kept + 1) matrix of a1 a2 j3 + points, the row of a pair holding
+    the end points of its triple's members in order, member k being
+    (m2, m1) = (ends[k], ends[k + 1]).
     """
-    for s, a1 in enumerate(cofactors, 1):
+    if config is None:
+        config = TruncationConfig()
+    emax = _enumeration_depth(alpha, config)
+    for s in range(1, emax + 1):
+        a1 = _coprime_cofactors(s)
         a2 = s + 1 - a1
         col = np.arange(s + 1, dtype=np.int64)
         points = np.where(col <= a2[:, None], a1[:, None] * col, a2[:, None] * (col - a2[:, None]))
         points.sort(axis=1)
         m = (a1 * a2)[:, None]
         blocks = []
-        for j3 in range(1, min(j3_max, emax // s) + 1):
+        for j3 in range(1, min(config.j3_max, emax // s) + 1):
             kept = min(s, emax - s * j3 + 1)
             blocks.append((j3, m * j3 + points[:, : kept + 1]))
         yield s, a1, a2, blocks
-
-
-def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
-    """Yield the truncated S_infinity one coprime triple at a time, as
-    (j3, a1, a2, ends).
-
-    The members of (j3, a1, a2) are the gaps between consecutive points of
-    {multiples of a1} U {multiples of a2} in [a1 a2 j3, a1 a2 (j3 + 1)]; the
-    gap [m2, m1] has j1 = m2 // a1, j2 = m2 // a2, rho2 = 1/m2 and
-    rho1 = 1/m1.  No inner point is a multiple of both, so each point passed
-    raises j1 or j2 by one and the k-th gap (k from 0) has exponent
-    j1 + j2 - j3 = (a1 + a2 - 1) j3 + k.  The gaps with exponent <= emax
-    (beta^e >= beta_tail_tol) are members, at most a1 + a2 - 1 of them;
-    ends holds their end points in order, member k being
-    (m2, m1) = (ends[k], ends[k + 1]).  j3 runs up to j3_max.  The triples
-    come s = a1 + a2 - 1 major, from the walk v_alpha sums.
-    """
-    if config is None:
-        config = TruncationConfig()
-    emax = _enumeration_depth(alpha, config)
-    for _, a1, a2, blocks in _s_infinity_walk(emax, config.j3_max, _coprime_pairs(emax)[0]):
-        for j3, ends in blocks:
-            for x, y, row in zip(a1.tolist(), a2.tolist(), ends):
-                yield j3, x, y, row
 
 
 def _dropped_bounds(alpha: float, emax: int, config: TruncationConfig) -> tuple[float, float]:
@@ -793,12 +770,15 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
     emax = _enumeration_depth(alpha, config)
     beta = 1.0 - alpha
     pb = _powers(beta, emax + 1)
-    cofactors, a1, a2 = _coprime_pairs(emax)
-    c1_values, c1_tails, sets, evals = _c1_pairs(a1, a2, config.c1_cutoff)
+    # the coprime pairs with s = a1 + a2 - 1 <= emax in the walk's order: the
+    # triangle's (row, col) = (s - 1, a1 - 1) come s major, a1 ascending
+    row, col = np.tril_indices(emax)
+    a1, a2 = col + 1, row + 1 - col
+    pairs = np.gcd(a1, a2) == 1
+    c1_values, c1_tails, sets, evals = _c1_pairs(a1[pairs], a2[pairs], config.c1_cutoff)
     values, tails = [], []
-    n_terms = 0
-    start = 0
-    for s, x, _, blocks in _s_infinity_walk(emax, config.j3_max, cofactors):
+    n_terms = start = 0
+    for s, x, _, blocks in s_infinity_members(alpha, config):
         c1_value = c1_values[start : start + len(x)]
         c1_tail = c1_tails[start : start + len(x)]
         start += len(x)

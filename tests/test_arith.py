@@ -15,6 +15,7 @@ import pytest
 
 import qlcm
 import qlcm.arith as arith
+import qlcm.moments as moments
 from calibration import PHI_SUMMATORY_K
 from qlcm.arith import build_tables, phi_pair_summatory, primes_up_to, split_primes
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo
@@ -353,6 +354,33 @@ def test_tracer_installs_and_wraps_c1_constant():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == qlcm.c1_constant(6, 35).value.hex()
 
+
+
+def test_tracer_times_the_s_infinity_walk_of_v_alpha():
+    # v_alpha walks S_inf through the module's s_infinity_members, so the
+    # tracer's generator wrapper sees one item per s = 1..emax plus the
+    # final next, under the v_alpha span, and the value does not change
+    emax = moments._enumeration_depth(0.5, moments.TruncationConfig())
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "from tracing import Tracer\n"
+        "from qlcm import moments\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "est = moments.v_alpha(0.5)\n"
+        "trace = tracer.export()\n"
+        "assert [span[0] for span in trace['spans']] == ['moments.v_alpha'], trace\n"
+        f"assert [leaf[:3] for leaf in trace['leaves']] == "
+        f"[[0, 'moments.s_infinity_members', {emax + 1}]], trace\n"
+        "print(est.value.hex())\n"
+    )
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == qlcm.v_alpha(0.5).value.hex()
 
 def test_traced_build_tables_reports_table_bytes():
     # perfbench's tracer sums the arrays that vars() finds on a table set

@@ -1,5 +1,6 @@
 """CLI: option precedence, record schemas, serialization, exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlcm import cli, model, moments, qpoly
+from qlcm import arith, cli, model, moments, qpoly
 from qlcm.arith import TABLE_LIMIT
 from qlcm.errors import ResourceLimitError
 from qlcm.cli import (
@@ -422,6 +423,52 @@ def test_variance_preflight_refuses_memory(capsys):
     # about 31 MiB at n = 10^6: the pre-flight passes (nothing is run)
     spec_for(["variance", "--n", "1000000", "--alpha", "0.5"])
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expect", "--n", "1:1000000", "--alpha", "0.001"],  # about nine hours
+        ["variance", "--n", "2:1000000", "--alpha", "0.5"],  # more than a week
+    ],
+)
+def test_grid_work_refused_before_any_table(capsys, monkeypatch, argv):
+    def no_tables(limit):
+        raise AssertionError(f"build_tables({limit}) ran")
+
+    monkeypatch.setattr(arith, "build_tables", no_tables)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and err.startswith("resource limit:") and not out, err
+    assert "--n" in err and "--alpha" in err, err
+
+
+def test_grid_work_caps_accept_grids_up_to_the_cap():
+    # pre-flight alone: 40 expect points at n = 9,999,000 are exactly the cap
+    n = cli.EXPECT_WORK_LIMIT // 40 - cli.EXPECT_POINT_WORK
+    spec_for(["expect", "--n", ",".join([str(n)] * 40), "--alpha", "0.5"])
+    with pytest.raises(ResourceLimitError, match="--alpha"):
+        spec_for(["expect", "--n", ",".join([str(n + 1)] * 40), "--alpha", "0.5"])
+    # one walk at the largest n the byte budget admits passes; a walk at
+    # n = 10^6 is about 7.6e7, so 14 of them pass and 15 do not
+    spec_for(["variance", "--n", "9747872", "--alpha", "0.5"])
+    spec_for(["variance", "--n", ",".join(["1000000"] * 14), "--alpha", "0.5"])
+    with pytest.raises(ResourceLimitError, match="--n"):
+        spec_for(["variance", "--n", ",".join(["1000000"] * 15), "--alpha", "0.5"])
+    # 30 alphas share one walk at n = 10^6; a 31st takes a second one
+    alphas = [f"0.{k:02d}" for k in range(1, 32)]
+    spec_for(["variance", "--n", ",".join(["1000000"] * 8), "--alpha", ",".join(alphas[:30])])
+    with pytest.raises(ResourceLimitError, match="--alpha"):
+        spec_for(["variance", "--n", ",".join(["1000000"] * 8), "--alpha", ",".join(alphas)])
+
+
+def test_benchmark_workloads_pass_the_preflight():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for argv in workloads.commands(name, workloads.DEFAULT_SEED, 2):
+            assert spec_for(argv).command == argv[0], argv
 
 def test_simulate_preflight_accepts_the_documented_runs():
     # criterion 7's runs and the benchmark's 2000 trials at n = 20000

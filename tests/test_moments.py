@@ -418,7 +418,7 @@ def v_alpha_prime_sets(alpha):
     emax = moments._enumeration_depth(alpha, TruncationConfig())
     return sorted(
         {prime_factors(x * (s + 1 - x))
-         for s in range(1, emax + 1) for x in moments._coprime_cofactors(s)}
+         for s in range(1, emax + 1) for x in moments._coprime_cofactors(s).tolist()}
     )
 
 
@@ -564,12 +564,15 @@ def test_c1_tail_estimate_is_an_upper_bound():
 
 
 def members(alpha, config=None):
-    """The (a1, a2, j1, j2, j3, m1, m2) members of the triple enumeration,
-    with each member's exponent j1 + j2 - j3 as reported by its position."""
-    for j3, a1, a2, ends in s_infinity_members(alpha, config):
-        for k in range(len(ends) - 1):
-            m2, m1 = int(ends[k]), int(ends[k + 1])
-            yield (a1, a2, m2 // a1, m2 // a2, j3, m1, m2), (a1 + a2 - 1) * j3 + k
+    """The (a1, a2, j1, j2, j3, m1, m2) members of the S_inf walk, one
+    triple at a time, with each member's exponent j1 + j2 - j3 as reported by
+    its position."""
+    for _, x, y, blocks in s_infinity_members(alpha, config):
+        for j3, ends in blocks:
+            for a1, a2, row in zip(x.tolist(), y.tolist(), ends.tolist()):
+                for k in range(len(row) - 1):
+                    m2, m1 = row[k], row[k + 1]
+                    yield (a1, a2, m2 // a1, m2 // a2, j3, m1, m2), (a1 + a2 - 1) * j3 + k
 
 
 def test_s_infinity_structural_invariants():
@@ -656,7 +659,10 @@ def test_c1_pairs_match_c1_constant(alpha, cutoff):
     if alpha is None:
         a1, a2 = np.array([64, 2**23, 9999991]), np.array([81, 3**14, 9999973])
     else:
-        _, a1, a2 = moments._coprime_pairs(moments._enumeration_depth(alpha, config))
+        emax = moments._enumeration_depth(alpha, config)
+        cofactors = [moments._coprime_cofactors(s) for s in range(1, emax + 1)]
+        a1 = np.concatenate(cofactors)
+        a2 = np.concatenate([s + 1 - x for s, x in enumerate(cofactors, 1)])
         assert len(a1) > 100
     assert all(math.gcd(x, y) == 1 for x, y in zip(a1.tolist(), a2.tolist()))
     value, tail, _, _ = moments._c1_pairs(a1, a2, cutoff)
