@@ -23,9 +23,11 @@ from .errors import ResourceLimitError
 # largest table limit build_tables accepts: its one int32 array then takes
 # about 40 MB
 TABLE_LIMIT = 10**7
-# elements of one int64 chunk in phi_pair_summatory
+# elements of one int64 chunk in phi_pair_summatory; _fill writes the large
+# primes' (j, P) pairs about PAIR_CHUNK // 2 at a time
 PAIR_CHUNK = 1 << 14
-# entries of one sieve segment: an int32 slice of 256 KiB
+# entries of one sieve segment: an int32 slice of 256 KiB, or the bools of
+# 2 SIEVE_SEGMENT numbers in primes_up_to
 SIEVE_SEGMENT = 1 << 16
 
 
@@ -53,15 +55,44 @@ class ArithTables:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """The primes p <= limit in ascending order, as int64 (Eratosthenes)."""
+    """The primes p <= limit in ascending order, as int64 (Eratosthenes).
+
+    The odd primes up to isqrt(limit) come from a plain sieve, then the odd
+    numbers above them one segment of SIEVE_SEGMENT bools at a time, each
+    bool standing for lo + 2 i + 1.  The output array is sized by Rosser
+    and Schoenfeld's bound pi(x) < 1.25506 x / ln x (x > 1), and its head is
+    returned as a view.
+    """
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64, copy=False)
+    r = math.isqrt(limit)
+    head = np.ones(r + 1, dtype=bool)
+    head[:2] = False
+    for p in range(2, math.isqrt(r) + 1):
+        if head[p]:
+            head[p * p :: p] = False
+    odd = np.flatnonzero(head)[1:]
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    out[0] = 2
+    count = 1
+    seg = np.empty(SIEVE_SEGMENT, dtype=bool)
+    for lo in range(0, limit + 1, 2 * SIEVE_SEGMENT):
+        s = seg[: min(SIEVE_SEGMENT, (limit - lo + 1) // 2)]
+        s[:] = True
+        if lo == 0:
+            s[0] = False  # 1
+        # each p from its first odd multiple >= max(p^2, lo): a smaller
+        # multiple has a smaller prime factor
+        first = np.maximum(odd * odd, -(-lo // odd) * odd)
+        first += odd * (first % 2 == 0)
+        for p, i in zip(odd.tolist(), ((first - lo - 1) // 2).tolist()):
+            s[i::p] = False
+        found = np.flatnonzero(s)
+        found *= 2
+        found += lo + 1
+        out[count : count + len(found)] = found
+        count += len(found)
+    return out[:count]
 
 
 def prime_factors(a: int) -> tuple[int, ...]:
@@ -120,8 +151,9 @@ def _fill(lo: int, out: np.ndarray, small: list[int], large: np.ndarray, head: n
     so j is coprime to P and phi(j*P) = phi(j) * (P - 1), with phi(j) read
     from ``head``.  The pairs (j, P) with j*P in the segment are, for each j,
     one run of ``large``, found for every j by two searchsorted calls, and
-    the whole ragged set is written in one vector op.  Every value is
-    exact: phi(m) <= m <= TABLE_LIMIT < 2^31.
+    the ragged set is written one vector op a piece, each piece the whole
+    runs that start in one stretch of PAIR_CHUNK // 2 pairs.  Every value
+    is exact: phi(m) <= m <= TABLE_LIMIT < 2^31.
     """
     hi = lo + len(out)
     out[:] = np.arange(lo, hi, dtype=np.int32)
@@ -132,12 +164,18 @@ def _fill(lo: int, out: np.ndarray, small: list[int], large: np.ndarray, head: n
     js = np.arange(1, len(head), dtype=np.int32)
     first = np.searchsorted(large, -(-lo // js))
     counts = np.searchsorted(large, -(-hi // js)) - first
-    j = np.repeat(js, counts)
-    # the run of j starts at large[first[j]]: offset each position of the
-    # ragged set by that start less the run's place in the concatenation
-    k = np.arange(len(j)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    big = large[k]
-    out[j * big - lo] = head[j] * (big - 1)
+    starts = np.cumsum(counts) - counts
+    # a piece: the runs of j that start in one stretch of PAIR_CHUNK // 2 pairs
+    # (np.unique here would import numpy.ma: 1.3 MB of resident memory)
+    cuts = np.flatnonzero(np.diff(starts // (PAIR_CHUNK // 2), prepend=-1)).tolist()
+    for j0, j1 in zip(cuts, [*cuts[1:], len(js)]):
+        c = counts[j0:j1]
+        j = np.repeat(js[j0:j1], c)
+        # the run of j starts at large[first[j]]: offset each position of the
+        # ragged piece by that start less the run's place in the piece
+        k = np.arange(len(j)) + np.repeat(first[j0:j1] - (starts[j0:j1] - starts[j0]), c)
+        big = large[k]
+        out[j * big - lo] = head[j] * (big - 1)
 
 
 def build_tables(limit: int) -> ArithTables:

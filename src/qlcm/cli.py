@@ -380,12 +380,10 @@ def _check_expect(spec: ExperimentSpec):
 def _check_variance(spec: ExperimentSpec):
     _check_exact(spec)
     _check_variance_bytes(spec)
-    # one walk per group of _alpha_groups
-    work = sum(
-        -(-len(spec.alphas) // _alpha_group_size(n))
-        * (0.4 * n * math.log(n) ** 2 + VARIANCE_WALK_WORK)
-        for n in spec.n_values
-    )
+    # one walk per group of _alpha_groups, over every n in one numpy pass
+    n = np.array(spec.n_values, dtype=np.int64)
+    walks = -(-len(spec.alphas) // _alpha_group_size(n))
+    work = float((walks * (0.4 * n * np.log(n) ** 2 + VARIANCE_WALK_WORK)).sum())
     model = f"sum over --n of walks x (0.4 n ln(n)^2 plus {VARIANCE_WALK_WORK:.3g})"
     _check_work(spec, work, model, VARIANCE_WORK_LIMIT, "--n or the number of --alpha values")
 
@@ -565,11 +563,11 @@ def _expect_point(spec, tables, n, a, af, timer):
     return body
 
 
-def _alpha_group_size(n: int) -> int:
+def _alpha_group_size(n):
     """The most alphas whose float V[X] at n fits VARIANCE_BYTES in one
     variance_exact call: each alpha past the first adds a beta^k table of
-    8 (n + 1) bytes to _variance_bytes(n)."""
-    spare = max(VARIANCE_BYTES - moments._variance_bytes(n), 0)
+    8 (n + 1) bytes to _variance_bytes(n).  n may be an int64 array."""
+    spare = np.maximum(VARIANCE_BYTES - moments._variance_bytes(n), 0)
     return 1 + spare // (8 * (n + 1))
 
 
@@ -886,12 +884,17 @@ def main(argv=None) -> int:
         spec = build_spec(args)
         for line in render(spec, run(spec)):
             print(line)
+        sys.stdout.flush()
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`) and has what it wanted:
+        # stdout goes to devnull, so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -48,9 +48,11 @@ V_ALPHA_MEMBER_LIMIT = 10**8
 # elements per chunk of the variance pair walk and of the grouped E[X]
 # terms; bounds their working sets
 VARIANCE_CHUNK = 1 << 16
-# cells (suffixes x caps) of one table of the C1 inner-sum sweep, 2 MiB of
-# float64; bounds its working set
-C1_SWEEP_CELLS = 1 << 18
+# pairs per block of the variance walk, which builds each chunk in blocks
+VARIANCE_BLOCK = 1 << 13
+# cells (suffixes x caps) of one table of the C1 inner-sum sweep, 512 KiB
+# of float64; bounds its working set
+C1_SWEEP_CELLS = 1 << 16
 
 
 class _Truncation(NamedTuple):
@@ -263,36 +265,63 @@ def expectation_asymptotic(n: int, alpha: float) -> float:
     return (3.0 / (math.pi * math.pi)) * alpha_factor(float(alpha)) * float(n) * float(n)
 
 
-def _variance_pairs(n: int):
-    """Yield (d1, d2, j3, factor): arrays of at most VARIANCE_CHUNK pairs
-    1 < d1 <= d2 <= n with lcm(d1, d2) <= n, and the int weight of a chunk.
+def _variance_pairs(n: int, stop: float = math.inf):
+    """Yield (d1, d2, j3, factor, new): arrays of at most VARIANCE_BLOCK
+    pairs 1 < d1 <= d2 <= n with lcm(d1, d2) <= n, the int weight of the
+    block and whether it opens a chunk of the walk.
 
     d1 = g a, d2 = g b with gcd(a, b) = 1 has lcm g a b <= n, so each
     cofactor pair a <= b contributes its (b, g) elements, g <= n // (a b).
     factor is 2 for a < b, counting the mirrored pair (d2, d1) too, and 1
     for the diagonal a = b = 1.  The a = 1 runs need no gcd mask, and the
     off-diagonal one stops at b = n // 2: g = 1 would make d1 = 1, and a
-    larger b has no g >= 2.  Each chunk's arrays are its own, so the caller
-    may overwrite them.
+    larger b has no g >= 2.  The elements of each run are cut into chunks
+    of VARIANCE_CHUNK, which _run_blocks yields in blocks, and a run ends
+    at the first chunk whose first element has a + b - 1 >= stop.
     """
-    diagonal = [(1, np.ones(1, dtype=np.int64), 1)]
+    diagonal = [(1, 1, 1, 2, 1)]  # (a, first b, last b, first g, factor)
     rest = (
-        (a, np.arange(a + 1, (n // 2 if a == 1 else n // a) + 1, dtype=np.int64), 2)
+        (a, a + 1, n // 2 if a == 1 else n // a, 2 if a == 1 else 1, 2)
         for a in range(1, math.isqrt(n) + 1)
     )
-    for a, b, factor in itertools.chain(diagonal, rest):
+    for a, b_lo, b_hi, g0, factor in itertools.chain(diagonal, rest):
+        for d1, d2, j3, new in _run_blocks(n, a, b_lo, b_hi, g0, stop):
+            yield d1, d2, j3, factor, new
+
+
+def _run_blocks(n: int, a: int, b_lo: int, b_hi: int, g0: int, stop: float):
+    """Yield (d1, d2, j3, new) for the elements (b, g) of the run of a, b
+    in [b_lo, b_hi] coprime to a and g0 <= g <= n // (a b), in blocks of at
+    most VARIANCE_BLOCK that never cross a chunk edge; new marks a block
+    that opens a chunk.  The b come VARIANCE_BLOCK at a time, so no array
+    is longer than that.
+
+    The run ends at the first chunk whose first element has a + b - 1 >=
+    stop: b rises within a run, and e = j1 + j2 - j3 >= (a + b - 1) j3
+    (j1 >= b j3, j2 >= a j3), so at stop = Z every later term of the run has
+    beta^e = 0.0.  Each block's arrays are its own, so the caller may
+    overwrite them.
+    """
+    t = 0  # elements of the run yielded so far
+    for lo in range(b_lo, b_hi + 1, VARIANCE_BLOCK):
+        if t % VARIANCE_CHUNK == 0 and a + lo - 1 >= stop:
+            return
+        b = np.arange(lo, min(lo + VARIANCE_BLOCK, b_hi + 1), dtype=np.int64)
         if a > 1:
             b = b[np.gcd(b, a) == 1]
-        g0 = 2 if a == 1 else 1  # g = 1 would make d1 = a = 1
         counts = b * a
         np.floor_divide(n, counts, out=counts)
         counts -= g0 - 1
         ends = np.cumsum(counts)
-        size = int(counts.sum())
-        for s in range(0, size, VARIANCE_CHUNK):
-            e = min(s + VARIANCE_CHUNK, size)
+        size = int(ends[-1]) if len(ends) else 0
+        s = 0
+        while s < size:
             # the runs of b[i0:i1] that overlap the elements [s, e)
             i0 = int(np.searchsorted(ends, s, side="right"))
+            new = t % VARIANCE_CHUNK == 0
+            if new and a + int(b[i0]) - 1 >= stop:
+                return
+            e = min(s + VARIANCE_BLOCK, size, s + VARIANCE_CHUNK - t % VARIANCE_CHUNK)
             i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
             starts = ends[i0:i1] - counts[i0:i1]
             reps = np.minimum(ends[i0:i1], e) - np.maximum(starts, s)
@@ -303,18 +332,32 @@ def _variance_pairs(n: int):
             d1 *= a
             j3 = d2 * a
             np.floor_divide(n, j3, out=j3)
-            yield d1, d2, j3, factor
+            yield d1, d2, j3, new
+            t += e - s
+            s = e
 
 
-def _weighted_beta_sum(w0: np.ndarray, pw: np.ndarray, e: np.ndarray, j3: np.ndarray) -> float:
-    """(w0 * pw[e] * (1 - pw[j3])).sum() in that order of operations, bit
-    for bit, with two chunk-long temporaries."""
-    w = pw[e]
-    w *= w0
-    v = pw[j3]
-    np.subtract(1.0, v, out=v)
-    w *= v
-    return w.sum()
+def _underflow(beta: float, n: int) -> int:
+    """Z, the first k <= n at which np.power(beta, k) is 0.0, or n + 1 when
+    there is none; every power past Z is 0.0 too, as the tests check.
+    Tries 1024 powers first, then four times as many while none is 0.0."""
+    size = min(n + 1, 1024)
+    while True:
+        zero = np.flatnonzero(np.power(beta, np.arange(size, dtype=np.float64)) == 0.0)
+        if len(zero) or size > n:
+            return int(zero[0]) if len(zero) else n + 1
+        size = min(n + 1, 4 * size)
+
+
+def _beta_terms(pw, e, j3, w0, out, tmp) -> None:
+    """w0 * pw[e] * (1 - pw[j3]) into out, in the order of operations of
+    (pw[e] * w0) * (1 - pw[j3]), each gather at an index clipped to the
+    last entry of pw; tmp is scratch of out's length."""
+    np.take(pw, e, out=out, mode="clip")
+    out *= w0
+    np.take(pw, j3, out=tmp, mode="clip")
+    np.subtract(1.0, tmp, out=tmp)
+    out *= tmp
 
 
 def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, counters=None):
@@ -324,17 +367,26 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
 
     with j_i = floor(n/d_i) and j3 = floor(n / lcm(d1, d2)).  Pairs whose
     lcm exceeds n contribute exactly zero, so only the _variance_pairs
-    chunks are summed, and the chunk sums combined by fsum in fixed order.
-    exact=True runs the same chunks over Python ints (object arrays): with
-    e = j1 + j2 - j3, beta^e (1 - beta^j3) is (u[e] - u[e + j3]) / q^n in
-    the numerators of _beta_numerators, since e + j3 = j1 + j2 <= n; the
-    integer total over q^n is returned as a Fraction.
+    chunks are summed: each chunk's terms go to one VARIANCE_CHUNK buffer,
+    block by block, summed once the chunk is complete, and the chunk sums
+    are combined by fsum in fixed order.  The float path stops each run of
+    the walk where every term left is 0.0 (_run_blocks), at the largest Z
+    (_underflow) of the alphas, and builds each beta^k table only up to
+    min(Z, n): every power past it is 0.0, so a gather clipped to it reads
+    the power it stands for.  exact=True walks every chunk over Python ints
+    (object arrays): with e = j1 + j2 - j3, beta^e (1 - beta^j3) is
+    (u[e] - u[e + j3]) / q^n in the numerators of _beta_numerators, since
+    e + j3 = j1 + j2 <= n; the integer total over q^n is returned as a
+    Fraction.
 
     alpha may be a tuple, for which a list of V in its order is returned:
     the pairs, e and phi(d1) phi(d2) depend on n alone, so each chunk is
     walked once for every alpha, and each alpha's value is bit for bit the
-    one of its own call.  A counters dict, when given, has the ordered
-    pairs (d1, d2) the walk visited added to its "pairs".
+    one of its own call.  One alpha writes its terms as the blocks come; a
+    row stages the chunk's e, j3 and phi products, then fills the one
+    buffer for each alpha in turn, so its memory does not grow with the
+    alphas beyond their tables.  A counters dict, when given, has the
+    ordered pairs (d1, d2) the walk visited added to its "pairs".
     """
     alphas = alpha if isinstance(alpha, tuple) else (alpha,)
     for a in alphas:
@@ -342,28 +394,53 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     if exact:
         # beta^k as the numerators u[k] over u[0] = q^n, one row per alpha
         powers = [np.array(_beta_numerators(n, a, "variance"), dtype=object) for a in alphas]
+        stop = math.inf
     else:
         # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
-        powers = [np.power(1.0 - float(a), np.arange(n + 1, dtype=np.float64)) for a in alphas]
-    # the int32 phi gathers cast to the product's type before multiplying
-    dtype = object if exact else np.float64
+        stop = max((_underflow(1.0 - float(a), n) for a in alphas), default=0)
+        k = np.arange(min(stop, n) + 1, dtype=np.float64)
+        powers = [np.power(1.0 - float(a), k) for a in alphas]
+        buf = np.empty(VARIANCE_CHUNK)
+        staged = None
+        if len(alphas) > 1:
+            staged = (np.empty(VARIANCE_CHUNK, np.int64), np.empty(VARIANCE_CHUNK, np.int64),
+                      np.empty(VARIANCE_CHUNK))
+        tmp = np.empty(min(VARIANCE_CHUNK, VARIANCE_BLOCK) if staged is None else VARIANCE_CHUNK)
     terms = [[] for _ in alphas]
-    pairs = 0
-    # a chunk's arrays live until the next chunk's replace them: freeing them
-    # all first hands the heap top back to the OS, to be faulted in again on
-    # every chunk (three times the page faults at n = 10^5)
-    for d1, d2, j3, factor in _variance_pairs(n):
-        pairs += factor * len(d1)
-        w0 = np.multiply(tables.phi[d1], tables.phi[d2], dtype=dtype)
+    pairs = fill = 0
+    factor = 1
+
+    def close_chunk():
+        for pw, t in zip(powers, terms):
+            if staged is not None:
+                _beta_terms(pw, *(x[:fill] for x in staged), buf[:fill], tmp[:fill])
+            t.append(factor * buf[:fill].sum())
+
+    # the phi gathers are int32 and cast to the product's type first
+    for d1, d2, j3, f, new in _variance_pairs(n, stop):
+        if new and fill:
+            close_chunk()
+            fill = 0
+        factor = f
+        m = len(d1)
+        pairs += factor * m
+        w0 = np.multiply(tables.phi[d1], tables.phi[d2], dtype=object if exact else np.float64)
         # e = j1 + j2 - j3, built over d1 and d2
         e = np.floor_divide(n, d1, out=d1)
         e += np.floor_divide(n, d2, out=d2)
         e -= j3
-        for pw, t in zip(powers, terms):
-            if exact:
+        if exact:
+            for pw, t in zip(powers, terms):
                 t.append(factor * (w0 * (pw[e] - pw[e + j3])).sum())
-            else:
-                t.append(factor * _weighted_beta_sum(w0, pw, e, j3))
+        elif staged is not None:
+            for x, y in zip(staged, (e, j3, w0)):
+                x[fill : fill + m] = y
+            fill += m
+        else:
+            _beta_terms(powers[0], e, j3, w0, buf[fill : fill + m], tmp[:m])
+            fill += m
+    if fill:
+        close_chunk()
     if counters is not None:
         counters["pairs"] = counters.get("pairs", 0) + pairs
     if exact:
@@ -376,15 +453,15 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
 def _variance_bytes(n: int) -> int:
     """An upper estimate of the bytes the float variance_exact allocates at
     n beside the tables for one alpha: 27 a unit of n plus ten chunk arrays
-    of 8-byte elements.  The sum holds about 24 a unit of n (beta^k and the
-    arange np.power reads, then beta^k and the three arrays of the a = 1
-    run of the pair walk, n / 2 long) and up to about eight chunk arrays.
-    Its tracemalloc peak is 4.2 MB at n = 20000 (estimate 5.8 MB), 8.2 MB
-    at 2*10^5 (10.6 MB), 26.5 MB at 10^6 (32.2 MB), 50.4 MB at 2*10^6
-    (59.2 MB), the points the fit rests on: 23.9 bytes a unit of n between
-    10^6 and 2*10^6, which 27 exceeds by 13%.  At 5*10^6 the peak is
-    122.6 MB (140.2 MB), 24.1 bytes a unit from 10^6.  Each further alpha
-    of one call adds its beta^k table, 8 (n + 1) bytes."""
+    of 8-byte elements, fitted to a walk that held n-long arrays.  The walk
+    now holds blocks, one chunk buffer and beta^k up to min(Z, n), so the
+    estimate bounds it with room to spare: at alpha = 0.5 its tracemalloc
+    peak is 1.40 MB at n = 20000 (estimate 5.8 MB), 1.48 MB at 2*10^5
+    (10.6 MB), 1.49 MB at 10^6 (32.2 MB), 1.50 MB at 2*10^6 (59.2 MB) and
+    1.57 MB at 5*10^6 (140.2 MB); at alpha = 0.1 (Z = 7073) 1.60 MB at
+    10^6.  A row of several alphas stages the chunk's e, j3 and phi
+    products, three more chunk arrays, and each alpha adds its beta^k table,
+    8 (min(Z, n) + 1) bytes: nine alphas at 10^6 peak at 4.19 MB."""
     return 27 * (n + 1) + 80 * VARIANCE_CHUNK
 
 

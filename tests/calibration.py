@@ -26,7 +26,8 @@ C1_TAIL_RATIO_MAX = 1.0
 
 # tracemalloc peak of v_alpha(0.1) from empty C1 caches, in MiB: measured
 # 10.02 with the recursive C1 inner sum and 10.02 with the batched sweep
-# (C1_SWEEP_CELLS = 2^18); the bound is the former plus 10%
+# (C1_SWEEP_CELLS = 2^18); the bound is the former plus 10%.  Later 7.12,
+# and 6.38 with C1_SWEEP_CELLS = 2^16 and the prime sieve in segments
 V_ALPHA_0_1_PEAK_MIB = 11.0
 
 # tracemalloc peak of expectation_grouped(10^6, 10^-4), in MiB: measured
@@ -40,3 +41,10 @@ EXPECT_GROUPED_PEAK_MIB = 20.0
 # chunk-long temporaries (67.2 when each block built n-long copies of phi
 # and of its planes, and its own primes).  The bound is 7.00 plus 10%
 MONTE_CARLO_2M_PEAK_MIB = 7.7
+
+# tracemalloc peak of the float variance_exact at alpha = 0.5 beside the
+# tables, in MiB: measured 1.37 at n = 16000 and 1.42 at 10^6 with the walk
+# in blocks stopped at Z (3.84 and 25.3 when it held n-long arrays and
+# chunk-long temporaries).  The bounds are the measurements plus 10%
+VARIANCE_16000_PEAK_MIB = 1.5
+VARIANCE_1M_PEAK_MIB = 1.6

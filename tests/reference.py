@@ -254,6 +254,17 @@ def phi_per_prime(limit: int) -> np.ndarray:
     return phi
 
 
+def primes_plain(limit: int) -> np.ndarray:
+    """The primes p <= limit as int64, ascending, from one bool sieve over
+    0..limit: the sieve arith.primes_up_to runs by segments."""
+    sieve = np.ones(max(limit + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve[: limit + 1]).astype(np.int64)
+
+
 def build_tables_monolithic(limit: int) -> ArithTables:
     """The totient table up to limit in one piece: one slice pass per prime
     p <= isqrt(limit) over the whole table, then the large primes in one

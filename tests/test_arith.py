@@ -21,7 +21,7 @@ from qlcm.arith import build_tables, phi_pair_summatory, primes_up_to, split_pri
 from qlcm.model import ModelParams, degree_statistic, enumerate_exact, monte_carlo
 from qlcm.moments import expectation_exact, expectation_grouped, variance_exact
 from qlcm.errors import ResourceLimitError
-from reference import build_tables_monolithic, phi_pair_from_table, phi_per_prime
+from reference import build_tables_monolithic, phi_pair_from_table, phi_per_prime, primes_plain
 
 PI2_OVER_3 = math.pi**2 / 3
 
@@ -79,6 +79,38 @@ def test_primes_up_to_holds_the_sieve_and_the_primes_only():
     assert peak < limit + 1 + 8 * len(primes) + 2**16, peak
 
 
+# limits around the first segment edges of primes_up_to, which sieves
+# 2 SIEVE_SEGMENT numbers a segment
+PRIME_SEGMENT_EDGES = tuple(2 * k * arith.SIEVE_SEGMENT + d for k in (1, 2) for d in range(-2, 3))
+
+
+def test_primes_up_to_matches_plain_sieve(monkeypatch):
+    for limit in (*PRIME_SEGMENT_EDGES, 10**6, 3 * 10**6 + 1):
+        got = primes_up_to(limit)
+        assert got.dtype == np.int64 and np.array_equal(got, primes_plain(limit)), limit
+    # segments shorter than the small primes' strides, and of odd length
+    ref = primes_plain(5000)
+    for segment in (1, 2, 7, 97):
+        monkeypatch.setattr(arith, "SIEVE_SEGMENT", segment)
+        for limit in (*range(0, 60), 961, 962, 5000):
+            assert np.array_equal(primes_up_to(limit), ref[ref <= limit]), (segment, limit)
+
+
+def test_primes_up_to_holds_one_segment_beside_the_primes():
+    # the primes' array, sized by the pi(x) bound, one bool segment and its
+    # primes: 0.94 MiB at 10^6 against 1.55 MiB for a limit + 1 sieve and
+    # its int64 indices
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        primes_up_to(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (1.25506 * limit / math.log(limit) + 1)
+    assert peak < bound + 5 * arith.SIEVE_SEGMENT, peak
+
+
 # limits just below, at and above a prime square, where the split moves
 SPLIT_EDGES = (24, 25, 26, 120, 121, 122, 168, 169, 170)
 
@@ -126,6 +158,16 @@ def test_tiny_segments_match_monolithic_sieve(monkeypatch, segment):
         assert np.array_equal(build_tables(limit).phi, ref.phi[: limit + 1]), limit
     for a1, a2 in ((1, 1), (6, 35)):
         assert phi_pair_summatory(a1, a2, 85) == phi_pair_from_table(ref, a1, a2, 85)
+
+
+@pytest.mark.parametrize("pair_chunk", [2, 3, 64])
+def test_large_prime_pieces_match_monolithic_sieve(monkeypatch, pair_chunk):
+    # _fill writes the large primes' pairs in pieces of about PAIR_CHUNK // 2,
+    # cut between runs of j: pieces of one run each, and of a few runs
+    ref = build_tables_monolithic(10**5)
+    monkeypatch.setattr(arith, "PAIR_CHUNK", pair_chunk)
+    for limit in (1, 2, 3, 1000, 2310, 10**5):
+        assert np.array_equal(build_tables(limit).phi, ref.phi[: limit + 1]), limit
 
 
 def test_totient_divisor_sum_identity():

@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -1184,3 +1186,22 @@ def test_bench_variance_sum_scales_near_linearly(capsys):
     med = {json.loads(ln)["size"]: json.loads(ln)["median_s"] for ln in out}
     exponent = math.log(med[100000] / med[25000]) / math.log(4)
     assert 0.7 <= exponent <= 1.5, f"measured exponent {exponent:.3f}"
+
+
+def test_closed_output_pipe_ends_quietly():
+    # a reader that takes one line and closes the pipe, as `| head -1` does,
+    # while the run still has about 0.8 MB to print: exit 0, no traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlcm.cli", "expect", "--n", "1:2000", "--alpha", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert json.loads(first)["type"] == "report"
+    assert err == b"", err
+

@@ -12,6 +12,8 @@ from calibration import (
     EXPECT_GROUPED_PEAK_MIB,
     EXPECTATION_ENVELOPE_K,
     V_ALPHA_0_1_PEAK_MIB,
+    VARIANCE_1M_PEAK_MIB,
+    VARIANCE_16000_PEAK_MIB,
 )
 from qlcm import moments
 from qlcm.arith import TABLE_LIMIT, build_tables, prime_factors
@@ -307,17 +309,21 @@ def test_variance_matches_dense_oracle(tables_mid):
 
 def test_variance_row_matches_per_alpha_calls(tables_mid):
     # one pair walk for a tuple of alphas against one call per alpha, bit
-    # for bit, with the same pairs count; at n = 20000 the a = 1 run of the
-    # walk alone spans several chunks
-    alphas = (0.0, 0.05, 0.1, 0.5, 0.9, 1.0)
-    for n in (1, 2, 10, 100, 2000, 20000):
-        row_counters = {}
-        row = variance_exact(n, alphas, tables_mid, counters=row_counters)
-        assert isinstance(row, list) and len(row) == len(alphas)
-        for alpha, v in zip(alphas, row):
-            counters = {}
-            assert v.hex() == variance_exact(n, alpha, tables_mid, counters=counters).hex()
-            assert counters == row_counters, (n, alpha)
+    # for bit; at n = 20000 the a = 1 run of the walk alone spans several
+    # chunks.  The row walks as far as the call of its smallest alpha, whose
+    # Z is the largest, and every other call no further
+    for alphas in ((0.0, 0.05, 0.1, 0.5, 0.9, 1.0), (0.9, 0.5), (1.0, 0.9)):
+        for n in (1, 2, 10, 100, 2000, 20000):
+            row_counters = {}
+            row = variance_exact(n, alphas, tables_mid, counters=row_counters)
+            assert isinstance(row, list) and len(row) == len(alphas)
+            walked = []
+            for alpha, v in zip(alphas, row):
+                counters = {}
+                assert v.hex() == variance_exact(n, alpha, tables_mid, counters=counters).hex()
+                walked.append(counters["pairs"])
+            assert walked[alphas.index(min(alphas))] == row_counters["pairs"], (n, alphas)
+            assert max(walked) == row_counters["pairs"], (n, alphas)
 
 
 def test_variance_row_matches_per_alpha_calls_exact(tables_small):
@@ -341,8 +347,28 @@ def test_variance_chunk_invariance(tables_small, monkeypatch, chunk):
     assert abs(v - base) <= 1e-15 * base, f"chunk {chunk}: {v!r} vs {base!r}"
 
 
-def _assert_same_chunks(n):
-    got, want = list(moments._variance_pairs(n)), list(variance_pairs_walk(n))
+def _chunks(blocks):
+    """The blocks of moments._variance_pairs joined into its chunks: (d1, d2,
+    j3, factor) per chunk, each block checked to fit VARIANCE_BLOCK."""
+    chunks = []
+    for d1, d2, j3, factor, new in blocks:
+        assert 0 < len(d1) <= moments.VARIANCE_BLOCK
+        if new:
+            chunks.append(([], [], [], factor))
+        assert chunks[-1][3] == factor
+        for parts, x in zip(chunks[-1], (d1, d2, j3)):
+            parts.append(x)
+    return [(*(np.concatenate(p) for p in c[:3]), c[3]) for c in chunks]
+
+
+def _assert_same_chunks(n, stop=math.inf):
+    # the chunks of the reference walk, less those whose first element has
+    # a + b - 1 >= stop: a = d1 / gcd(d1, d2) and b = d2 / gcd(d1, d2)
+    got = _chunks(moments._variance_pairs(n, stop))
+    want = [
+        w for w in variance_pairs_walk(n)
+        if (w[0][0] + w[1][0]) // math.gcd(int(w[0][0]), int(w[1][0])) - 1 < stop
+    ]
     assert len(got) == len(want), n
     for g, w in zip(got, want):
         assert g[3] == w[3], n
@@ -352,22 +378,79 @@ def _assert_same_chunks(n):
 
 def test_variance_pairs_match_plain_walk(monkeypatch):
     # the lean walk (the a = 1 run cut at b = n // 2, no gcd mask at a = 1,
-    # run starts per chunk, d1 and j3 built in place) yields the plain
-    # walk's chunks array for array; 999 and 1000 put both parities around
-    # the cut, and a 7-element chunk puts many chunk edges inside the runs
-    for n in (*range(1, 65), 999, 1000, 16000):
+    # run starts per chunk, b in pieces, chunks built in blocks, d1 and j3
+    # built in place) yields the plain walk's chunks array for array; 999
+    # and 1000 put both parities around the cut, and a 7-element chunk puts
+    # many chunk edges inside the runs and the blocks
+    for n in (*range(1, 65), 999, 1000, 16000, 100000):
         _assert_same_chunks(n)
     monkeypatch.setattr(moments, "VARIANCE_CHUNK", 7)
     for n in (*range(1, 65), 999, 1000):
         _assert_same_chunks(n)
 
 
-def test_variance_matches_plain_walk_bit_for_bit(tables_mid):
-    # the in-place chunk arithmetic rounds as the one-expression sum does
-    alphas = (0.05, 0.3, 0.5, 0.9)
+@pytest.mark.parametrize("chunk", [7, 4096, 1 << 16])
+def test_variance_pairs_stop_at_whole_chunks(monkeypatch, chunk):
+    # a walk stopped at Z drops exactly the chunks of the plain walk whose
+    # first element has a + b - 1 >= Z, and keeps every other chunk whole
+    monkeypatch.setattr(moments, "VARIANCE_CHUNK", chunk)
+    for n in (1000, 20000) if chunk > 7 else (1000,):
+        for stop in (1, 2, 3, 40, 324, 1075, n // 2, n // 2 + 1):
+            _assert_same_chunks(n, stop)
+
+
+def _assert_plain_walk_bits(n, rows, tables):
+    want = {}
+    for alphas in rows:
+        for a in alphas:
+            if a not in want:
+                want[a] = variance_by_plain_walk(n, a, tables)
+        row = variance_exact(n, alphas, tables)
+        assert hexes(row) == hexes(want[a] for a in alphas), (n, alphas)
+
+
+def test_variance_matches_plain_walk_bit_for_bit(tables_big):
+    # the block arithmetic rounds as the one-expression chunk sum does, and a
+    # walk stopped at Z drops only chunks whose terms are all 0.0.  Z is 324
+    # at alpha = 0.9 and 1075 at 0.5, so it falls inside a chunk of the a = 1
+    # run at n = 2 * 10^5 and 16000; it lies past the walk at 0.05 (Z = 14,527)
+    # below n = 29054 and at alpha = 0 (no power is 0.0); a row stops at its
+    # largest Z
+    rows = [(0.05, 0.3, 0.5, 0.9), (0.9, 0.5), (0.5,), (0.9,), (0.0, 1.0), (1.0,)]
     for n in (2, 10, 1000, 16000):
-        row = variance_exact(n, alphas, tables_mid)
-        assert hexes(row) == hexes(variance_by_plain_walk(n, a, tables_mid) for a in alphas), n
+        _assert_plain_walk_bits(n, rows, tables_big)
+    _assert_plain_walk_bits(200000, [(0.9, 0.5), (0.5,), (0.9,), (1.0, 0.9)], tables_big)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_variance_stops_on_a_chunk_edge(tables_mid, monkeypatch, alpha):
+    # a chunk of exactly the a = 1 run's elements with b < Z puts Z on the
+    # edge of its first two chunks: the walk stops at the second
+    n = 20000
+    z = moments._underflow(1.0 - alpha, n)
+    edge = sum(n // b - 1 for b in range(2, z))
+    full = {}
+    variance_exact(n, alpha, tables_mid, counters=full)
+    monkeypatch.setattr(moments, "VARIANCE_CHUNK", edge)
+    _assert_plain_walk_bits(n, [(alpha,), (alpha, 1.0)], tables_mid)
+    stopped = {}
+    variance_exact(n, alpha, tables_mid, counters=stopped)
+    assert stopped["pairs"] < full["pairs"]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3, 0.5, 0.9, 1.0])
+def test_powers_stay_zero_past_underflow(alpha):
+    # the walk's stop and its clipped gathers rest on every power from Z on
+    # being 0.0, at every n and alpha the variance tests use
+    beta = 1.0 - alpha
+    for n in (1000, 16000, 20000, 200000, 1000000):
+        z = moments._underflow(beta, n)
+        powers = np.power(beta, np.arange(n + 1, dtype=np.float64))
+        if z <= n:
+            assert powers[z] == 0.0 and (z == 0 or powers[z - 1] != 0.0), (alpha, n, z)
+        assert not powers[z:].any(), (alpha, n)
+    assert moments._underflow(beta, 10) == (1 if alpha == 1.0 else 11)
+    assert moments._underflow(1.0, 1000) == 1001
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +470,19 @@ def test_variance_memory_under_estimate(tables_2e6, n):
     finally:
         tracemalloc.stop()
     assert peak < moments._variance_bytes(n), (n, peak)
+
+
+@pytest.mark.parametrize("n,bound_mib", [(16000, VARIANCE_16000_PEAK_MIB), (10**6, VARIANCE_1M_PEAK_MIB)])
+def test_variance_memory_does_not_grow_with_n(tables_2e6, n, bound_mib):
+    # the walk holds blocks, one chunk buffer and beta^k up to Z = 1075: no
+    # array grows with n
+    tracemalloc.start()
+    try:
+        variance_exact(n, 0.5, tables_2e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, f"n={n}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_variance_envelope(tables_small):
