@@ -15,6 +15,7 @@ are generated from them.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
@@ -47,6 +48,7 @@ CSV_COLUMNS = (
 
 BENCH_SUITES = ("sieve", "variance-sum", "valpha", "oracle")
 
+# the work of each layer of COSTS, the pre-flight's cost table:
 # oracle-check work in units of about one ns: a set at n costs n^3.5 plus a
 # fixed ORACLE_SET_WORK.  Fitted to one process, 2 cores, alpha = 0.5: the
 # first sets cost 0.23 ms at n = 40, 10 ms at 100, 45 ms at 200, 0.39 s at
@@ -61,7 +63,7 @@ ORACLE_WORK_LIMIT = 2 * 10**10
 # run's 2000 x 10^4, about 34 s of draws
 SIMULATE_TRIAL_WORK = 1024
 SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
-# expect work in units of about 70 ns: a point costs n plus a fixed
+# E work in units of about 70 ns: a point costs n plus a fixed
 # EXPECT_POINT_WORK.  One point's exact, grouped and asymptotic E took (one
 # process, 2 cores, best of 3) 0.03-0.07 ms at n = 10 and, at n = 10^6,
 # 9.4 ms at alpha = 0.5 and 63-68 ms at alpha = 0.001, where the grouped
@@ -70,18 +72,26 @@ SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
 # 2.2e8).  ROADMAP directions 3 and 4 change these costs; refit after them
 EXPECT_POINT_WORK = 1000
 EXPECT_WORK_LIMIT = 4 * 10**8
-# variance work in units of one pair of the float V[X] walk (19-35 ns a
-# pair at n >= 10^4): a walk at n visits about 0.4 n ln(n)^2 pairs (its
-# "pairs" counter reads 343,983 at 10^4, 5.15 million at 10^5 and 71.9
-# million at 10^6) plus a fixed VARIANCE_WALK_WORK (about 0.4 ms), and a
-# row takes one walk per group of _alpha_groups.  The cap, 21-38 s of
-# walks, admits one walk at every n the byte budget admits (1.01e9 at its
-# largest); refit with the expect cap
+# V[X] work in units of one pair of the float V[X] walk (19-35 ns a pair at
+# n >= 10^4): a walk at n visits about 0.4 n ln(n)^2 pairs (its "pairs"
+# counter reads 343,983 at 10^4, 5.15 million at 10^5 and 71.9 million at
+# 10^6) plus a fixed VARIANCE_WALK_WORK (about 0.4 ms), one walk per group
+# of _alpha_group_size; each further alpha of a walk fills its own chunk
+# buffer, VARIANCE_ALPHA_SHARE of the pairs (0.12-0.21 of a walk at 10^5
+# and 10^6, nine alphas, one process).  The cap, 21-38 s of walks, admits
+# one walk at every n up to the table cap (1.04e9 at 10^7)
 VARIANCE_WALK_WORK = 15_000
+VARIANCE_ALPHA_SHARE = 0.2
 VARIANCE_WORK_LIMIT = 11 * 10**8
-# bytes the float V[X] at the largest n of variance or simulate may
-# allocate beside the tables (moments._variance_bytes): 256 MiB admits n up
-# to 9,747,872
+# v(alpha) work in units of one S_inf member of moments._member_bound plus
+# a fixed V_ALPHA_WORK of per-block overhead.  Warm, in one process on 2
+# cores, v(0.05) took 0.48 s for a bound of 6.34e7 (7.6 ns a unit), v(0.2)
+# 30 ms for 8.0e5 and v(0.5) 7.1 ms for 3.0e4.  The cap is about 30 s: 60
+# copies of alpha = 0.05, 1,050 of 0.2
+V_ALPHA_WORK = 3 * 10**6
+V_ALPHA_WORK_LIMIT = 4 * 10**9
+# bytes one V[X] walk may allocate beside the tables (_variance_bytes),
+# which sizes a row's alpha groups: one alpha at the table cap needs 158 MiB
 VARIANCE_BYTES = 1 << 28
 # most --n values a run may take: their tuple peaks at about 39 MiB at 10^6
 N_VALUES_LIMIT = 10**6
@@ -322,6 +332,7 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         **values,
     )
     cmd.preflight(spec)
+    _check_work(spec)
     return spec
 
 
@@ -334,58 +345,11 @@ def _check_grid(spec: ExperimentSpec):
         raise SpecError("n: required for this command")
     if not spec.alphas:
         raise SpecError("alpha: required for this command")
-
-
-def _check_exact(spec: ExperimentSpec):
-    _check_grid(spec)
-    bad = [n for n in spec.n_values if n > moments.EXACT_RATIONAL_LIMIT]
-    if spec.exact and bad:
+    if spec.exact and max(spec.n_values) > moments.EXACT_RATIONAL_LIMIT:
         raise SpecError(
-            f"exact: rational mode limited to n <= {moments.EXACT_RATIONAL_LIMIT}, got {bad[0]}"
+            f"exact: rational mode limited to n <= {moments.EXACT_RATIONAL_LIMIT}, "
+            f"got {max(spec.n_values)}"
         )
-
-
-def _check_variance_bytes(spec: ExperimentSpec):
-    n_max = max(spec.n_values)
-    need = moments._variance_bytes(n_max)
-    if need > VARIANCE_BYTES:
-        raise ResourceLimitError(
-            f"V[X] at --n {n_max} needs about {need / 2**20:.0f} MiB beside the tables, "
-            f"past the {VARIANCE_BYTES >> 20} MiB budget; lower --n"
-        )
-
-
-def _check_work(spec: ExperimentSpec, work: float, model: str, limit: int, remedy: str):
-    """Refuse a spec whose work, estimated by the model described, passes limit."""
-    if work > limit:
-        raise ResourceLimitError(
-            f"{spec.command} work {work:.3g} ({model}) exceeds {limit:.2g}; lower {remedy}"
-        )
-
-
-def _check_trial_work(spec: ExperimentSpec, per_n, per_n_text: str, per_trial: int, limit: int):
-    """Refuse trials x alphas x sum over n of (per_n(n) + per_trial) past limit."""
-    work = spec.trials * len(spec.alphas) * sum(per_n(n) + per_trial for n in spec.n_values)
-    model = f"--trials x alphas x sum of {per_n_text} plus {per_trial:.3g} a trial"
-    _check_work(spec, work, model, limit, "--trials or --n")
-
-
-def _check_expect(spec: ExperimentSpec):
-    _check_exact(spec)
-    work = len(spec.alphas) * (sum(spec.n_values) + EXPECT_POINT_WORK * len(spec.n_values))
-    model = f"alphas x sum of --n plus {EXPECT_POINT_WORK:.3g} a point"
-    _check_work(spec, work, model, EXPECT_WORK_LIMIT, "--n or the number of --alpha values")
-
-
-def _check_variance(spec: ExperimentSpec):
-    _check_exact(spec)
-    _check_variance_bytes(spec)
-    # one walk per group of _alpha_groups, over every n in one numpy pass
-    n = np.array(spec.n_values, dtype=np.int64)
-    walks = -(-len(spec.alphas) // _alpha_group_size(n))
-    work = float((walks * (0.4 * n * np.log(n) ** 2 + VARIANCE_WALK_WORK)).sum())
-    model = f"sum over --n of walks x (0.4 n ln(n)^2 plus {VARIANCE_WALK_WORK:.3g})"
-    _check_work(spec, work, model, VARIANCE_WORK_LIMIT, "--n or the number of --alpha values")
 
 
 def _check_vfun(spec: ExperimentSpec):
@@ -396,8 +360,6 @@ def _check_vfun(spec: ExperimentSpec):
     for a in spec.alphas:
         if not 0 < a < 1:
             raise SpecError(f"alpha: vfun needs interior alpha in (0, 1), got {a}")
-        # the S_inf member bound, for every alpha before any v(alpha) runs
-        moments._enumeration_depth(float(a), spec.truncation)
     if spec.c1_x is not None:
         if spec.c1_pair is None:
             raise SpecError("c1_x: requires c1_pair")
@@ -409,18 +371,11 @@ def _check_vfun(spec: ExperimentSpec):
             )
 
 
-def _check_simulate(spec: ExperimentSpec):
-    _check_grid(spec)
-    _check_trial_work(spec, int, "--n", SIMULATE_TRIAL_WORK, SIMULATE_WORK_LIMIT)
-    _check_variance_bytes(spec)
-
-
 def _check_oracle(spec: ExperimentSpec):
     _check_grid(spec)
-    n_max = max(spec.n_values)
-    if n_max > qpoly.ORACLE_LIMIT:
-        raise ResourceLimitError(f"--n {n_max} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
-    _check_trial_work(spec, lambda n: n**3.5, "--n^3.5", ORACLE_SET_WORK, ORACLE_WORK_LIMIT)
+    if max(spec.n_values) > qpoly.ORACLE_LIMIT:
+        raise ResourceLimitError(
+            f"--n {max(spec.n_values)} exceeds the oracle limit {qpoly.ORACLE_LIMIT}")
 
 
 def _check_bench(spec: ExperimentSpec):
@@ -429,7 +384,54 @@ def _check_bench(spec: ExperimentSpec):
     if spec.repeat > BENCH_REPEAT_LIMIT:
         raise ResourceLimitError(f"--repeat {spec.repeat} exceeds the limit {BENCH_REPEAT_LIMIT}")
     if spec.suite == "valpha":
-        moments._enumeration_depth(0.5, spec.truncation, raise_flags="--tail-tol")
+        moments._member_bound(0.5, spec.truncation, raise_flags="--tail-tol")
+
+
+def _walk_work(spec: ExperimentSpec, n: np.ndarray) -> float:
+    """V[X] walks of every n row, one per group of _alpha_group_size at the
+    Z of the smallest alpha (the largest Z) and the largest n."""
+    z = moments._underflow(1.0 - float(min(spec.alphas)), int(n.max()))
+    walks = -(-len(spec.alphas) // _alpha_group_size(n, z))
+    pairs = 0.4 * n * np.log(n) ** 2
+    extra = VARIANCE_ALPHA_SHARE * (len(spec.alphas) - walks) * pairs
+    return float((walks * (pairs + VARIANCE_WALK_WORK) + extra).sum())
+
+
+def _v_alpha_work(spec: ExperimentSpec, n) -> float:
+    """Each alpha's S_inf member bound (each refused past its own limit)
+    plus V_ALPHA_WORK, taken once per distinct alpha."""
+    counts = collections.Counter(float(a) for a in spec.alphas)
+    return sum(k * (moments._member_bound(a, spec.truncation) + V_ALPHA_WORK)
+               for a, k in counts.items())
+
+
+_ALPHAS = "the number of --alpha values"
+
+# the pre-flight's cost table: each layer's limit, what its refusal asks to
+# lower, the commands that run it and its cost(spec, n), n the int64 array
+# of the --n values
+COSTS = {
+    "E points": (EXPECT_WORK_LIMIT, ("--n", _ALPHAS), ("expect", "simulate"),
+                 lambda spec, n: len(spec.alphas) * float((n + EXPECT_POINT_WORK).sum())),
+    "V[X] walks": (VARIANCE_WORK_LIMIT, ("--n", _ALPHAS), ("variance", "simulate"), _walk_work),
+    "trials": (SIMULATE_WORK_LIMIT, ("--trials", "--n"), ("simulate",), lambda spec, n: spec.trials
+               * len(spec.alphas) * float((n + SIMULATE_TRIAL_WORK).sum())),
+    "oracle sets": (ORACLE_WORK_LIMIT, ("--trials", "--n"), ("oracle-check",), lambda spec, n:
+                    spec.trials * len(spec.alphas) * float((n ** 3.5 + ORACLE_SET_WORK).sum())),
+    "v(alpha)": (V_ALPHA_WORK_LIMIT, (_ALPHAS,), ("vfun",), _v_alpha_work),
+}
+
+
+def _check_work(spec: ExperimentSpec):
+    """Refuse a spec whose work, summed over the layers of COSTS its command
+    runs as shares of each layer's limit, passes 1."""
+    n = np.array(spec.n_values, dtype=np.int64)
+    works = [(name, cost(spec, n), limit, remedy)
+             for name, (limit, remedy, commands, cost) in COSTS.items() if spec.command in commands]
+    if sum(work / limit for _, work, limit, _ in works) > 1:
+        parts = ", ".join(f"{name} {work:.4g} of {limit:.2g}" for name, work, limit, _ in works)
+        remedy = " or ".join(dict.fromkeys(r for *_, remedies in works for r in remedies))
+        raise ResourceLimitError(f"{spec.command} work past its cap ({parts}); lower {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,25 +514,21 @@ def _report(spec: ExperimentSpec, body: dict, **head) -> dict:
 
 def _grid(point, row=None):
     """Records of a walk over the (n, alpha) grid: tables built once, n outer,
-    alpha inner.  point(spec, tables, n, a, af, timer) returns a record's
+    alpha inner.  point(spec, tables, n, a, af, timer, x) returns a record's
     body and times its core work under ``timer``.  With a row step,
     row(spec, tables, n, phases) first does and times the work of the whole
-    n row, returning one value per alpha, and point gets its alpha's value
-    in place of a timer."""
+    n row, returning one value per alpha: point's x (None without one)."""
 
     def records(spec: ExperimentSpec, phases):
         with _timed(phases, "tables") as counters:
             tables = arith.build_tables(max(spec.n_values))
             counters["table_bytes"] = tables.nbytes
         for n in spec.n_values:
-            if row is None:
-                per_alpha = [_timed(phases, f"{spec.command} n={n} alpha={float(a):g}")
-                             for a in spec.alphas]
-            else:
-                per_alpha = row(spec, tables, n, phases)
+            per_alpha = [None] * len(spec.alphas) if row is None else row(spec, tables, n, phases)
             for a, x in zip(spec.alphas, per_alpha):
                 af = float(a)
-                yield _report(spec, point(spec, tables, n, a, af, x), n=n, alpha=af)
+                timer = _timed(phases, f"{spec.command} n={n} alpha={af:g}")
+                yield _report(spec, point(spec, tables, n, a, af, timer, x), n=n, alpha=af)
 
     return records
 
@@ -545,7 +543,7 @@ def _enumeration_check(body, key, rational, stat, n, a, tables):
         body["enum_agrees"] = enumerated == rational
 
 
-def _expect_point(spec, tables, n, a, af, timer):
+def _expect_point(spec, tables, n, a, af, timer, _):
     with timer:
         e_exact = moments.expectation_exact(n, af, tables)
         e_grouped = moments.expectation_grouped(n, af, tables)
@@ -563,37 +561,33 @@ def _expect_point(spec, tables, n, a, af, timer):
     return body
 
 
-def _alpha_group_size(n):
-    """The most alphas whose float V[X] at n fits VARIANCE_BYTES in one
-    variance_exact call: each alpha past the first adds a beta^k table of
-    8 (n + 1) bytes to _variance_bytes(n).  n may be an int64 array."""
-    spare = np.maximum(VARIANCE_BYTES - moments._variance_bytes(n), 0)
-    return 1 + spare // (8 * (n + 1))
-
-
-def _alpha_groups(n: int, alphas: tuple) -> list[tuple]:
-    """alphas split, in order, into groups of _alpha_group_size(n)."""
-    size = _alpha_group_size(n)
-    return [alphas[i : i + size] for i in range(0, len(alphas), size)]
+def _alpha_group_size(n, z: int):
+    """The most alphas with Z <= z whose float V[X] at n fits VARIANCE_BYTES
+    in one variance_exact call, each past the first adding its beta^k table
+    and chunk sums to _variance_bytes.  n may be an int64 array."""
+    per_alpha = moments._variance_bytes(n, z, 2) - moments._variance_bytes(n, z)
+    return 1 + ((VARIANCE_BYTES - moments._variance_bytes(n, z)) // per_alpha).astype(np.int64)
 
 
 def _variance_row(spec, tables, n, phases):
     """(v_exact, v_rational) at each alpha of the n row: the float V[X] of
-    every alpha from one timed pair walk per group of alphas, and under
-    --exact the rational ones from one more walk (None without it)."""
+    every alpha from one timed pair walk per group of _alpha_group_size
+    alphas, at the largest Z of the row, and under --exact the rational
+    ones from one more walk (None without it)."""
     afs = tuple(float(a) for a in spec.alphas)
     name = f"variance n={n} alpha=" + ",".join(f"{af:g}" for af in afs)
+    size = int(_alpha_group_size(n, moments._underflow(1.0 - min(afs), n)))
     with _timed(phases, name) as counters:
         v_exact = []
-        for group in _alpha_groups(n, afs):
-            v_exact += moments.variance_exact(n, group, tables, counters=counters)
+        for i in range(0, len(afs), size):
+            v_exact += moments.variance_exact(n, afs[i : i + size], tables, counters=counters)
     v_rat = [None] * len(afs)
     if spec.exact:
         v_rat = moments.variance_exact(n, tuple(spec.alphas), tables, exact=True)
     return list(zip(v_exact, v_rat))
 
 
-def _variance_point(spec, tables, n, a, af, row_value):
+def _variance_point(spec, tables, n, a, af, _, row_value):
     v_exact, v_rat = row_value
     v_upper = moments.variance_upper_envelope(n, af)
     body = {
@@ -606,12 +600,12 @@ def _variance_point(spec, tables, n, a, af, row_value):
     return body
 
 
-def _simulate_point(spec, tables, n, a, af, timer):
+def _simulate_point(spec, tables, n, a, af, timer, row_value):
+    v_exact, _ = row_value
     params = model.ModelParams(n=n, alpha=af, seed=spec.seed, trials=spec.trials)
-    # the exact moments go first: V's temporaries are then freed
-    # before the trial blocks are allocated, not on top of them
+    # the exact moments go first, V for the whole row in the row step: their
+    # temporaries are then freed before the trial blocks are allocated
     e_exact = moments.expectation_exact(n, af, tables)
-    v_exact = moments.variance_exact(n, af, tables)
     with timer as counters:
         mc = model.monte_carlo(params, tables, workers=spec.workers)
         counters.update(workers=mc.workers, plane_bytes=mc.plane_bytes)
@@ -636,7 +630,7 @@ def _simulate_point(spec, tables, n, a, af, timer):
     }
 
 
-def _oracle_point(spec, tables, n, a, af, timer):
+def _oracle_point(spec, tables, n, a, af, timer, _):
     # X of each set is the degree simulate reports, from monte_carlo's bit
     # planes; the oracles read the set sample_set redraws from its key, so
     # a fault in the planes or in the transform disagrees
@@ -795,20 +789,20 @@ COMMANDS = {
     "expect": Command(
         "exact, grouped, and asymptotic E[X]",
         ("n", "exact", "alpha", *_OUTPUT),
-        _check_expect,
+        _check_grid,
         _grid(_expect_point),
     ),
     "variance": Command(
         "exact V[X] and the alpha*n^3 envelope",
         ("n", "exact", "alpha", *_OUTPUT),
-        _check_variance,
+        _check_grid,
         _grid(_variance_point, _variance_row),
     ),
     "simulate": Command(
         "Monte Carlo degree statistics",
         ("n", "alpha", "dev_eps", "trials", "workers", "seed", *_OUTPUT),
-        _check_simulate,
-        _grid(_simulate_point),
+        _check_grid,
+        _grid(_simulate_point, _variance_row),
     ),
     "vfun": Command(
         "limiting variance constant v(alpha); C1 diagnostics",

@@ -339,14 +339,14 @@ def _run_blocks(n: int, a: int, b_lo: int, b_hi: int, g0: int, stop: float):
 
 def _underflow(beta: float, n: int) -> int:
     """Z, the first k <= n at which np.power(beta, k) is 0.0, or n + 1 when
-    there is none; every power past Z is 0.0 too, as the tests check.
-    Tries 1024 powers first, then four times as many while none is 0.0."""
-    size = min(n + 1, 1024)
-    while True:
-        zero = np.flatnonzero(np.power(beta, np.arange(size, dtype=np.float64)) == 0.0)
-        if len(zero) or size > n:
-            return int(zero[0]) if len(zero) else n + 1
-        size = min(n + 1, 4 * size)
+    there is none; every power past Z is 0.0 too, as the tests check.  A
+    bisection over k by the call that builds the beta^k table, on one k."""
+    lo, hi = -1, n + 1  # every power up to lo is nonzero; hi is 0.0 or past n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        zero = np.power(beta, np.array([mid], dtype=np.float64))[0] == 0.0
+        lo, hi = (lo, mid) if zero else (mid, hi)
+    return hi
 
 
 def _beta_terms(pw, e, j3, w0, out, tmp) -> None:
@@ -450,19 +450,18 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     return out if isinstance(alpha, tuple) else out[0]
 
 
-def _variance_bytes(n: int) -> int:
+def _variance_bytes(n, z: int, alphas: int = 1):
     """An upper estimate of the bytes the float variance_exact allocates at
-    n beside the tables for one alpha: 27 a unit of n plus ten chunk arrays
-    of 8-byte elements, fitted to a walk that held n-long arrays.  The walk
-    now holds blocks, one chunk buffer and beta^k up to min(Z, n), so the
-    estimate bounds it with room to spare: at alpha = 0.5 its tracemalloc
-    peak is 1.40 MB at n = 20000 (estimate 5.8 MB), 1.48 MB at 2*10^5
-    (10.6 MB), 1.49 MB at 10^6 (32.2 MB), 1.50 MB at 2*10^6 (59.2 MB) and
-    1.57 MB at 5*10^6 (140.2 MB); at alpha = 0.1 (Z = 7073) 1.60 MB at
-    10^6.  A row of several alphas stages the chunk's e, j3 and phi
-    products, three more chunk arrays, and each alpha adds its beta^k table,
-    8 (min(Z, n) + 1) bytes: nine alphas at 10^6 peak at 4.19 MB."""
-    return 27 * (n + 1) + 80 * VARIANCE_CHUNK
+    n (an int or int64 array) beside the tables, for alphas with Z <= z: the
+    k array and each alpha's beta^k table, min(z, n) + 1 floats each; 48
+    bytes an alpha per chunk sum, of at most 0.4 n ln(n)^2 / VARIANCE_CHUNK
+    + sqrt(n) + 2 chunks; five chunk arrays and 32 blocks of temporaries.
+    The tracemalloc peaks of the tests are 30-67% of it: 1.41-1.50 MB at
+    alpha = 0.5 up to n = 2*10^6, 4.71 MB at 10^-4 (Z > n) and 2*10^5."""
+    top = np.minimum(z, n) + 1
+    chunks = 0.4 * n * np.log(n) ** 2 / VARIANCE_CHUNK + np.sqrt(n) + 2
+    fixed = 8 * (5 * VARIANCE_CHUNK + 32 * VARIANCE_BLOCK)
+    return 8 * (alphas + 1) * top + 48 * alphas * chunks + fixed
 
 
 def variance_upper_envelope(n: int, alpha: float) -> float:
@@ -717,18 +716,18 @@ def _c1_pairs(
     return value, tail, len(rads), len(missing)
 
 
-def _enumeration_depth(
+def _member_bound(
     alpha: float, config: TruncationConfig, raise_flags: str = "--alpha or --tail-tol"
-) -> int:
-    """emax, the largest e with beta^e >= beta_tail_tol, i.e. the largest
-    exponent j1 + j2 - j3 that v(alpha) keeps, after a pre-flight refusal.
+) -> float:
+    """The bound on the S_inf members v(alpha) enumerates, refused past
+    V_ALPHA_MEMBER_LIMIT before any power is taken, naming raise_flags.
 
     A triple (j3, a1, a2) is kept only when (a1 + a2 - 1) j3 <= emax and has
     at most a1 + a2 - 1 members, so j3 brings at most s^3/3 members,
     s = emax // j3 + 1.  The bound sums that over j3 <= min(j3_max, emax) at
     top = (log estimate of emax) + 1 >= emax, in O(min(j3_max, emax)) steps;
-    for alpha near 0, where beta^e decays too slowly to resolve, it refuses
-    before any power is taken, naming raise_flags as the remedy.
+    for alpha near 0, where beta^e decays too slowly to resolve, the loop
+    stops once the bound passes the limit.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"v(alpha) is defined on open (0, 1), got {alpha}")
@@ -745,8 +744,15 @@ def _enumeration_depth(
             f"v({alpha:g}) at tail tolerance {tol:g}: the S_inf member bound is at least "
             f"{bound:.3g}, above the limit of {V_ALPHA_MEMBER_LIMIT:.0e}; raise {raise_flags}"
         )
-    beta = 1.0 - alpha
-    e = int(top)
+    return bound
+
+
+def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
+    """emax, the largest e with beta^e >= beta_tail_tol: the largest exponent
+    j1 + j2 - j3 that v(alpha) keeps, after _member_bound's refusal."""
+    _member_bound(alpha, config)
+    tol, beta = config.beta_tail_tol, 1.0 - alpha
+    e = int(math.log(tol) / math.log1p(-alpha) + 1.0)
     while _powi(beta, e) < tol:
         e -= 1
     while _powi(beta, e + 1) >= tol:

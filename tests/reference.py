@@ -106,6 +106,18 @@ def variance_by_plain_walk(n: int, alpha: float, tables) -> float:
     return math.fsum(terms)
 
 
+def underflow_scan(beta: float, n: int) -> int:
+    """moments._underflow by scanning the powers: the first k <= n at which
+    np.power(beta, k) is 0.0, or n + 1.  Tries 1024 powers first, then four
+    times as many while none is 0.0, so it holds min(Z, n)-long arrays."""
+    size = min(n + 1, 1024)
+    while True:
+        zero = np.flatnonzero(np.power(beta, np.arange(size, dtype=np.float64)) == 0.0)
+        if len(zero) or size > n:
+            return int(zero[0]) if len(zero) else n + 1
+        size = min(n + 1, 4 * size)
+
+
 def subset_counts_walk(n: int, phi: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """(x, size, count) over all 2^n subsets of 1..n, in walk order: count
     sets of that size have degree x.  Walks the subset lattice once by

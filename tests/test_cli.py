@@ -138,15 +138,23 @@ def test_variance_row_walks_once_per_n(capsys, variance_calls):
         assert tm["pairs"] == want
 
 
+def row_budget(n, alpha_min, further):
+    """A V[X] byte budget with room at n for one walk of an alpha no smaller
+    than alpha_min and for `further` more alphas (their tables and sums)."""
+    z = moments._underflow(1.0 - alpha_min, n)
+    one = moments._variance_bytes(n, z)
+    return one + further * (moments._variance_bytes(n, z, 2) - one)
+
+
 def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls):
-    # a budget that leaves room for two beta^k tables at n = 2000 splits the
+    # a budget that leaves room for two more alphas at n = 2000 splits the
     # five alphas into groups of three and two, and changes no record but
     # the times and the pairs of the two walks
     argv = ["variance", "--n", "10,2000", "--alpha", "0.1,0.3,0.5,0.7,0.9"]
     _, whole, _ = run_cli(capsys, argv)
     assert variance_calls == [(10, (0.1, 0.3, 0.5, 0.7, 0.9)), (2000, (0.1, 0.3, 0.5, 0.7, 0.9))]
     variance_calls.clear()
-    monkeypatch.setattr(cli, "VARIANCE_BYTES", moments._variance_bytes(2000) + 2 * 8 * 2001)
+    monkeypatch.setattr(cli, "VARIANCE_BYTES", row_budget(2000, 0.1, 2.5))
     code, split, _ = run_cli(capsys, argv)
     assert code == 0
     assert variance_calls[1:] == [(2000, (0.1, 0.3, 0.5)), (2000, (0.7, 0.9))]
@@ -165,15 +173,15 @@ def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls):
 
 
 def test_variance_pairs_count_every_walk_of_a_row(capsys, monkeypatch):
-    # room for one beta^k table beside the first splits the five alphas at
-    # n = 2000 into three walks, whose pairs the row's timing adds up
+    # room for one alpha beside the first splits the five alphas at n = 2000
+    # into three walks, whose pairs the row's timing adds up
     argv = ["variance", "--n", "2000", "--alpha", "0.1,0.2,0.3,0.4,0.5"]
     d = np.arange(2, 2001)
     one_walk = sum(int((np.lcm(d1, d) <= 2000).sum()) for d1 in d.tolist())
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and json.loads(out[-1])["pairs"] == one_walk == 48691
-    monkeypatch.setattr(cli, "VARIANCE_BYTES", moments._variance_bytes(2000) + 8 * 2001)
-    assert len(cli._alpha_groups(2000, (0.1, 0.2, 0.3, 0.4, 0.5))) == 3
+    monkeypatch.setattr(cli, "VARIANCE_BYTES", row_budget(2000, 0.1, 1.5))
+    assert cli._alpha_group_size(2000, moments._underflow(0.9, 2000)) == 2
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and json.loads(out[-1])["pairs"] == 3 * one_walk
 
@@ -395,36 +403,51 @@ def test_simulate_preflight_refuses(capsys, argv):
     assert peak < 2**24, f"{argv}: peak {peak} bytes"
 
 
-def test_simulate_preflight_refuses_variance_memory(capsys):
-    # one trial is little work, but V[X] at n = 10^7 would hold about
-    # 262 MiB beside the tables: refused before the tables are built
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, ["simulate", "--n", "10000000", "--alpha", "0.5",
-                                          "--trials", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 3 and err.startswith("resource limit:") and not out, err
-    assert "--n 10000000" in err and "MiB" in err, err
-    assert peak < 2**24, f"peak {peak} bytes"
+def test_simulate_preflight_accepts_v_at_the_table_cap():
+    # pre-flight alone: one trial at n = 10^7 is 0.36% of the draw cap, one
+    # E point 2.5% of its cap and one V[X] walk 94% of the walk cap, which
+    # simulate sums; V holds 5.7 MB beside the tables.  A second row at
+    # 10^7 is refused by its walks alone
+    spec_for(["simulate", "--n", "10000000", "--alpha", "0.5", "--trials", "1"])
+    with pytest.raises(ResourceLimitError, match="V\\[X\\] walks"):
+        spec_for(["simulate", "--n", "10000000,10000000", "--alpha", "0.5", "--trials", "1"])
 
 
-def test_variance_preflight_refuses_memory(capsys):
-    # the float V[X] at n = 10^7 would hold about 262 MiB beside the
-    # tables: refused before the tables are built, as simulate refuses it
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, ["variance", "--n", "10000000", "--alpha", "0.5"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 3 and err.startswith("resource limit:") and not out, err
-    assert "--n 10000000" in err and "MiB" in err, err
-    assert peak < 2**24, f"peak {peak} bytes"
-    # about 31 MiB at n = 10^6: the pre-flight passes (nothing is run)
+def test_variance_preflight_accepts_the_table_cap():
+    # the byte budget admits one alpha at every n up to the table cap, even
+    # with Z past n (tables of n + 1 floats); 10^6 and 10^7 pass the
+    # pre-flight (nothing is run)
+    assert moments._variance_bytes(TABLE_LIMIT, TABLE_LIMIT + 1) <= cli.VARIANCE_BYTES
+    spec_for(["variance", "--n", "10000000", "--alpha", "0.5"])
+    spec_for(["variance", "--n", str(TABLE_LIMIT), "--alpha", "0"])
     spec_for(["variance", "--n", "1000000", "--alpha", "0.5"])
 
+
+@pytest.mark.parametrize(
+    "argv,layer",
+    [
+        (["simulate", "--n", "1:70000", "--alpha", "0.5", "--trials", "1"], "V[X] walks"),
+        (["vfun", "--alpha", ",".join(["0.05"] * 100000)], "v(alpha)"),  # about 14 hours
+    ],
+)
+def test_layer_work_refused_before_any_work(capsys, monkeypatch, argv, layer):
+    # simulate sums its trials, E points and V[X] walks (about 102 times
+    # the walk cap here), vfun its alphas' S_inf member bounds: refused
+    # before any table is built or any v(alpha) runs
+    def called(*args, **kwargs):
+        raise AssertionError("ran past the pre-flight")
+
+    monkeypatch.setattr(arith, "build_tables", called)
+    monkeypatch.setattr(moments, "v_alpha", called)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("resource limit:") and not out, err
+    assert layer in err and "--alpha" in err, err
+    assert peak < 2**24, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize(
@@ -450,17 +473,25 @@ def test_grid_work_caps_accept_grids_up_to_the_cap():
     spec_for(["expect", "--n", ",".join([str(n)] * 40), "--alpha", "0.5"])
     with pytest.raises(ResourceLimitError, match="--alpha"):
         spec_for(["expect", "--n", ",".join([str(n + 1)] * 40), "--alpha", "0.5"])
-    # one walk at the largest n the byte budget admits passes; a walk at
-    # n = 10^6 is about 7.6e7, so 14 of them pass and 15 do not
+    # one walk at the largest n the old byte budget admitted passes, as does
+    # one at the table cap; a walk at n = 10^6 is about 7.6e7, so 14 of
+    # them pass and 15 do not
     spec_for(["variance", "--n", "9747872", "--alpha", "0.5"])
+    spec_for(["variance", "--n", str(TABLE_LIMIT), "--alpha", "0.5"])
     spec_for(["variance", "--n", ",".join(["1000000"] * 14), "--alpha", "0.5"])
     with pytest.raises(ResourceLimitError, match="--n"):
         spec_for(["variance", "--n", ",".join(["1000000"] * 15), "--alpha", "0.5"])
-    # 30 alphas share one walk at n = 10^6; a 31st takes a second one
-    alphas = [f"0.{k:02d}" for k in range(1, 32)]
-    spec_for(["variance", "--n", ",".join(["1000000"] * 8), "--alpha", ",".join(alphas[:30])])
+    # a row's alphas share a walk while their beta^k tables of min(Z, n) + 1
+    # floats and their chunk sums fit the byte budget: more than 300 at
+    # n = 10^6 and Z = 74141 (alpha = 0.01), 31 at Z > n (alpha = 10^-4)
+    assert cli._alpha_group_size(10**6, moments._underflow(0.99, 10**6)) > 300
+    assert cli._alpha_group_size(10**6, moments._underflow(1 - 1e-4, 10**6)) == 31
+    # each further alpha of a walk costs 0.2 of its pairs: two rows of the
+    # 31 alphas 0.01-0.31 at n = 10^6 pass (one walk each), three do not
+    alphas = ",".join(f"0.{k:02d}" for k in range(1, 32))
+    spec_for(["variance", "--n", "1000000,1000000", "--alpha", alphas])
     with pytest.raises(ResourceLimitError, match="--alpha"):
-        spec_for(["variance", "--n", ",".join(["1000000"] * 8), "--alpha", ",".join(alphas)])
+        spec_for(["variance", "--n", ",".join(["1000000"] * 3), "--alpha", alphas])
 
 
 def test_benchmark_workloads_pass_the_preflight():
@@ -738,13 +769,15 @@ def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypat
 def test_simulate_timing_record_counts_workers_and_plane_bytes(capsys):
     # the pool size run (capped by blocks and cores) and the bytes of one
     # block's planes go in the timing record only: 300 trials at n = 1000
-    # are three blocks of 128 rows or fewer, 16 planes of 1001 bytes
+    # are three blocks of 128 rows or fewer, 16 planes of 1001 bytes.  The
+    # row's V[X] walk has its own record before it, with its pairs
     argv = ["simulate", "--n", "1000", "--alpha", "0.5", "--trials", "300", "--seed", "3"]
     records = {}
     for workers in ("1", "2", "8"):
         code, out, _ = run_cli(capsys, argv + ["--workers", workers])
-        assert code == 0 and len(out) == 3
-        rec, _, tm = (json.loads(ln) for ln in out)
+        assert code == 0 and len(out) == 4
+        rec, _, row, tm = (json.loads(ln) for ln in out)
+        assert row["phase"] == "variance n=1000 alpha=0.5" and row["pairs"] == 20503
         assert tm["phase"] == "simulate n=1000 alpha=0.5"
         assert tm["workers"] == min(int(workers), 3, os.cpu_count() or 1)
         assert tm["plane_bytes"] == 16 * 1001
@@ -970,6 +1003,31 @@ def test_readme_commands_and_variables_match_the_cli(monkeypatch):
     assert documented == {
         name: [OPTIONS[opt].flag for opt in cmd.options] for name, cmd in COMMANDS.items()
     }
+
+
+def _readme_value(text: str) -> float:
+    """A README number: a·10^b, 10^b, digits with commas and a decimal
+    point, or N MiB."""
+    if text.endswith(" MiB"):
+        return float(text[:-4]) * 2**20
+    if "10^" in text:
+        mantissa, _, exponent = text.rpartition("10^")
+        return float(mantissa.rstrip("·") or 1) * 10 ** int(exponent)
+    return float(text.replace(",", ""))
+
+
+def test_readme_names_resolve_to_the_code():
+    # every `qlcm.<module>.<NAME>` the README names exists, and a value it
+    # gives right after one (`= 10^7`, `= 2.8·10^9`, `= 30,000`, `= 4 MiB`)
+    # is the code's: a deleted helper or a changed constant fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    number = r"\d+(?:\.\d+)?·10\^\d+|10\^\d+|\d+(?:,\d{3})*(?:\.\d+)?(?: MiB)?"
+    found = re.findall(rf"`qlcm\.(\w+)\.(\w+)`(?:\s*=\s*({number}))?", readme)
+    assert len(found) >= 20, found
+    for module, name, text in found:
+        value = getattr(importlib.import_module(f"qlcm.{module}"), name)
+        if text:
+            assert math.isclose(_readme_value(text), value, rel_tol=1e-12), (name, text, value)
 
 
 def test_simulate_alpha_one_degenerate(capsys):

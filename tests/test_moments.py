@@ -45,6 +45,7 @@ from reference import (
     expectation_per_d_rational,
     inner_sum_recursive,
     s_infinity_cells,
+    underflow_scan,
     v_alpha_per_term,
     v_alpha_per_triple,
     variance_by_plain_walk,
@@ -453,6 +454,46 @@ def test_powers_stay_zero_past_underflow(alpha):
     assert moments._underflow(1.0, 1000) == 1001
 
 
+def _underflow_grid():
+    """(beta, n): alpha log-uniform over [1e-7, 1] and at 0, 0.5, 1; n small,
+    and at, around, half and twice Z where Z <= 2*10^5."""
+    alphas = [0.0, 0.5, 1.0, *np.geomspace(1e-7, 1.0, 57).tolist()]
+    for alpha in alphas:
+        beta = 1.0 - alpha
+        z = underflow_scan(beta, 2 * 10**5)
+        near = {z + d for d in range(-3, 4)} | {z // 2, 2 * z} if z <= 2 * 10**5 else set()
+        for n in sorted({1, 2, 10, 1000, 10**5} | near):
+            if n >= 1:
+                yield beta, n
+
+
+def test_underflow_bisection_matches_the_scan():
+    # the bisection finds the scan's Z at every grid point
+    points = list(_underflow_grid())
+    assert len(points) > 400
+    for beta, n in points:
+        assert moments._underflow(beta, n) == underflow_scan(beta, n), (beta, n)
+
+
+def test_underflow_holds_no_n_long_array():
+    tracemalloc.start()
+    try:
+        z = moments._underflow(1.0 - 1e-6, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z == 10**7 + 1 and peak < 2**20, (z, peak)
+
+
+def test_underflow_does_not_rise_with_alpha():
+    # the pre-flight takes a row's Z at its smallest alpha, which must be the
+    # largest Z of the row at every n
+    alphas = np.geomspace(1e-7, 1.0, 400).tolist()
+    for n in (10, 1000, 20000, 10**6, 10**7):
+        zs = [moments._underflow(1.0 - a, n) for a in alphas]
+        assert all(x >= y for x, y in zip(zs, zs[1:])), n
+
+
 @pytest.fixture(scope="module")
 def tables_2e6():
     return build_tables(2 * 10**6)
@@ -460,16 +501,32 @@ def tables_2e6():
 
 @pytest.mark.parametrize("n", [20000, 200000, 1000000, 2000000])
 def test_variance_memory_under_estimate(tables_2e6, n):
-    # the CLI refuses a variance grid by _variance_bytes before it starts,
-    # so the float sum must allocate less than the estimate, at each n its
-    # fit rests on
+    # the CLI sizes a row's alpha groups by _variance_bytes, so the float
+    # sum must allocate less than the estimate, at each n its fit rests on
+    _assert_variance_peak_under_estimate(n, (0.5,), tables_2e6)
+
+
+@pytest.mark.parametrize(
+    "n,alphas",
+    [
+        (200000, (0.1,)),
+        (200000, (1e-4,)),  # Z > n: tables of n + 1 floats
+        (1000000, tuple(k / 10 for k in range(1, 10))),
+    ],
+)
+def test_variance_memory_under_estimate_across_alphas(tables_2e6, n, alphas):
+    _assert_variance_peak_under_estimate(n, alphas, tables_2e6)
+
+
+def _assert_variance_peak_under_estimate(n, alphas, tables):
+    z = max(moments._underflow(1.0 - a, n) for a in alphas)
     tracemalloc.start()
     try:
-        variance_exact(n, 0.5, tables_2e6)
+        variance_exact(n, alphas, tables)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < moments._variance_bytes(n), (n, peak)
+    assert peak < moments._variance_bytes(n, z, len(alphas)), (n, alphas, peak)
 
 
 @pytest.mark.parametrize("n,bound_mib", [(16000, VARIANCE_16000_PEAK_MIB), (10**6, VARIANCE_1M_PEAK_MIB)])
