@@ -72,16 +72,18 @@ SIMULATE_WORK_LIMIT = 140 * 2000 * 10**4
 # 2.2e8).  ROADMAP directions 3 and 4 change these costs; refit after them
 EXPECT_POINT_WORK = 1000
 EXPECT_WORK_LIMIT = 4 * 10**8
-# V[X] work in units of one pair of the float V[X] walk (19-35 ns a pair at
-# n >= 10^4): a walk at n visits about 0.4 n ln(n)^2 pairs (its "pairs"
-# counter reads 343,983 at 10^4, 5.15 million at 10^5 and 71.9 million at
-# 10^6) plus a fixed VARIANCE_WALK_WORK (about 0.4 ms), one walk per group
-# of _alpha_group_size; each further alpha of a walk fills its own chunk
-# buffer, VARIANCE_ALPHA_SHARE of the pairs (0.12-0.21 of a walk at 10^5
-# and 10^6, nine alphas, one process).  The cap, 21-38 s of walks, admits
-# one walk at every n up to the table cap (1.04e9 at 10^7)
+# V[X] work in units of one pair of the float V[X] walk (16-35 ns a pair at
+# n >= 10^4): a walk visits about moments._walk_pairs(n) pairs plus a fixed
+# VARIANCE_WALK_WORK (about 0.4 ms); each further alpha of a walk fills its
+# own chunk buffer, VARIANCE_ALPHA_SHARE of the pairs (0.12-0.21 of a walk
+# at 10^5 and 10^6, nine alphas); each (n, alpha) point, its record too,
+# costs VARIANCE_POINT_WORK (10^4 copies of alpha = 0.5 took 47.5 us a point
+# at n = 2..11 and 79 us at 2..101, 16-17 ns a pair at 10^5 and 10^6; one
+# process, 2 cores).  The cap, 21-38 s of walks, admits one walk at every n
+# up to the table cap (1.04e9 at 10^7)
 VARIANCE_WALK_WORK = 15_000
 VARIANCE_ALPHA_SHARE = 0.2
+VARIANCE_POINT_WORK = 5000
 VARIANCE_WORK_LIMIT = 11 * 10**8
 # v(alpha) work in units of one S_inf member of moments._member_bound plus
 # a fixed V_ALPHA_WORK of per-block overhead.  Warm, in one process on 2
@@ -90,9 +92,6 @@ VARIANCE_WORK_LIMIT = 11 * 10**8
 # copies of alpha = 0.05, 1,050 of 0.2
 V_ALPHA_WORK = 3 * 10**6
 V_ALPHA_WORK_LIMIT = 4 * 10**9
-# bytes one V[X] walk may allocate beside the tables (_variance_bytes),
-# which sizes a row's alpha groups: one alpha at the table cap needs 158 MiB
-VARIANCE_BYTES = 1 << 28
 # most --n values a run may take: their tuple peaks at about 39 MiB at 10^6
 N_VALUES_LIMIT = 10**6
 # most runs of a bench case: one repeat takes 0.008 s (valpha) to 0.23 s
@@ -389,12 +388,13 @@ def _check_bench(spec: ExperimentSpec):
 
 def _walk_work(spec: ExperimentSpec, n: np.ndarray) -> float:
     """V[X] walks of every n row, one per group of _alpha_group_size at the
-    Z of the smallest alpha (the largest Z) and the largest n."""
+    largest Z (the smallest alpha's) and the largest n, and each point."""
     z = moments._underflow(1.0 - float(min(spec.alphas)), int(n.max()))
-    walks = -(-len(spec.alphas) // _alpha_group_size(n, z))
-    pairs = 0.4 * n * np.log(n) ** 2
+    walks = -(-len(spec.alphas) // moments._alpha_group_size(n, z))
+    pairs = moments._walk_pairs(n)
     extra = VARIANCE_ALPHA_SHARE * (len(spec.alphas) - walks) * pairs
-    return float((walks * (pairs + VARIANCE_WALK_WORK) + extra).sum())
+    points = VARIANCE_POINT_WORK * len(spec.alphas)
+    return float((walks * (pairs + VARIANCE_WALK_WORK) + extra + points).sum())
 
 
 def _v_alpha_work(spec: ExperimentSpec, n) -> float:
@@ -561,26 +561,14 @@ def _expect_point(spec, tables, n, a, af, timer, _):
     return body
 
 
-def _alpha_group_size(n, z: int):
-    """The most alphas with Z <= z whose float V[X] at n fits VARIANCE_BYTES
-    in one variance_exact call, each past the first adding its beta^k table
-    and chunk sums to _variance_bytes.  n may be an int64 array."""
-    per_alpha = moments._variance_bytes(n, z, 2) - moments._variance_bytes(n, z)
-    return 1 + ((VARIANCE_BYTES - moments._variance_bytes(n, z)) // per_alpha).astype(np.int64)
-
-
 def _variance_row(spec, tables, n, phases):
     """(v_exact, v_rational) at each alpha of the n row: the float V[X] of
-    every alpha from one timed pair walk per group of _alpha_group_size
-    alphas, at the largest Z of the row, and under --exact the rational
-    ones from one more walk (None without it)."""
+    every alpha from one timed variance_exact call, and under --exact the
+    rational ones from one more (None without it)."""
     afs = tuple(float(a) for a in spec.alphas)
     name = f"variance n={n} alpha=" + ",".join(f"{af:g}" for af in afs)
-    size = int(_alpha_group_size(n, moments._underflow(1.0 - min(afs), n)))
     with _timed(phases, name) as counters:
-        v_exact = []
-        for i in range(0, len(afs), size):
-            v_exact += moments.variance_exact(n, afs[i : i + size], tables, counters=counters)
+        v_exact = moments.variance_exact(n, afs, tables, counters=counters)
     v_rat = [None] * len(afs)
     if spec.exact:
         v_rat = moments.variance_exact(n, tuple(spec.alphas), tables, exact=True)
@@ -713,11 +701,7 @@ def _bench_cases(spec: ExperimentSpec):
     elif suite == "variance-sum":
         tables = arith.build_tables(100000)
         for n in (25000, 50000, 100000):
-            yield (
-                f"variance n={n}",
-                n,
-                lambda n=n: moments.variance_exact(n, 0.5, tables),
-            )
+            yield f"variance n={n}", n, lambda n=n: moments.variance_exact(n, 0.5, tables)
     elif suite == "valpha":
 
         def cold_v_alpha():
@@ -745,14 +729,6 @@ def _bench_cases(spec: ExperimentSpec):
         yield "oracle n=40 x20 both paths", 40, run_sets
 
 
-def _median(xs: list) -> float:
-    """The median of a nonempty list: its middle value, or the mean of the
-    middle two."""
-    s = sorted(xs)
-    k = len(s) // 2
-    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
-
-
 def _bench_records(spec: ExperimentSpec, phases):
     # cold caches would double-count sieve work; each case runs repeat times
     # and reports the median
@@ -768,7 +744,7 @@ def _bench_records(spec: ExperimentSpec, phases):
             "case": case,
             "size": size,
             "runs": spec.repeat,
-            "median_s": _median(times),
+            "median_s": float(np.median(times)),
             "times_s": times,
         }
 

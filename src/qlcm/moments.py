@@ -50,6 +50,9 @@ V_ALPHA_MEMBER_LIMIT = 10**8
 VARIANCE_CHUNK = 1 << 16
 # pairs per block of the variance walk, which builds each chunk in blocks
 VARIANCE_BLOCK = 1 << 13
+# bytes one float V[X] walk may allocate beside the tables (_variance_bytes),
+# which sizes its alpha groups: one alpha at the table cap needs 158 MiB
+VARIANCE_BYTES = 1 << 28
 # cells (suffixes x caps) of one table of the C1 inner-sum sweep, 512 KiB
 # of float64; bounds its working set
 C1_SWEEP_CELLS = 1 << 16
@@ -371,40 +374,48 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     block by block, summed once the chunk is complete, and the chunk sums
     are combined by fsum in fixed order.  The float path stops each run of
     the walk where every term left is 0.0 (_run_blocks), at the largest Z
-    (_underflow) of the alphas, and builds each beta^k table only up to
-    min(Z, n): every power past it is 0.0, so a gather clipped to it reads
-    the power it stands for.  exact=True walks every chunk over Python ints
-    (object arrays): with e = j1 + j2 - j3, beta^e (1 - beta^j3) is
-    (u[e] - u[e + j3]) / q^n in the numerators of _beta_numerators, since
-    e + j3 = j1 + j2 <= n; the integer total over q^n is returned as a
-    Fraction.
+    (_underflow) of the alphas it walks, and builds each beta^k table only
+    up to min(Z, n): every power past it is 0.0, so a gather clipped to it
+    reads the power it stands for.  exact=True walks over Python ints: with
+    e = j1 + j2 - j3, beta^e (1 - beta^j3) is (u[e] - u[e + j3]) / q^n in
+    the numerators of _beta_numerators (e + j3 = j1 + j2 <= n), and the
+    integer total over q^n is returned as a Fraction.
 
     alpha may be a tuple, for which a list of V in its order is returned:
     the pairs, e and phi(d1) phi(d2) depend on n alone, so each chunk is
-    walked once for every alpha, and each alpha's value is bit for bit the
-    one of its own call.  One alpha writes its terms as the blocks come; a
-    row stages the chunk's e, j3 and phi products, then fills the one
-    buffer for each alpha in turn, so its memory does not grow with the
-    alphas beyond their tables.  A counters dict, when given, has the
-    ordered pairs (d1, d2) the walk visited added to its "pairs".
+    walked once for every alpha of a walk, and each alpha's value is bit for
+    bit the one of its own call.  The float path walks consecutive groups of
+    _alpha_group_size alphas at the largest Z of the tuple, within
+    VARIANCE_BYTES.  A counters dict, when given, has the ordered pairs
+    (d1, d2) of every walk added to its "pairs".
     """
     alphas = alpha if isinstance(alpha, tuple) else (alpha,)
     for a in alphas:
         check_point(n, a, tables)
+    zs = [math.inf if exact else _underflow(1.0 - float(a), n) for a in alphas]
+    size = max(len(alphas), 1) if exact else int(_alpha_group_size(n, max(zs, default=0)))
+    out = []
+    for i in range(0, len(alphas), size):
+        group = slice(i, i + size)
+        out += _variance_walk(n, alphas[group], tables, exact, max(zs[group]), counters)
+    return out if isinstance(alpha, tuple) else out[0]
+
+
+def _variance_walk(n: int, alphas: tuple, tables: ArithTables, exact: bool, stop, counters):
+    """V[X] of each of alphas from one walk of the pairs, stopped at stop.
+    One alpha writes its terms as the blocks come; several stage the chunk's
+    e, j3 and phi products, then fill the one buffer for each alpha in turn,
+    so the memory does not grow with the alphas beyond their tables."""
     if exact:
         # beta^k as the numerators u[k] over u[0] = q^n, one row per alpha
         powers = [np.array(_beta_numerators(n, a, "variance"), dtype=object) for a in alphas]
-        stop = math.inf
     else:
         # d1, d2 >= 2 bound every exponent j1 + j2 - j3 by n
-        stop = max((_underflow(1.0 - float(a), n) for a in alphas), default=0)
         k = np.arange(min(stop, n) + 1, dtype=np.float64)
         powers = [np.power(1.0 - float(a), k) for a in alphas]
         buf = np.empty(VARIANCE_CHUNK)
-        staged = None
-        if len(alphas) > 1:
-            staged = (np.empty(VARIANCE_CHUNK, np.int64), np.empty(VARIANCE_CHUNK, np.int64),
-                      np.empty(VARIANCE_CHUNK))
+        staged = (np.empty(VARIANCE_CHUNK, np.int64), np.empty(VARIANCE_CHUNK, np.int64),
+                  np.empty(VARIANCE_CHUNK)) if len(alphas) > 1 else None
         tmp = np.empty(min(VARIANCE_CHUNK, VARIANCE_BLOCK) if staged is None else VARIANCE_CHUNK)
     terms = [[] for _ in alphas]
     pairs = fill = 0
@@ -444,24 +455,36 @@ def variance_exact(n: int, alpha, tables: ArithTables, exact: bool = False, coun
     if counters is not None:
         counters["pairs"] = counters.get("pairs", 0) + pairs
     if exact:
-        out = [Fraction(sum(t), pw[0]) for pw, t in zip(powers, terms)]
-    else:
-        out = [math.fsum(t) for t in terms]
-    return out if isinstance(alpha, tuple) else out[0]
+        return [Fraction(sum(t), pw[0]) for pw, t in zip(powers, terms)]
+    return [math.fsum(t) for t in terms]
+
+
+def _walk_pairs(n):
+    """About the pairs of one walk at n (an int or int64 array): its "pairs"
+    read 343,983 at 10^4, 5.15 million at 10^5 and 71.9 million at 10^6."""
+    return 0.4 * n * np.log(n) ** 2
 
 
 def _variance_bytes(n, z: int, alphas: int = 1):
-    """An upper estimate of the bytes the float variance_exact allocates at
-    n (an int or int64 array) beside the tables, for alphas with Z <= z: the
-    k array and each alpha's beta^k table, min(z, n) + 1 floats each; 48
-    bytes an alpha per chunk sum, of at most 0.4 n ln(n)^2 / VARIANCE_CHUNK
-    + sqrt(n) + 2 chunks; five chunk arrays and 32 blocks of temporaries.
-    The tracemalloc peaks of the tests are 30-67% of it: 1.41-1.50 MB at
-    alpha = 0.5 up to n = 2*10^6, 4.71 MB at 10^-4 (Z > n) and 2*10^5."""
+    """An upper estimate of the bytes one float walk at n (an int or int64
+    array) allocates beside the tables, for alphas with Z <= z: the k array
+    and each alpha's beta^k table, min(z, n) + 1 floats each; 48 bytes an
+    alpha per chunk sum, of at most _walk_pairs(n) / VARIANCE_CHUNK +
+    sqrt(n) + 2 chunks; five chunk arrays and 32 blocks of temporaries.  The
+    tests' tracemalloc peaks are 30-67% of it (1.41-1.50 MB at alpha = 0.5
+    up to n = 2*10^6, 4.71 MB at 10^-4 and 2*10^5)."""
     top = np.minimum(z, n) + 1
-    chunks = 0.4 * n * np.log(n) ** 2 / VARIANCE_CHUNK + np.sqrt(n) + 2
+    chunks = _walk_pairs(n) / VARIANCE_CHUNK + np.sqrt(n) + 2
     fixed = 8 * (5 * VARIANCE_CHUNK + 32 * VARIANCE_BLOCK)
     return 8 * (alphas + 1) * top + 48 * alphas * chunks + fixed
+
+
+def _alpha_group_size(n, z: int):
+    """The most alphas with Z <= z whose float V[X] at n fits VARIANCE_BYTES
+    in one walk, each past the first adding its beta^k table and chunk sums
+    to _variance_bytes.  n may be an int64 array."""
+    per_alpha = _variance_bytes(n, z, 2) - _variance_bytes(n, z)
+    return 1 + ((VARIANCE_BYTES - _variance_bytes(n, z)) // per_alpha).astype(np.int64)
 
 
 def variance_upper_envelope(n: int, alpha: float) -> float:

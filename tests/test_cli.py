@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import statistics
 import subprocess
 import sys
 import time
@@ -122,6 +123,20 @@ def variance_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def variance_walks(monkeypatch):
+    """The (n, alphas) of every pair walk variance_exact makes, in order."""
+    walks = []
+    real = moments._variance_walk
+
+    def spy(n, alphas, *args):
+        walks.append((n, alphas))
+        return real(n, alphas, *args)
+
+    monkeypatch.setattr(moments, "_variance_walk", spy)
+    return walks
+
+
 def test_variance_row_walks_once_per_n(capsys, variance_calls):
     # every alpha of an n row comes from one variance_exact call, timed as
     # one record whose phase lists the row's alphas
@@ -146,19 +161,23 @@ def row_budget(n, alpha_min, further):
     return one + further * (moments._variance_bytes(n, z, 2) - one)
 
 
-def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls):
+def test_variance_row_split_by_the_budget(capsys, monkeypatch, variance_calls, variance_walks):
     # a budget that leaves room for two more alphas at n = 2000 splits the
-    # five alphas into groups of three and two, and changes no record but
-    # the times and the pairs of the two walks
+    # five alphas of the row's one variance_exact call into walks of three
+    # and two, and changes no record but the times and the pairs of the two
+    # walks
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
     argv = ["variance", "--n", "10,2000", "--alpha", "0.1,0.3,0.5,0.7,0.9"]
     _, whole, _ = run_cli(capsys, argv)
-    assert variance_calls == [(10, (0.1, 0.3, 0.5, 0.7, 0.9)), (2000, (0.1, 0.3, 0.5, 0.7, 0.9))]
+    assert variance_walks == [(10, alphas), (2000, alphas)]
     variance_calls.clear()
-    monkeypatch.setattr(cli, "VARIANCE_BYTES", row_budget(2000, 0.1, 2.5))
+    variance_walks.clear()
+    monkeypatch.setattr(moments, "VARIANCE_BYTES", row_budget(2000, 0.1, 2.5))
     code, split, _ = run_cli(capsys, argv)
     assert code == 0
-    assert variance_calls[1:] == [(2000, (0.1, 0.3, 0.5)), (2000, (0.7, 0.9))]
-    assert len(variance_calls[0][1]) == 5  # n = 10: room for every alpha
+    assert variance_calls == [(10, alphas), (2000, alphas)]
+    assert variance_walks[1:] == [(2000, (0.1, 0.3, 0.5)), (2000, (0.7, 0.9))]
+    assert len(variance_walks[0][1]) == 5  # n = 10: room for every alpha
 
     def timeless(lines):
         recs = [json.loads(ln) for ln in lines]
@@ -180,8 +199,8 @@ def test_variance_pairs_count_every_walk_of_a_row(capsys, monkeypatch):
     one_walk = sum(int((np.lcm(d1, d) <= 2000).sum()) for d1 in d.tolist())
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and json.loads(out[-1])["pairs"] == one_walk == 48691
-    monkeypatch.setattr(cli, "VARIANCE_BYTES", row_budget(2000, 0.1, 1.5))
-    assert cli._alpha_group_size(2000, moments._underflow(0.9, 2000)) == 2
+    monkeypatch.setattr(moments, "VARIANCE_BYTES", row_budget(2000, 0.1, 1.5))
+    assert moments._alpha_group_size(2000, moments._underflow(0.9, 2000)) == 2
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and json.loads(out[-1])["pairs"] == 3 * one_walk
 
@@ -417,7 +436,7 @@ def test_variance_preflight_accepts_the_table_cap():
     # the byte budget admits one alpha at every n up to the table cap, even
     # with Z past n (tables of n + 1 floats); 10^6 and 10^7 pass the
     # pre-flight (nothing is run)
-    assert moments._variance_bytes(TABLE_LIMIT, TABLE_LIMIT + 1) <= cli.VARIANCE_BYTES
+    assert moments._variance_bytes(TABLE_LIMIT, TABLE_LIMIT + 1) <= moments.VARIANCE_BYTES
     spec_for(["variance", "--n", "10000000", "--alpha", "0.5"])
     spec_for(["variance", "--n", str(TABLE_LIMIT), "--alpha", "0"])
     spec_for(["variance", "--n", "1000000", "--alpha", "0.5"])
@@ -428,12 +447,15 @@ def test_variance_preflight_accepts_the_table_cap():
     [
         (["simulate", "--n", "1:70000", "--alpha", "0.5", "--trials", "1"], "V[X] walks"),
         (["vfun", "--alpha", ",".join(["0.05"] * 100000)], "v(alpha)"),  # about 14 hours
+        # 10^6 points whose walks are 0.2% of the cap: about 44 s of points
+        (["variance", "--n", "2:11", "--alpha", ",".join(["0.5"] * 100000)], "V[X] walks"),
     ],
 )
 def test_layer_work_refused_before_any_work(capsys, monkeypatch, argv, layer):
     # simulate sums its trials, E points and V[X] walks (about 102 times
-    # the walk cap here), vfun its alphas' S_inf member bounds: refused
-    # before any table is built or any v(alpha) runs
+    # the walk cap here), vfun its alphas' S_inf member bounds, and a V[X]
+    # row prices each of its points: refused before any table is built or
+    # any v(alpha) runs
     def called(*args, **kwargs):
         raise AssertionError("ran past the pre-flight")
 
@@ -484,8 +506,8 @@ def test_grid_work_caps_accept_grids_up_to_the_cap():
     # a row's alphas share a walk while their beta^k tables of min(Z, n) + 1
     # floats and their chunk sums fit the byte budget: more than 300 at
     # n = 10^6 and Z = 74141 (alpha = 0.01), 31 at Z > n (alpha = 10^-4)
-    assert cli._alpha_group_size(10**6, moments._underflow(0.99, 10**6)) > 300
-    assert cli._alpha_group_size(10**6, moments._underflow(1 - 1e-4, 10**6)) == 31
+    assert moments._alpha_group_size(10**6, moments._underflow(0.99, 10**6)) > 300
+    assert moments._alpha_group_size(10**6, moments._underflow(1 - 1e-4, 10**6)) == 31
     # each further alpha of a walk costs 0.2 of its pairs: two rows of the
     # 31 alphas 0.01-0.31 at n = 10^6 pass (one walk each), three do not
     alphas = ",".join(f"0.{k:02d}" for k in range(1, 32))
@@ -1200,6 +1222,15 @@ def test_bench_smoke(capsys):
             assert rec["type"] == "bench" and rec["suite"] == suite
             assert rec["runs"] == 1 and rec["median_s"] > 0.0
             assert len(rec["times_s"]) == 1
+
+
+@pytest.mark.parametrize("repeat", [2, 3])
+def test_bench_median_of_its_times(capsys, repeat):
+    # the middle time of an odd count, the mean of the middle two of an even
+    code, out, _ = run_cli(capsys, ["bench", "--suite", "valpha", "--repeat", str(repeat)])
+    rec = json.loads(out[0])
+    assert code == 0 and len(rec["times_s"]) == repeat
+    assert rec["median_s"] == statistics.median(rec["times_s"])
 
 
 def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):

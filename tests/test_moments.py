@@ -529,6 +529,30 @@ def _assert_variance_peak_under_estimate(n, alphas, tables):
     assert peak < moments._variance_bytes(n, z, len(alphas)), (n, alphas, peak)
 
 
+def test_variance_exact_splits_its_alphas_by_the_byte_budget(tables_2e6, monkeypatch):
+    # five alphas near 10^-4 at n = 2*10^5 (Z > n: tables of n + 1 floats)
+    # with room for three in VARIANCE_BYTES: one library call walks them as
+    # three and two, each value bit for bit its own call's, within the budget
+    n, alphas = 200000, (1e-4, 1.1e-4, 1.2e-4, 1.3e-4, 1.4e-4)
+    z = moments._underflow(1.0 - alphas[0], n)
+    assert z > n
+    alone_counters = {}
+    alone = [variance_exact(n, a, tables_2e6, counters=alone_counters).hex() for a in alphas]
+    monkeypatch.setattr(moments, "VARIANCE_BYTES", moments._variance_bytes(n, z, 3))
+    assert moments._alpha_group_size(n, z) == 3
+    counters = {}
+    tracemalloc.start()
+    try:
+        row = variance_exact(n, alphas, tables_2e6, counters=counters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [v.hex() for v in row] == alone
+    # two walks, where the five calls alone made five of the same pairs
+    assert len(alphas) * counters["pairs"] == 2 * alone_counters["pairs"]
+    assert peak < moments.VARIANCE_BYTES, peak
+
+
 @pytest.mark.parametrize("n,bound_mib", [(16000, VARIANCE_16000_PEAK_MIB), (10**6, VARIANCE_1M_PEAK_MIB)])
 def test_variance_memory_does_not_grow_with_n(tables_2e6, n, bound_mib):
     # the walk holds blocks, one chunk buffer and beta^k up to Z = 1075: no
