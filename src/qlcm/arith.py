@@ -7,7 +7,8 @@ no table.  The table is immutable after construction and safe to share
 across threads.
 
 The module also holds what the other modules share: the prime sieve, the
-validation of an (n, alpha, tables) point and the exact-rational alpha.
+validation rules (the table cap, an (n, alpha, tables) point and a C1
+pair) and the exact-rational alpha.
 """
 
 from __future__ import annotations
@@ -187,8 +188,7 @@ def build_tables(limit: int) -> ArithTables:
     """
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
-    if limit > TABLE_LIMIT:
-        raise ResourceLimitError(f"table limit {limit} exceeds the cap {TABLE_LIMIT}")
+    check_cap(limit, "table limit")
     n = int(limit)
     # the prime sieve is freed before the table exists
     small, large, head = _sieve_primes(n)
@@ -199,15 +199,28 @@ def build_tables(limit: int) -> ArithTables:
     return ArithTables(limit=n, phi=phi)
 
 
-def check_point(n: int, alpha=None, tables: ArithTables | None = None) -> None:
+def check_cap(value: int, what: str) -> None:
+    """Raise ResourceLimitError when ``what``, worth value, passes TABLE_LIMIT."""
+    if value > TABLE_LIMIT:
+        raise ResourceLimitError(f"{what} {value} exceeds the table cap {TABLE_LIMIT}")
+
+
+def check_point(n: int | None = None, alpha=None, tables: ArithTables | None = None) -> None:
     """Raise ValueError unless n >= 1, the tables (when given) cover 1..n
-    and alpha (when given) lies in [0, 1]."""
-    if n < 1:
+    and alpha lies in [0, 1], each when given; a rational alpha is compared
+    exactly, so a Fraction is never rounded, and any other as a float."""
+    if n is not None and n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if tables is not None and tables.limit < n:
         raise ValueError(f"tables cover 1..{tables.limit}, need {n}")
-    if alpha is not None and not 0.0 <= float(alpha) <= 1.0:
+    if alpha is not None and not 0 <= (alpha if isinstance(alpha, Rational) else float(alpha)) <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def check_pair(a1: int, a2: int) -> None:
+    """Raise ValueError unless a1, a2 are positive and coprime, as C1 needs."""
+    if min(a1, a2) < 1 or math.gcd(a1, a2) != 1:
+        raise ValueError(f"needs coprime positive a1, a2, got ({a1}, {a2})")
 
 
 def as_fraction(alpha) -> Fraction:
@@ -256,10 +269,7 @@ def phi_pair_summatory(a1: int, a2: int, x: float) -> int:
     m = math.floor(x)
     if m < 1:
         return 0
-    if max(a1, a2) * m > TABLE_LIMIT:
-        raise ResourceLimitError(
-            f"phi_pair_summatory reads phi up to {max(a1, a2) * m}, past the cap {TABLE_LIMIT}"
-        )
+    check_cap(max(a1, a2) * m, "phi_pair_summatory's largest index")
     small, large, head = _sieve_primes(m)
     primes1, primes2 = prime_factors(a1), prime_factors(a2)
     buf = np.empty(segment_bytes(m) // 4, dtype=np.int32)

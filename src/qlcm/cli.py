@@ -162,10 +162,8 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
             raise ValueError(f"range must be a:b or a:b:step, got {part!r}")
         a, b = bits[0], bits[min(1, len(bits) - 1)]
         step = bits[2] if len(bits) == 3 else 1
-        if min(a, b) < 1:
-            raise ValueError(f"n must be >= 1, got {min(a, b)}")
-        if max(a, b) > arith.TABLE_LIMIT:
-            raise ResourceLimitError(f"--n {max(a, b)} exceeds the table limit {arith.TABLE_LIMIT}")
+        arith.check_point(min(a, b))
+        arith.check_cap(max(a, b), "--n")
         if step < 1:
             raise ValueError(f"range step must be >= 1, got {step}")
         if a > b:
@@ -205,9 +203,8 @@ def _parse_alphas(text: str, exact: bool = False) -> tuple:
             v = float(Fraction(part))
         else:
             v = float(part)
-        if not 0 <= v <= 1:
-            raise ValueError(f"alpha must lie in [0, 1], got {part}")
-        out.append(v)
+        arith.check_point(alpha=v)
+        out.append(v + 0)  # -0.0 + 0 is 0.0: a negative zero prints as 0
     return tuple(out)
 
 
@@ -216,10 +213,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
     if len(bits) != 2:
         raise ValueError(f"expected a1,a2 got {text!r}")
     pair = (int(bits[0]), int(bits[1]))
-    if math.gcd(*pair) != 1 or min(pair) < 1:
-        raise ValueError(f"needs coprime positive a1,a2, got {pair}")
-    if max(pair) > arith.TABLE_LIMIT:  # C1 factors a1 and a2 by trial division
-        raise ResourceLimitError(f"--c1-pair {max(pair)} exceeds the cap {arith.TABLE_LIMIT}")
+    arith.check_pair(*pair)
+    arith.check_cap(max(pair), "--c1-pair")  # C1 factors a1 and a2 by trial division
     return pair
 
 
@@ -278,8 +273,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, cmd: Command) -> dict:
-    """Each option the command reads: the first of CLI flag, QLCM_* variable,
-    config file and command default, parsed.  The rest keep their defaults."""
+    """Each option the command reads: the first of CLI flag, QLCM_* variable
+    and config file, parsed.  The rest keep their defaults."""
     config_path = getattr(args, "config", None) or os.environ.get("QLCM_CONFIG")
     file_values = _load_config_file(config_path) if config_path else {}
     values = {name: opt.default for name, opt in OPTIONS.items()}
@@ -291,7 +286,6 @@ def _resolve(args: argparse.Namespace, cmd: Command) -> dict:
             (name, getattr(args, name, None)),
             (f"{name} (environment variable {env})", os.environ.get(env)),
             (f"{name} (config key {name})", file_values.get(name)),
-            (name, cmd.defaults.get(name)),
         )
         origin, raw = next(((o, r) for o, r in sources if r is not None), (name, None))
         if raw is None:
@@ -363,14 +357,12 @@ def _check_vfun(spec: ExperimentSpec):
         if spec.c1_pair is None:
             raise SpecError("c1_x: requires c1_pair")
         # the C1 check reads phi(a * m) up to max(a1, a2) * x
-        size = max(spec.c1_pair) * spec.c1_x
-        if size > arith.TABLE_LIMIT:
-            raise ResourceLimitError(
-                f"--c1-x {spec.c1_x} reads phi up to {size}, past the cap {arith.TABLE_LIMIT}"
-            )
+        arith.check_cap(max(spec.c1_pair) * spec.c1_x, f"--c1-x {spec.c1_x}'s largest phi index")
 
 
 def _check_oracle(spec: ExperimentSpec):
+    if not spec.alphas:  # no flag, QLCM_ALPHA or config key gave one
+        spec.alphas = (0.5,)
     _check_grid(spec)
     if max(spec.n_values) > qpoly.ORACLE_LIMIT:
         raise ResourceLimitError(
@@ -705,8 +697,9 @@ def _bench_cases(spec: ExperimentSpec):
     elif suite == "valpha":
 
         def cold_v_alpha():
-            # cold C1 caches on every repeat, as in the oracle suite
+            # cold C1 and cofactor caches on every repeat, as in the oracle suite
             moments._c1_weight_prefix.cache_clear()
+            moments._coprime_cofactors.cache_clear()
             moments._c1_inner_cache.clear()
             moments.v_alpha(0.5, spec.truncation)
 
@@ -752,10 +745,8 @@ def _bench_records(spec: ExperimentSpec, phases):
 class Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # the options it reads, and so its flags
-    preflight: object  # spec -> None; raises SpecError or ResourceLimitError
+    preflight: object  # spec -> None; may fill a default; raises SpecError or ResourceLimitError
     records: object  # (spec, phases) -> records
-    # texts, parsed as an env value is; read-only, as the default is shared
-    defaults: types.MappingProxyType = types.MappingProxyType({})
 
 
 _OUTPUT = ("format", "timings")
@@ -791,7 +782,6 @@ COMMANDS = {
         ("n", "alpha", "trials", "seed", "timings"),
         _check_oracle,
         _grid(_oracle_point),
-        defaults=types.MappingProxyType({"alpha": "0.5"}),
     ),
     # the valpha suite reads the truncation, the oracle suite the seed
     "bench": Command(

@@ -24,9 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    TABLE_LIMIT,
     ArithTables,
     as_fraction,
+    check_cap,
+    check_pair,
     check_point,
     prime_factors,
     split_primes,
@@ -85,10 +86,7 @@ class TruncationConfig(_Truncation):
             v = getattr(self, name)
             if not 0.0 < v <= 1e-3:
                 raise ValueError(f"{name} must lie in (0, 1e-3], got {v}")
-        if self.c1_cutoff > TABLE_LIMIT:
-            raise ResourceLimitError(
-                f"c1_cutoff {self.c1_cutoff} exceeds the table cap {TABLE_LIMIT}"
-            )
+        check_cap(self.c1_cutoff, "c1_cutoff")
         return self
 
 
@@ -186,8 +184,7 @@ def dilog(z: float, tol: float = 1e-12) -> float:
 def alpha_factor(alpha: float) -> float:
     """alpha * Li2(1-alpha) / (1-alpha), with the removable singularity at
     alpha = 1 evaluating to exactly 1 and alpha = 0 to exactly 0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    check_point(alpha=alpha)
     if alpha == 0.0:
         return 0.0
     if alpha == 1.0:
@@ -470,13 +467,15 @@ def _variance_bytes(n, z: int, alphas: int = 1):
     array) allocates beside the tables, for alphas with Z <= z: the k array
     and each alpha's beta^k table, min(z, n) + 1 floats each; 48 bytes an
     alpha per chunk sum, of at most _walk_pairs(n) / VARIANCE_CHUNK +
-    sqrt(n) + 2 chunks; five chunk arrays and 32 blocks of temporaries.  The
-    tests' tracemalloc peaks are 30-67% of it (1.41-1.50 MB at alpha = 0.5
-    up to n = 2*10^6, 4.71 MB at 10^-4 and 2*10^5)."""
+    sqrt(n) + 2 chunks; 160 bytes an alpha of Python objects (its table's
+    header, its list of sums, its value: a further alpha took 307 bytes at
+    n = 2, 188 of them counted without it); five chunk arrays and 32 blocks
+    of temporaries.  The tests' tracemalloc peaks are 30-67% of it (1.41-1.50
+    MB at alpha = 0.5 up to n = 2*10^6, 4.71 MB at 10^-4 and 2*10^5)."""
     top = np.minimum(z, n) + 1
     chunks = _walk_pairs(n) / VARIANCE_CHUNK + np.sqrt(n) + 2
     fixed = 8 * (5 * VARIANCE_CHUNK + 32 * VARIANCE_BLOCK)
-    return 8 * (alphas + 1) * top + 48 * alphas * chunks + fixed
+    return 8 * (alphas + 1) * top + (48 * chunks + 160) * alphas + fixed
 
 
 def _alpha_group_size(n, z: int):
@@ -691,12 +690,8 @@ def c1_constant(a1: int, a2: int, config: TruncationConfig | None = None) -> C1E
     division short and a1 a2 <= 10^14 < 2^53."""
     if config is None:
         config = TruncationConfig()
-    if a1 < 1 or a2 < 1:
-        raise ValueError(f"a1, a2 must be positive, got ({a1}, {a2})")
-    if math.gcd(a1, a2) != 1:
-        raise ValueError(f"C1 is only needed for coprime pairs, got ({a1}, {a2})")
-    if max(a1, a2) > TABLE_LIMIT:
-        raise ResourceLimitError(f"C1({a1}, {a2}): max(a1, a2) exceeds the cap {TABLE_LIMIT}")
+    check_pair(a1, a2)
+    check_cap(max(a1, a2), f"C1({a1}, {a2}): max(a1, a2)")
     t = config.c1_cutoff
     value, tail, _, _ = _c1_pairs(np.array([a1]), np.array([a2]), t)
     return C1Estimate(value=float(value[0]), tail_error=float(tail[0]), cutoff=t)
@@ -783,11 +778,15 @@ def _enumeration_depth(alpha: float, config: TruncationConfig) -> int:
     return e
 
 
+@functools.cache
 def _coprime_cofactors(s: int) -> np.ndarray:
     """The int64 a1 <= s with gcd(a1, s + 1) = 1, ascending: the coprime pairs
-    (a1, s + 1 - a1) with a1 + a2 - 1 = s."""
-    a = np.arange(1, s + 1, dtype=np.int64)
-    return a[np.gcd(a, s + 1) == 1]
+    (a1, s + 1 - a1) with a1 + a2 - 1 = s.  Cached read-only, since v_alpha
+    takes its C1 pairs from it and then walks the same s; s <= emax < 668
+    under V_ALPHA_MEMBER_LIMIT, so the cache stays under 1.2 MB."""
+    a = np.flatnonzero(np.gcd(np.arange(1, s + 1, dtype=np.int64), s + 1) == 1) + 1
+    a.setflags(write=False)
+    return a
 
 
 def s_infinity_members(alpha: float, config: TruncationConfig | None = None):
@@ -876,12 +875,12 @@ def v_alpha(alpha: float, config: TruncationConfig | None = None) -> VAlphaEstim
     emax = _enumeration_depth(alpha, config)
     beta = 1.0 - alpha
     pb = _powers(beta, emax + 1)
-    # the coprime pairs with s = a1 + a2 - 1 <= emax in the walk's order: the
-    # triangle's (row, col) = (s - 1, a1 - 1) come s major, a1 ascending
-    row, col = np.tril_indices(emax)
-    a1, a2 = col + 1, row + 1 - col
-    pairs = np.gcd(a1, a2) == 1
-    c1_values, c1_tails, sets, evals = _c1_pairs(a1[pairs], a2[pairs], config.c1_cutoff)
+    # the walk's pairs, in its order: s ascending, and each s's cofactors as
+    # s_infinity_members yields them
+    cofactors = [_coprime_cofactors(s) for s in range(1, emax + 1)]
+    a1 = np.concatenate([np.zeros(0, dtype=np.int64), *cofactors])
+    a2 = np.repeat(np.arange(2, emax + 2), [len(x) for x in cofactors]) - a1
+    c1_values, c1_tails, sets, evals = _c1_pairs(a1, a2, config.c1_cutoff)
     values, tails = [], []
     n_terms = start = 0
     for s, x, _, blocks in s_infinity_members(alpha, config):

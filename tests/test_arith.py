@@ -344,6 +344,22 @@ def test_entry_points_reject_bad_points(call, n, alpha, limit):
         call(n, alpha, build_tables(limit))
 
 
+def test_as_fraction_takes_only_rationals():
+    assert arith.as_fraction(Fraction(1, 3)) == Fraction(1, 3) and arith.as_fraction(1) == 1
+    for value in (0.5, "x"):
+        with pytest.raises(TypeError):
+            arith.as_fraction(value)
+
+
+def test_each_validation_rule_is_stated_once():
+    # the table cap and the alpha range are each compared in one helper in
+    # arith, which every site calls
+    root = Path(__file__).resolve().parents[1] / "src" / "qlcm"
+    text = "\n".join(p.read_text() for p in sorted(root.glob("*.py")))
+    assert len(re.findall(r"^\s*if .*TABLE_LIMIT", text, re.M)) == 1
+    assert text.count("alpha must lie in [0, 1]") == 1
+
+
 def test_package_exports_resolve():
     missing = [name for name in qlcm.__all__ if not hasattr(qlcm, name)]
     assert not missing

@@ -345,6 +345,62 @@ def test_exit_code_spec_error(capsys):
         assert code == 2 and err.startswith(f"error: {name}"), (argv, err)
 
 
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["expect", "--n", "5"], {}, "alpha: required"),
+        (["vfun"], {}, "alpha: required"),
+        (["bench"], {}, "suite: required"),
+        (["expect", "--n", "1:2:3:4", "--alpha", "0.5"], {}, "n: range must be a:b or a:b:step"),
+        (["expect", "--n", "1:5:0", "--alpha", "0.5"], {}, "n: range step must be >= 1"),
+        (["vfun", "--c1-pair", "1,2,3"], {}, "c1_pair: expected a1,a2"),
+        (["expect", "--n", "5", "--alpha", "0.5"], {"QLCM_EXACT": "maybe"},
+         "exact (environment variable QLCM_EXACT): expected a boolean"),
+        (["vfun", "--alpha", "0.5", "--j3-max", "0"], {}, "truncation: j3_max must be positive"),
+    ],
+)
+def test_spec_errors_name_their_field(capsys, monkeypatch, argv, env, message):
+    for var in [v for v in os.environ if v.startswith("QLCM_")]:
+        monkeypatch.delenv(var)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expect", "--n", "5"],
+        ["variance", "--n", "5"],
+        ["variance", "--n", "5", "--format", "csv"],
+    ],
+)
+def test_negative_zero_alpha_prints_as_zero(capsys, argv):
+    # -0.0 is normalized where alpha is parsed, so no record carries a -0
+    # (alpha, e_grouped and v_upper did)
+    _, zero, _ = run_cli(capsys, [*argv, "--alpha", "0", "--no-timings"])
+    code, negative, _ = run_cli(capsys, [*argv, "--alpha=-0.0", "--no-timings"])
+    assert code == 0 and negative == zero
+    alphas = spec_for(["expect", "--n", "5", "--alpha=-0.0,-0/1"]).alphas
+    assert [math.copysign(1.0, a) for a in alphas] == [1.0, 1.0]
+
+
+def test_oracle_check_alpha_default_comes_last(tmp_path, monkeypatch):
+    # oracle-check's pre-flight fills alpha 0.5 only when no flag,
+    # QLCM_ALPHA or config key gave one
+    for var in ("QLCM_ALPHA", "QLCM_CONFIG"):
+        monkeypatch.delenv(var, raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.75\n")
+    argv = ["oracle-check", "--n", "10", "--trials", "5"]
+    assert spec_for(argv).alphas == (0.5,)
+    assert spec_for([*argv, "--config", str(cfg)]).alphas == (0.75,)
+    monkeypatch.setenv("QLCM_ALPHA", "0.25")
+    assert spec_for([*argv, "--config", str(cfg)]).alphas == (0.25,)
+    assert spec_for([*argv, "--alpha", "0.125", "--config", str(cfg)]).alphas == (0.125,)
+
+
 def test_exit_code_resource_limit(capsys):
     # the first five requests exceed the table cap (--c1-x x reads phi up to
     # max(a1, a2) * x, --c1-cutoff T a C1 weight prefix up to T, and an
@@ -830,7 +886,7 @@ def test_oracle_check_timing_counters(capsys):
 
 def test_precedence_cli_env_config(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 5\ntrials = 33  # comment\ntail-tol = 1e-10\n")
+    cfg.write_text("# a run\n\nseed = 5\ntrials = 33  # comment\n  \ntail-tol = 1e-10\n")
     for var in ("QLCM_SEED", "QLCM_TRIALS", "QLCM_CONFIG"):
         monkeypatch.delenv(var, raising=False)
 
@@ -1214,7 +1270,7 @@ def test_workers_do_not_change_output(capsys):
 
 
 def test_bench_smoke(capsys):
-    for suite in ("oracle", "valpha"):
+    for suite in ("oracle", "valpha", "sieve"):
         code, out, _ = run_cli(capsys, ["bench", "--suite", suite, "--repeat", "1"])
         assert code == 0
         for ln in out:
@@ -1238,7 +1294,7 @@ def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
     # cache state of one, not with two repeats of cached lookups on top.  The
     # C1 caches are dicts, whose sizes a warm repeat would leave as they are,
     # so their state also counts the prime sets whose C1 inner sums are
-    # evaluated per repeat
+    # evaluated per repeat; the S_inf cofactor lists are recomputed too
     inner_sums = []
     sweep = moments._inner_sums
 
@@ -1253,11 +1309,12 @@ def test_bench_oracle_repeats_start_cold(capsys, monkeypatch):
 
     def c1_caches(repeat):
         prefixes = moments._c1_weight_prefix.cache_info().currsize
-        return [prefixes, len(moments._c1_inner_cache), len(inner_sums) / repeat]
+        cofactors = moments._coprime_cofactors.cache_info()
+        return [prefixes, len(moments._c1_inner_cache), len(inner_sums) / repeat, cofactors]
 
     for suite, state, cold in (
         ("oracle", oracle_caches, lambda infos: all(info.misses > 0 for info in infos)),
-        ("valpha", c1_caches, lambda sizes: sizes[-1] > 0),
+        ("valpha", c1_caches, lambda sizes: sizes[2] > 0 and sizes[3].misses > 0),
     ):
         counts = []
         for repeat in (1, 3):

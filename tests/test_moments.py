@@ -133,6 +133,8 @@ def test_alpha_factor_endpoints_and_identity():
     assert rel_close(alpha_factor(0.5), dilog(0.5))
     # removable singularity at alpha = 1 is actually smooth
     assert abs(alpha_factor(1.0) - alpha_factor(1.0 - 1e-8)) < 1e-6
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        alpha_factor(1.5)
 
 
 def test_expectation_examples(tables_small):
@@ -226,6 +228,8 @@ def test_powers_match_powi(beta):
     fast = moments._powers(beta, 20001)
     assert hexes(fast) == hexes(moments._powi(beta, k) for k in range(20001))
     assert len(moments._powers(beta, 0)) == 0 and moments._powers(beta, 1).tolist() == [1.0]
+    with pytest.raises(ValueError):
+        moments._powi(beta, -1)
     # counts at, just below and just past powers of two
     for count in (1, 2, 1023, 1024, 1025, 4097):
         got = moments._powers(beta, count)
@@ -550,6 +554,25 @@ def test_variance_exact_splits_its_alphas_by_the_byte_budget(tables_2e6, monkeyp
     assert [v.hex() for v in row] == alone
     # two walks, where the five calls alone made five of the same pairs
     assert len(alphas) * counters["pairs"] == 2 * alone_counters["pairs"]
+    assert peak < moments.VARIANCE_BYTES, peak
+
+
+def test_variance_exact_prices_each_alpha_at_small_n(monkeypatch):
+    # at n = 2 an alpha's table is three floats, and the Python objects of
+    # each alpha (its table's header, its list of sums, its value) are most
+    # of what it costs: 40,000 alphas with room for 20,000 in VARIANCE_BYTES
+    # walk as two groups whose peak stays under the budget
+    n, alphas = 2, tuple(0.25 + k / 80000 for k in range(40000))
+    z = max(moments._underflow(1.0 - a, n) for a in alphas)
+    monkeypatch.setattr(moments, "VARIANCE_BYTES", math.ceil(moments._variance_bytes(n, z, 20000)))
+    counters = {}
+    tracemalloc.start()
+    try:
+        variance_exact(n, alphas, build_tables(n), counters=counters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counters["pairs"] == 2  # two walks of the one pair (2, 2)
     assert peak < moments.VARIANCE_BYTES, peak
 
 
@@ -945,6 +968,17 @@ def test_v_alpha_positive_and_pinned():
     # frozen regression value for the midpoint
     est = v_alpha(0.5)
     assert abs(est.value - 0.039829164382) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5])
+def test_v_alpha_takes_c1_pairs_from_the_walk(monkeypatch, alpha):
+    # C1 of each pair comes from the cofactor lists the S_inf walk yields, so
+    # another order of the cofactors within each s changes no bit
+    v_alpha(alpha)  # C1 cached, so both runs below count the same inner sums
+    est = v_alpha(alpha)
+    cofactors = moments._coprime_cofactors
+    monkeypatch.setattr(moments, "_coprime_cofactors", lambda s: np.roll(cofactors(s), 1))
+    assert hexes(v_alpha(alpha)) == hexes(est)
 
 
 def test_v_alpha_endpoints_rejected():

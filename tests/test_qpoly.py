@@ -113,6 +113,9 @@ def test_poly_divexact_rejects():
     # degree too small is not divisible either
     with pytest.raises(ValueError):
         poly_divexact(IntPoly((1, 1)), IntPoly((1, 1, 1)))
+    # a leading step that is not integral over Z: 1 / 2
+    with pytest.raises(ValueError):
+        poly_divexact(IntPoly((1, 1)), IntPoly((1, 2)))
 
 
 @pytest.mark.parametrize("scale", [1, 2**45])
